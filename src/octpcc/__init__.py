@@ -1,6 +1,6 @@
 """Lossless octree point cloud geometry codec with a learned entropy model."""
 
-from .context import ContextConfig, ContextWindow, window_batch, window_for
+from .context import ContextConfig, ContextWindow
 from .errors import (ConfigError, CorruptStream, InsufficientClasses,
                      InvalidInput, ModelMismatch, NumericalError, OctpccError,
                      ParseError)
@@ -10,7 +10,7 @@ from .metrics import (ClassFeatureBank, InterClassStats, bpip, chamfer,
                       collect_features, d1_psnr, interclass_stats)
 from .model import (ContextModel, ModelConfig, TrainSchedule, loss_ce,
                     loss_mse, train, zero_head_layers)
-from .octree import NodeSequence, OctreeNode, build, occupancy_code, reconstruct
+from .octree import NodeSequence, build, occupancy_code, reconstruct
 from .coder import Bitstream, FreqTable, quantize_dist
 from .pipeline import EncodeReport, decode, encode
 
@@ -21,10 +21,10 @@ __all__ = [
     "ContextModel", "ContextWindow", "CorruptStream", "EncodeReport",
     "FreqTable", "InsufficientClasses", "InterClassStats", "InvalidInput",
     "ModelConfig", "ModelMismatch", "NodeSequence", "NumericalError",
-    "OctpccError", "OctreeNode", "ParseError", "QuantizedPointCloud",
+    "OctpccError", "ParseError", "QuantizedPointCloud",
     "RawPointCloud", "TrainSchedule", "bpip", "build", "chamfer",
     "collect_features", "d1_psnr", "decode", "dequantize", "encode",
     "interclass_stats", "loss_ce", "loss_mse", "occupancy_code", "quantize",
     "quantize_dist", "read_ply", "reconstruct", "synth", "train",
-    "window_batch", "window_for", "write_ply", "zero_head_layers",
+    "write_ply", "zero_head_layers",
 ]

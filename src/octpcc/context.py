@@ -7,10 +7,13 @@ occupancy zeroed out (it is exactly what is being predicted, unknown at
 decode time).  Slots that would refer to nodes before the
 start of the stream are zero-padded and masked.
 
-Every feature visible through window_for(seq, i) is a function of nodes
-decoded strictly before i (plus the target's ancestors, which are decoded
-before any node of the target's level), so the decoder can rebuild the
-identical window.
+GrowingContext is the one window table.  The decoder fills it node by
+node as symbols arrive; ContextAssembler fills it from a whole sequence
+through the same add_node/set_occupancy calls, in the same order, for the
+encoder, the trainer and analysis.  Every feature visible in window i is a
+function of nodes decoded strictly before i (plus the target's ancestors,
+which are decoded before any node of the target's level), so the decoder
+rebuilds the identical window.
 """
 
 from __future__ import annotations
@@ -49,77 +52,12 @@ class ContextWindow:
     target_index: int
 
 
-def ancestor_chains(seq: NodeSequence, k: int) -> np.ndarray:
-    """(n, k+1, 3) feature chains: entry 0 is the node itself, then ancestors."""
-    n = len(seq)
-    chains = np.zeros((n, k + 1, 3), dtype=np.int32)
-    chains[:, 0, 0] = seq.occupancy
-    chains[:, 0, 1] = seq.level
-    chains[:, 0, 2] = seq.octant
-    idx = seq.parent.copy()
-    for j in range(1, k + 1):
-        have = idx != ROOT_PARENT
-        rows = idx[have]
-        chains[have, j, 0] = seq.occupancy[rows]
-        chains[have, j, 1] = seq.level[rows]
-        chains[have, j, 2] = seq.octant[rows]
-        nxt = np.full_like(idx, ROOT_PARENT)
-        nxt[have] = seq.parent[rows]
-        idx = nxt
-    return chains
-
-
-class ContextAssembler:
-    """Window builder over a fixed node sequence (encode / training side)."""
-
-    def __init__(self, seq: NodeSequence, cfg: ContextConfig):
-        self.cfg = cfg
-        self.n_nodes = len(seq)
-        self.chains = ancestor_chains(seq, cfg.k_ancestors)
-        self.level_starts = None
-        if cfg.strict_level:
-            self.level_starts = seq.level_offsets[seq.level - 1]
-
-    def window(self, i: int) -> ContextWindow:
-        if not (0 <= i < self.n_nodes):
-            raise InvalidInput(f"node index {i} out of range")
-        n = self.cfg.n_window
-        slots = np.zeros((n, self.cfg.k_ancestors + 1, 3), dtype=np.int32)
-        valid = np.zeros(n, dtype=bool)
-        lo = max(0, i - (n - 1))
-        if self.level_starts is not None:
-            lo = max(lo, int(self.level_starts[i]))
-        m = i - lo
-        if m:
-            slots[n - 1 - m:n - 1] = self.chains[lo:i]
-            valid[n - 1 - m:n - 1] = True
-        slots[n - 1] = self.chains[i]
-        slots[n - 1, 0, 0] = PAD  # target occupancy is the unknown
-        valid[n - 1] = True
-        return ContextWindow(slots=slots, valid=valid, target_index=i)
-
-    def window_block(self, start: int, stop: int):
-        """Stacked slots/valid for targets [start, stop); order preserved."""
-        if not (0 <= start < stop <= self.n_nodes):
-            raise InvalidInput("empty or out-of-range window batch")
-        count = stop - start
-        n = self.cfg.n_window
-        slots = np.zeros((count, n, self.cfg.k_ancestors + 1, 3), dtype=np.int32)
-        valid = np.zeros((count, n), dtype=bool)
-        for b, i in enumerate(range(start, stop)):
-            w = self.window(i)
-            slots[b] = w.slots
-            valid[b] = w.valid
-        return slots, valid
-
-
 class GrowingContext:
-    """Incremental twin of ContextAssembler for the decoder.
+    """Per-node ancestor chains, appended in breadth-first order.
 
     Nodes are appended as soon as their level/octant/parent are known (when
     the parent's occupancy is decoded); each node's own occupancy is filled
-    in once it is decoded.  Windows built here are bit-identical to the
-    encode-side assembler's.
+    in once it is decoded.
     """
 
     def __init__(self, cfg: ContextConfig):
@@ -153,6 +91,8 @@ class GrowingContext:
         self.chains[i, 0, 0] = occ
 
     def window(self, i: int) -> ContextWindow:
+        if not (0 <= i < self.count):
+            raise InvalidInput(f"node index {i} out of range")
         n = self.cfg.n_window
         slots = np.zeros((n, self.cfg.k_ancestors + 1, 3), dtype=np.int32)
         valid = np.zeros(n, dtype=bool)
@@ -164,58 +104,31 @@ class GrowingContext:
             slots[n - 1 - m:n - 1] = self.chains[lo:i]
             valid[n - 1 - m:n - 1] = True
         slots[n - 1] = self.chains[i]
-        slots[n - 1, 0, 0] = PAD
+        slots[n - 1, 0, 0] = PAD  # target occupancy is the unknown
         valid[n - 1] = True
         return ContextWindow(slots=slots, valid=valid, target_index=i)
 
-
-def window_for(seq: NodeSequence, i: int, cfg: ContextConfig) -> ContextWindow:
-    """Window for a single target node (pure; see ContextAssembler for bulk use)."""
-    return ContextAssembler(seq, cfg).window(i)
-
-
-def window_batch(seq: NodeSequence, index_range, cfg: ContextConfig):
-    """Windows for a contiguous run of targets, in order."""
-    start, stop = index_range
-    asm = ContextAssembler(seq, cfg)
-    if not (0 <= start < stop <= len(seq)):
-        raise InvalidInput("empty or out-of-range window batch")
-    return [asm.window(i) for i in range(start, stop)]
-
-
-# ---------------------------------------------------------------------------
-# Debug dump: one window per line, flat integers
-#   target_index label valid[0..N-1] slots.flatten()
-# ---------------------------------------------------------------------------
-
-def dump_windows(path, seq: NodeSequence, cfg: ContextConfig,
-                 indices=None) -> None:
-    asm = ContextAssembler(seq, cfg)
-    if indices is None:
-        indices = range(len(seq))
-    with open(path, "w") as f:
-        for i in indices:
-            w = asm.window(i)
-            rec = [i, int(seq.occupancy[i])]
-            rec.extend(int(v) for v in w.valid)
-            rec.extend(int(v) for v in w.slots.ravel())
-            f.write(" ".join(map(str, rec)) + "\n")
+    def window_block(self, start: int, stop: int):
+        """Stacked slots/valid for targets [start, stop); order preserved."""
+        if not (0 <= start < stop <= self.count):
+            raise InvalidInput("empty or out-of-range window batch")
+        count = stop - start
+        n = self.cfg.n_window
+        slots = np.zeros((count, n, self.cfg.k_ancestors + 1, 3), dtype=np.int32)
+        valid = np.zeros((count, n), dtype=bool)
+        for b, i in enumerate(range(start, stop)):
+            w = self.window(i)
+            slots[b] = w.slots
+            valid[b] = w.valid
+        return slots, valid
 
 
-def load_windows(path, cfg: ContextConfig):
-    """Inverse of dump_windows: list of (ContextWindow, label)."""
-    n, k = cfg.n_window, cfg.k_ancestors
-    out = []
-    with open(path) as f:
-        for ln in f:
-            vals = np.array(ln.split(), dtype=np.int64)
-            expect = 2 + n + n * (k + 1) * 3
-            if vals.shape[0] != expect:
-                raise InvalidInput(
-                    f"window record has {vals.shape[0]} fields, expected {expect}")
-            target, label = int(vals[0]), int(vals[1])
-            valid = vals[2:2 + n].astype(bool)
-            slots = vals[2 + n:].astype(np.int32).reshape(n, k + 1, 3)
-            out.append((ContextWindow(slots=slots, valid=valid,
-                                      target_index=target), label))
-    return out
+class ContextAssembler(GrowingContext):
+    """The window table of a whole, known sequence (encode / training side)."""
+
+    def __init__(self, seq: NodeSequence, cfg: ContextConfig):
+        super().__init__(cfg)
+        for level, octant, parent, occ in zip(
+                seq.level.tolist(), seq.octant.tolist(), seq.parent.tolist(),
+                seq.occupancy.tolist()):
+            self.set_occupancy(self.add_node(level, octant, parent), occ)

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .context import ContextConfig, load_windows
 from .errors import InsufficientClasses, InvalidInput
 from .geometry import QuantizedPointCloud, dequantize
 from .model import ContextModel
@@ -55,34 +54,6 @@ def collect_features(model: ContextModel, corpus) -> ClassFeatureBank:
         labels = seq.occupancy - 1
         np.add.at(sums, labels, a1)
         counts += np.bincount(labels, minlength=255)
-    means = np.zeros_like(sums)
-    present = counts > 0
-    means[present] = sums[present] / counts[present, None]
-    return ClassFeatureBank(counts=counts, means=means)
-
-
-def collect_features_dump(model: ContextModel, path,
-                          cfg: ContextConfig = None) -> ClassFeatureBank:
-    """Same bank, fed from the context module's window dump format."""
-    cfg = cfg or model.cfg.ctx
-    records = load_windows(path, cfg)
-    if not records:
-        raise InvalidInput("window dump is empty")
-    dim = model.cfg.d_hidden_main
-    sums = np.zeros((255, dim))
-    counts = np.zeros(255, dtype=np.int64)
-    wc_prev = None
-    for window, label in records:
-        x = model._embed_np(window.slots)
-        wc = model._attend_np(x, window.valid)
-        if model.cfg.enable_residual and wc_prev is not None:
-            r = wc - wc_prev
-        else:
-            r = np.zeros_like(wc)
-        _, _, a1 = model._heads_np(wc, r)
-        sums[label - 1] += a1
-        counts[label - 1] += 1
-        wc_prev = wc
     means = np.zeros_like(sums)
     present = counts > 0
     means[present] = sums[present] / counts[present, None]

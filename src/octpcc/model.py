@@ -1,12 +1,13 @@
 """The enhanced occupancy context model.
 
-Pipeline per node: feature embeddings -> masked multi-head self-attention
--> weighted context wc_i (target slot output) -> context feature residual
-r_i = wc_i - wc_{i-1} -> both heads consume [wc_i ; r_i].  The main head is
-a two-layer MLP ending in a 255-way softmax; the branch head is an MLP
-ending in 8 sigmoids (per-child occupancy).  The branch output is fused
-into the main head by concatenation with the main MLP's penultimate
-activation before the final linear layer.
+Pipeline per node: feature embeddings -> one masked multi-head attention
+layer whose only query is the target slot -> weighted context wc_i ->
+context feature residual r_i = wc_i - wc_{i-1} -> both heads consume
+[wc_i ; r_i].  The main head is a two-layer MLP ending in a 255-way
+softmax; the branch head is an MLP ending in 8 sigmoids (per-child
+occupancy).  The branch output is fused into the main head by
+concatenation with the main MLP's penultimate activation before the final
+linear layer.
 
 Ablation toggles: enable_residual feeds a zero vector instead of r_i;
 enable_branch feeds zeros into the fusion slot.  All four combinations
@@ -27,13 +28,22 @@ from typing import NamedTuple
 import numpy as np
 
 from . import nn
-from .context import ContextAssembler, ContextConfig, ContextWindow
-from .errors import InvalidInput, NumericalError
+from .context import ContextAssembler, ContextConfig
+from .errors import ConfigError, InvalidInput, NumericalError
 from .octree import NodeSequence
 
 PROB_FLOOR = 1e-6  # uniform mixing weight; keeps every class strictly positive
 LOG2 = math.log(2.0)
 MAX_TREE_DEPTH = 21
+
+
+# Checkpoint config keys and their JSON types.
+_CTX_KEYS = {"n_window": int, "k_ancestors": int, "strict_level": bool}
+_MODEL_KEYS = {"d_embed": int, "d_model": int, "d_hidden_main": int,
+               "d_hidden_branch": int, "heads": int, "enable_residual": bool,
+               "enable_branch": bool, "max_depth": int, "seed": int}
+# Kept in every config for checkpoint compatibility; no other value loads.
+_FIXED_KEYS = {"attn_layers": 1, "layer_norm": False}
 
 
 @dataclass(frozen=True)
@@ -44,8 +54,6 @@ class ModelConfig:
     d_hidden_main: int = 128
     d_hidden_branch: int = 64
     heads: int = 4
-    attn_layers: int = 1
-    layer_norm: bool = False
     enable_residual: bool = True
     enable_branch: bool = True
     max_depth: int = MAX_TREE_DEPTH
@@ -53,7 +61,7 @@ class ModelConfig:
 
     def __post_init__(self):
         if min(self.d_embed, self.d_model, self.d_hidden_main,
-               self.d_hidden_branch, self.heads, self.attn_layers) < 1:
+               self.d_hidden_branch, self.heads) < 1:
             raise InvalidInput("model dimensions must be positive")
         if self.d_model % self.heads:
             raise InvalidInput("d_model must be divisible by heads")
@@ -71,20 +79,29 @@ class ModelConfig:
             "strict_level": self.ctx.strict_level, "d_embed": self.d_embed,
             "d_model": self.d_model, "d_hidden_main": self.d_hidden_main,
             "d_hidden_branch": self.d_hidden_branch, "heads": self.heads,
-            "attn_layers": self.attn_layers, "layer_norm": self.layer_norm,
             "enable_residual": self.enable_residual,
             "enable_branch": self.enable_branch, "max_depth": self.max_depth,
-            "seed": self.seed,
+            "seed": self.seed, **_FIXED_KEYS,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        ctx = ContextConfig(n_window=d["n_window"], k_ancestors=d["k_ancestors"],
-                            strict_level=d["strict_level"])
-        keys = ("d_embed", "d_model", "d_hidden_main", "d_hidden_branch",
-                "heads", "attn_layers", "layer_norm", "enable_residual",
-                "enable_branch", "max_depth", "seed")
-        return cls(ctx=ctx, **{k: d[k] for k in keys})
+        """Inverse of to_dict; ConfigError for a missing, ill-typed or unsupported key."""
+        if not isinstance(d, dict):
+            raise ConfigError("model config is not a JSON object")
+        for k, kind in {**_CTX_KEYS, **_MODEL_KEYS}.items():
+            if k not in d:
+                raise ConfigError(f"model config lacks {k!r}")
+            if type(d[k]) is not kind:
+                raise ConfigError(f"model config {k!r} must be {kind.__name__}")
+        for k, want in _FIXED_KEYS.items():
+            if type(d.get(k)) is not type(want) or d[k] != want:
+                raise ConfigError(f"model config {k!r} must be {want!r}")
+        try:
+            ctx = ContextConfig(**{k: d[k] for k in _CTX_KEYS})
+            return cls(ctx=ctx, **{k: d[k] for k in _MODEL_KEYS})
+        except InvalidInput as exc:
+            raise ConfigError(f"model config: {exc}") from None
 
     @classmethod
     def full_scale(cls, **overrides) -> "ModelConfig":
@@ -121,44 +138,38 @@ class TraceRecord(NamedTuple):
     lr: float
 
 
-class ForwardResult(NamedTuple):
-    wc: np.ndarray      # (d_model,) weighted context of the target
-    dist: np.ndarray    # (255,) occupancy distribution, floored, sums to 1
-    branch: np.ndarray  # (8,) per-child occupancy probabilities
-
-
 def _glorot(rng, fan_in, fan_out):
     a = math.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-a, a, size=(fan_in, fan_out))
 
 
+def param_shapes(cfg: ModelConfig) -> dict:
+    """Name -> shape of every parameter, in initialization and checkpoint order."""
+    e, d = cfg.d_embed, cfg.d_model
+    hm, hb = cfg.d_hidden_main, cfg.d_hidden_branch
+    shapes = {"embed.occupancy": (256, e), "embed.level": (cfg.max_depth + 1, e),
+              "embed.octant": (8, e),
+              "slot.w": ((cfg.ctx.k_ancestors + 1) * 3 * e, d), "slot.b": (d,)}
+    shapes.update({f"attn0.{nm}": (d, d) for nm in ("wq", "wk", "wv", "wo")})
+    shapes.update({f"attn0.{nm}": (d,) for nm in ("bq", "bk", "bv", "bo")})
+    shapes.update({"main.w1": (2 * d, hm), "main.b1": (hm,),
+                   "main.w2": (hm + 8, 255), "main.b2": (255,),
+                   "branch.w1": (2 * d, hb), "branch.b1": (hb,),
+                   "branch.w2": (hb, 8), "branch.b2": (8,)})
+    return shapes
+
+
 def init_params(cfg: ModelConfig) -> nn.ParamStore:
+    """Embeddings ~ N(0, 0.02), weight matrices Glorot-uniform, biases zero."""
     rng = np.random.default_rng(cfg.seed)
     p = nn.ParamStore()
-    e, d = cfg.d_embed, cfg.d_model
-    p.add("embed.occupancy", rng.normal(0.0, 0.02, size=(256, e)))
-    p.add("embed.level", rng.normal(0.0, 0.02, size=(cfg.max_depth + 1, e)))
-    p.add("embed.octant", rng.normal(0.0, 0.02, size=(8, e)))
-    slot_in = (cfg.ctx.k_ancestors + 1) * 3 * e
-    p.add("slot.w", _glorot(rng, slot_in, d))
-    p.add("slot.b", np.zeros(d))
-    for layer in range(cfg.attn_layers):
-        pre = f"attn{layer}."
-        for nm in ("wq", "wk", "wv", "wo"):
-            p.add(pre + nm, _glorot(rng, d, d))
-        for nm in ("bq", "bk", "bv", "bo"):
-            p.add(pre + nm, np.zeros(d))
-        if cfg.layer_norm:
-            p.add(pre + "ln_g", np.ones(d))
-            p.add(pre + "ln_b", np.zeros(d))
-    p.add("main.w1", _glorot(rng, 2 * d, cfg.d_hidden_main))
-    p.add("main.b1", np.zeros(cfg.d_hidden_main))
-    p.add("main.w2", _glorot(rng, cfg.d_hidden_main + 8, 255))
-    p.add("main.b2", np.zeros(255))
-    p.add("branch.w1", _glorot(rng, 2 * d, cfg.d_hidden_branch))
-    p.add("branch.b1", np.zeros(cfg.d_hidden_branch))
-    p.add("branch.w2", _glorot(rng, cfg.d_hidden_branch, 8))
-    p.add("branch.b2", np.zeros(8))
+    for name, shape in param_shapes(cfg).items():
+        if name.startswith("embed."):
+            p.add(name, rng.normal(0.0, 0.02, size=shape))
+        elif len(shape) == 1:
+            p.add(name, np.zeros(shape))
+        else:
+            p.add(name, _glorot(rng, *shape))
     return p
 
 
@@ -177,8 +188,20 @@ def zero_head_layers(model: "ContextModel") -> "ContextModel":
     return model
 
 
+# Targets per batched forward in weighted_contexts: bounds the
+# (chunk, N, slot features) intermediates.
+ANALYSIS_CHUNK = 512
+
+
 class ContextModel:
-    """Bundles a ModelConfig with its ParamStore; encoder and decoder share it."""
+    """Bundles a ModelConfig with its ParamStore; encoder and decoder share it.
+
+    The forward pass is written once, as `_embed`, `_attend` and `_heads`.
+    Each reads its weights from `params`: the ParamStore by default (plain
+    ndarrays, used by the codec and analysis) or a training tape of Tensors
+    (used by `batch_losses`).  Both runs perform the same ops in the same
+    order.
+    """
 
     def __init__(self, cfg: ModelConfig, params: nn.ParamStore):
         self.cfg = cfg
@@ -190,8 +213,21 @@ class ContextModel:
 
     @classmethod
     def load(cls, path) -> "ContextModel":
+        """Read a checkpoint; ConfigError unless its tensors fit its config."""
         params, config = nn.load_checkpoint(path)
-        return cls(ModelConfig.from_dict(config), params)
+        cfg = ModelConfig.from_dict(config)
+        want = param_shapes(cfg)
+        got = {name: value.shape for name, value in params.items()}
+        if got.keys() != want.keys():
+            missing = sorted(want.keys() - got.keys())
+            extra = sorted(got.keys() - want.keys())
+            raise ConfigError(f"checkpoint parameters do not match its config "
+                              f"(missing {missing}, unexpected {extra})")
+        for name, shape in want.items():
+            if got[name] != shape:
+                raise ConfigError(f"parameter {name!r} has shape {got[name]}; "
+                                  f"the config implies {shape}")
+        return cls(cfg, params)
 
     def save(self, path) -> None:
         nn.save_checkpoint(path, self.params, self.cfg.to_dict())
@@ -199,137 +235,108 @@ class ContextModel:
     def digest(self) -> bytes:
         return nn.checkpoint_digest(self.params, self.cfg.to_dict())
 
-    # ------------------------------------------------------------------
-    # inference path (plain numpy; used by both encoder and decoder)
-    # ------------------------------------------------------------------
-
-    def _embed_np(self, slots: np.ndarray) -> np.ndarray:
-        P = self.params
-        occ = P["embed.occupancy"][slots[..., 0]]
-        lvl = P["embed.level"][slots[..., 1]]
-        octn = P["embed.octant"][slots[..., 2]]
-        feat = np.concatenate((occ, lvl, octn), axis=-1)
-        feat = feat.reshape(*feat.shape[:-2], -1)
+    def _embed(self, slots: np.ndarray, params=None):
+        """slots (..., N, K+1, 3) -> slot vectors (..., N, d)."""
+        P = self.params if params is None else params
+        occ = nn.embedding(P["embed.occupancy"], slots[..., 0])
+        lvl = nn.embedding(P["embed.level"], slots[..., 1])
+        octn = nn.embedding(P["embed.octant"], slots[..., 2])
+        feat = nn.concat((occ, lvl, octn), axis=-1)
+        feat = feat.reshape(*slots.shape[:-2], -1)
         return feat @ P["slot.w"] + P["slot.b"]
 
-    def _attend_np(self, x: np.ndarray, valid: np.ndarray) -> np.ndarray:
-        """x (..., N, d) -> weighted context (..., d) at the target slot."""
-        P, cfg = self.params, self.cfg
-        n, d = x.shape[-2], x.shape[-1]
-        dh = d // cfg.heads
-        lead = x.shape[:-2]
-        bias = nn.mask_bias(valid).reshape(*lead, 1, 1, n)
-        for layer in range(cfg.attn_layers):
-            pre = f"attn{layer}."
-            last = layer == cfg.attn_layers - 1
-            queries = x[..., -1:, :] if last else x
-            nq = queries.shape[-2]
-            q = (queries @ P[pre + "wq"] + P[pre + "bq"]) \
-                .reshape(*lead, nq, cfg.heads, dh).swapaxes(-3, -2)
-            k = (x @ P[pre + "wk"] + P[pre + "bk"]) \
-                .reshape(*lead, n, cfg.heads, dh).swapaxes(-3, -2)
-            v = (x @ P[pre + "wv"] + P[pre + "bv"]) \
-                .reshape(*lead, n, cfg.heads, dh).swapaxes(-3, -2)
-            scores = (q @ k.swapaxes(-1, -2)) * (1.0 / math.sqrt(dh)) + bias
-            weights = nn.softmax_np(scores, axis=-1)
-            ctx = (weights @ v).swapaxes(-3, -2).reshape(*lead, nq, d)
-            out = ctx @ P[pre + "wo"] + P[pre + "bo"]
-            if cfg.layer_norm:
-                mu = out.mean(axis=-1, keepdims=True)
-                var = ((out - mu) ** 2).mean(axis=-1, keepdims=True)
-                out = (out - mu) / np.sqrt(var + 1e-5) * P[pre + "ln_g"] + P[pre + "ln_b"]
-            x = out
-        return x[..., -1, :]
+    def _attend(self, x, valid: np.ndarray, params=None):
+        """x (..., N, d) -> weighted context (..., d) at the target slot.
 
-    def _heads_np(self, wc: np.ndarray, r: np.ndarray):
-        P, cfg = self.params, self.cfg
-        h = np.concatenate((wc, r), axis=-1)
-        a1 = np.maximum(h @ P["main.w1"] + P["main.b1"], 0.0)
-        hb = np.maximum(h @ P["branch.w1"] + P["branch.b1"], 0.0)
-        o = nn.sigmoid_np(hb @ P["branch.w2"] + P["branch.b2"])
-        fusion = o if cfg.enable_branch else np.zeros_like(o)
-        z = np.concatenate((a1, fusion), axis=-1) @ P["main.w2"] + P["main.b2"]
-        p = nn.softmax_np(z, axis=-1)
-        q = (1.0 - PROB_FLOOR) * p + (PROB_FLOOR / 255.0)
+        One masked multi-head attention layer whose only query is the
+        target (last) slot.
+        """
+        P = self.params if params is None else params
+        heads = self.cfg.heads
+        n, d = x.shape[-2], x.shape[-1]
+        dh = d // heads
+        lead = x.shape[:-2]
+
+        def split(t, rows):  # (..., rows, d) -> (..., H, rows, dh)
+            return t.reshape(*lead, rows, heads, dh).swapaxes(-3, -2)
+
+        q = split(x[..., -1:, :] @ P["attn0.wq"] + P["attn0.bq"], 1)
+        k = split(x @ P["attn0.wk"] + P["attn0.bk"], n)
+        v = split(x @ P["attn0.wv"] + P["attn0.bv"], n)
+        bias = nn.mask_bias(valid).reshape(*lead, 1, 1, n)
+        scores = (q @ k.swapaxes(-1, -2)) * (1.0 / math.sqrt(dh)) + bias
+        weights = nn.softmax(scores, axis=-1)
+        ctx = (weights @ v).swapaxes(-3, -2).reshape(*lead, 1, d)
+        out = ctx @ P["attn0.wo"] + P["attn0.bo"]
+        return out[..., -1, :]
+
+    def _heads(self, wc, r, params=None):
+        """(q, o, a1): floored 255-way distribution, 8 branch sigmoids and
+        the main MLP's first-layer activation, from [wc ; r]."""
+        P = self.params if params is None else params
+        h = nn.concat((wc, r), axis=-1)
+        a1 = nn.relu(h @ P["main.w1"] + P["main.b1"])
+        hb = nn.relu(h @ P["branch.w1"] + P["branch.b1"])
+        o = nn.sigmoid(hb @ P["branch.w2"] + P["branch.b2"])
+        fusion = o if self.cfg.enable_branch else np.zeros(o.shape)
+        z = nn.concat((a1, fusion), axis=-1) @ P["main.w2"] + P["main.b2"]
+        p = nn.softmax(z, axis=-1)
+        q = p * (1.0 - PROB_FLOOR) + PROB_FLOOR / 255.0
         return q, o, a1
 
+    def _residuals_from_wc(self, wc, leading_prev: bool = False):
+        """r_i = wc_i - wc_{i-1} for consecutive targets (rows of wc).
+
+        With leading_prev, row 0 only seeds the first residual and gets no
+        residual of its own; otherwise the first row's residual is zero.
+        Zero throughout when residuals are disabled.
+        """
+        rows = wc.shape[0] - (1 if leading_prev else 0)
+        if not self.cfg.enable_residual:
+            return np.zeros((rows, self.cfg.d_model))
+        if leading_prev:
+            return wc[1:] - wc[:-1]
+        if rows == 1:
+            return np.zeros((1, self.cfg.d_model))
+        return nn.concat((np.zeros((1, self.cfg.d_model)), wc[1:] - wc[:-1]),
+                         axis=0)
+
     def predict(self, slots: np.ndarray, valid: np.ndarray, wc_prev):
-        """Single-window fast path: (wc, dist, branch) as raw arrays.
+        """Single-window forward: (wc, dist, branch) as raw arrays.
 
         The codec calls exactly this on both sides, one node at a time, so
         the float sequence, and therefore every frequency table, is
         identical during encode and decode.
         """
-        x = self._embed_np(slots)
-        wc = self._attend_np(x, valid)
+        wc = self._attend(self._embed(slots), valid)
         if self.cfg.enable_residual and wc_prev is not None:
             r = wc - wc_prev
         else:
             r = np.zeros_like(wc)
-        q, o, _ = self._heads_np(wc, r)
+        q, o, _ = self._heads(wc, r)
         return wc, q, o
 
-    def forward(self, window: ContextWindow, wc_prev=None) -> ForwardResult:
-        wc, q, o = self.predict(window.slots, window.valid, wc_prev)
-        return ForwardResult(wc=wc, dist=q, branch=o)
-
-    def weighted_contexts(self, seq: NodeSequence, chunk: int = 512) -> np.ndarray:
+    def weighted_contexts(self, seq: NodeSequence) -> np.ndarray:
         """wc for every node, batched (training/analysis use; not the codec)."""
         asm = ContextAssembler(seq, self.cfg.ctx)
         out = np.empty((len(seq), self.cfg.d_model))
-        for start in range(0, len(seq), chunk):
-            stop = min(start + chunk, len(seq))
+        for start in range(0, len(seq), ANALYSIS_CHUNK):
+            stop = min(start + ANALYSIS_CHUNK, len(seq))
             slots, valid = asm.window_block(start, stop)
-            out[start:stop] = self._attend_np(self._embed_np(slots), valid)
+            out[start:stop] = self._attend(self._embed(slots), valid)
         return out
 
-    def _residuals_from_wc(self, wc: np.ndarray) -> np.ndarray:
-        r = np.zeros_like(wc)
-        if self.cfg.enable_residual and wc.shape[0] > 1:
-            r[1:] = wc[1:] - wc[:-1]
-        return r
-
-    def distributions(self, seq: NodeSequence, chunk: int = 512):
+    def distributions(self, seq: NodeSequence):
         """(dists (n,255), first-layer activations (n,hidden)) for a sequence."""
-        wc = self.weighted_contexts(seq, chunk)
-        q, _, a1 = self._heads_np(wc, self._residuals_from_wc(wc))
+        wc = self.weighted_contexts(seq)
+        q, _, a1 = self._heads(wc, self._residuals_from_wc(wc))
         return q, a1
 
-    def sequence_entropy(self, seq: NodeSequence, chunk: int = 512) -> float:
+    def sequence_entropy(self, seq: NodeSequence) -> float:
         """Ideal codelength in bits: sum of -log2 q(x_i | c_i) in encode order."""
-        q, _ = self.distributions(seq, chunk)
+        q, _ = self.distributions(seq)
         picked = q[np.arange(len(seq)), seq.occupancy - 1]
         return float(-np.log2(picked).sum())
-
-    # ------------------------------------------------------------------
-    # training path (tape)
-    # ------------------------------------------------------------------
-
-    def _attend_tape(self, tape, x, valid):
-        cfg = self.cfg
-        n, d = x.shape[-2], x.shape[-1]
-        dh = d // cfg.heads
-        lead = x.shape[:-2]
-        bias = nn.constant(nn.mask_bias(valid).reshape(*lead, 1, 1, n))
-        for layer in range(cfg.attn_layers):
-            pre = f"attn{layer}."
-            last = layer == cfg.attn_layers - 1
-            queries = x[..., -1:, :] if last else x
-            nq = queries.shape[-2]
-            q = (queries @ tape[pre + "wq"] + tape[pre + "bq"]) \
-                .reshape(*lead, nq, cfg.heads, dh).swapaxes(-3, -2)
-            k = (x @ tape[pre + "wk"] + tape[pre + "bk"]) \
-                .reshape(*lead, n, cfg.heads, dh).swapaxes(-3, -2)
-            v = (x @ tape[pre + "wv"] + tape[pre + "bv"]) \
-                .reshape(*lead, n, cfg.heads, dh).swapaxes(-3, -2)
-            scores = (q @ k.swapaxes(-1, -2)) * (1.0 / math.sqrt(dh)) + bias
-            weights = nn.softmax(scores, axis=-1)
-            ctx = (weights @ v).swapaxes(-3, -2).reshape(*lead, nq, d)
-            out = ctx @ tape[pre + "wo"] + tape[pre + "bo"]
-            if cfg.layer_norm:
-                out = nn.layer_norm(out, tape[pre + "ln_g"], tape[pre + "ln_b"])
-            x = out
-        return x[..., -1, :]
 
     def batch_losses(self, tape, slots, valid, labels, leading_prev: bool):
         """(ce, mse) Tensors for one training batch.
@@ -337,36 +344,10 @@ class ContextModel:
         slots/valid cover the batch targets plus, when leading_prev, one
         extra leading window whose wc seeds the first residual.
         """
-        cfg = self.cfg
-        occ = nn.embedding(tape["embed.occupancy"], slots[..., 0])
-        lvl = nn.embedding(tape["embed.level"], slots[..., 1])
-        octn = nn.embedding(tape["embed.octant"], slots[..., 2])
-        feat = nn.concat((occ, lvl, octn), axis=-1)
-        feat = feat.reshape(slots.shape[0], slots.shape[1], -1)
-        x = feat @ tape["slot.w"] + tape["slot.b"]
-        wc_all = self._attend_tape(tape, x, valid)
-        if cfg.enable_residual:
-            if leading_prev:
-                wc = wc_all[1:]
-                r = wc_all[1:] - wc_all[:-1]
-            elif wc_all.shape[0] > 1:
-                wc = wc_all
-                zero = nn.constant(np.zeros((1, cfg.d_model)))
-                r = nn.concat((zero, wc_all[1:] - wc_all[:-1]), axis=0)
-            else:
-                wc = wc_all
-                r = nn.constant(np.zeros((1, cfg.d_model)))
-        else:
-            wc = wc_all
-            r = nn.constant(np.zeros((wc_all.shape[0], cfg.d_model)))
-        h = nn.concat((wc, r), axis=1)
-        a1 = (h @ tape["main.w1"] + tape["main.b1"]).relu()
-        hb = (h @ tape["branch.w1"] + tape["branch.b1"]).relu()
-        o = (hb @ tape["branch.w2"] + tape["branch.b2"]).sigmoid()
-        fusion = o if cfg.enable_branch else nn.constant(np.zeros(o.shape))
-        z = nn.concat((a1, fusion), axis=1) @ tape["main.w2"] + tape["main.b2"]
-        p = nn.softmax(z, axis=-1)
-        q = p * (1.0 - PROB_FLOOR) + nn.constant(PROB_FLOOR / 255.0)
+        wc_all = self._attend(self._embed(slots, tape), valid, tape)
+        wc = wc_all[1:] if leading_prev else wc_all
+        q, o, _ = self._heads(wc, self._residuals_from_wc(wc_all, leading_prev),
+                              tape)
         picked = nn.take_along_last(q, np.asarray(labels, dtype=np.int64) - 1)
         ce = picked.log().mean() * (-1.0 / LOG2)
         bits = ((np.asarray(labels)[:, None] >> np.arange(8)) & 1).astype(np.float64)

@@ -1,9 +1,11 @@
 """Dense-tensor compute layer with reverse-mode gradients.
 
 Just enough machinery for the occupancy model: float64 numpy arrays on a
-tape (embeddings, matmul, masked softmax, sigmoid, relu, layer norm,
-concat/slice/reshape), an Adam optimizer with per-parameter moments, and a
-versioned checkpoint container.
+tape (embeddings, matmul, masked softmax, sigmoid, relu, concat/slice/
+reshape), an Adam optimizer with per-parameter moments, and a versioned
+checkpoint container.  The functional ops (`embedding`, `concat`,
+`softmax`, `relu`, `sigmoid`) return a plain ndarray when given plain
+ndarrays, so one forward definition serves both inference and training.
 
 Parameters are kept float32-representable at all times (initialization and
 every optimizer step round through float32) so that the float32 checkpoint
@@ -21,12 +23,11 @@ import numpy as np
 
 from .errors import InvalidInput, NumericalError, ParseError
 
-CHECK_FINITE = True
 _NEG_INF = -1e30  # additive mask value; exp underflows to exactly 0
 
 
 def _check(data: np.ndarray, op: str) -> np.ndarray:
-    if CHECK_FINITE and not np.isfinite(data).all():
+    if not np.isfinite(data).all():
         raise NumericalError(f"non-finite values produced by op {op!r}")
     return data
 
@@ -151,25 +152,6 @@ class Tensor:
         return Tensor(np.matmul(self.data, other.data), parents=(self, other),
                       backward=back, op="matmul")
 
-    def relu(self):
-        keep = self.data > 0
-
-        def back(g):
-            if self.requires_grad:
-                self._accum(g * keep)
-
-        return Tensor(np.maximum(self.data, 0.0), parents=(self,),
-                      backward=back, op="relu")
-
-    def sigmoid(self):
-        out = sigmoid_np(self.data)
-
-        def back(g):
-            if self.requires_grad:
-                self._accum(g * out * (1.0 - out))
-
-        return Tensor(out, parents=(self,), backward=back, op="sigmoid")
-
     def log(self):
         def back(g):
             if self.requires_grad:
@@ -178,13 +160,6 @@ class Tensor:
         with np.errstate(divide="ignore", invalid="ignore"):
             out = np.log(self.data)
         return Tensor(out, parents=(self,), backward=back, op="log")
-
-    def power(self, p: float):
-        def back(g):
-            if self.requires_grad:
-                self._accum(g * p * self.data ** (p - 1.0))
-
-        return Tensor(self.data ** p, parents=(self,), backward=back, op="power")
 
     def sum(self, axis=None, keepdims=False):
         def back(g):
@@ -237,7 +212,10 @@ def constant(x) -> Tensor:
     return Tensor(np.asarray(x, dtype=np.float64))
 
 
-def concat(tensors, axis: int) -> Tensor:
+def concat(tensors, axis: int):
+    if not any(isinstance(t, Tensor) for t in tensors):
+        return np.concatenate(tensors, axis=axis)
+    tensors = [_as_tensor(t) for t in tensors]
     sizes = [t.shape[axis] for t in tensors]
     splits = np.cumsum(sizes)[:-1]
 
@@ -250,7 +228,9 @@ def concat(tensors, axis: int) -> Tensor:
                   parents=tuple(tensors), backward=back, op="concat")
 
 
-def embedding(table: Tensor, idx: np.ndarray) -> Tensor:
+def embedding(table, idx: np.ndarray):
+    if not isinstance(table, Tensor):
+        return table[idx]
     idx = np.asarray(idx)
 
     def back(g):
@@ -262,7 +242,9 @@ def embedding(table: Tensor, idx: np.ndarray) -> Tensor:
     return Tensor(table.data[idx], parents=(table,), backward=back, op="embedding")
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
+def softmax(x, axis: int = -1):
+    if not isinstance(x, Tensor):
+        return softmax_np(x, axis=axis)
     out = softmax_np(x.data, axis=axis)
 
     def back(g):
@@ -271,6 +253,31 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
             x._accum(out * (g - inner))
 
     return Tensor(out, parents=(x,), backward=back, op="softmax")
+
+
+def relu(x):
+    if not isinstance(x, Tensor):
+        return np.maximum(x, 0.0)
+    keep = x.data > 0
+
+    def back(g):
+        if x.requires_grad:
+            x._accum(g * keep)
+
+    return Tensor(np.maximum(x.data, 0.0), parents=(x,), backward=back,
+                  op="relu")
+
+
+def sigmoid(x):
+    if not isinstance(x, Tensor):
+        return sigmoid_np(x)
+    out = sigmoid_np(x.data)
+
+    def back(g):
+        if x.requires_grad:
+            x._accum(g * out * (1.0 - out))
+
+    return Tensor(out, parents=(x,), backward=back, op="sigmoid")
 
 
 def take_along_last(x: Tensor, idx: np.ndarray) -> Tensor:
@@ -287,51 +294,9 @@ def take_along_last(x: Tensor, idx: np.ndarray) -> Tensor:
     return Tensor(picked, parents=(x,), backward=back, op="take_along_last")
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalization over the last axis, built from primitive ops."""
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = (var + constant(eps)).power(-0.5)
-    return xc * inv * gamma + beta
-
-
 def mask_bias(valid: np.ndarray) -> np.ndarray:
     """Additive attention bias: 0 where valid, a large negative otherwise."""
     return np.where(np.asarray(valid, dtype=bool), 0.0, _NEG_INF)
-
-
-def multi_head_attention(x: Tensor, valid: np.ndarray, heads: int, wq, bq,
-                         wk, bk, wv, bv, wo, bo, return_weights=False):
-    """Masked scaled-dot-product self-attention over the slot axis.
-
-    x has shape (..., N, d); `valid` (..., N) marks attendable slots (at
-    least one must be set).  Row N-1 of the output is the weighted context
-    for the target slot.
-    """
-    n, d = x.shape[-2], x.shape[-1]
-    if d % heads:
-        raise InvalidInput(f"model width {d} not divisible by {heads} heads")
-    valid = np.asarray(valid, dtype=bool)
-    if not valid.any(axis=-1).all():
-        raise InvalidInput("attention window with every slot masked")
-    dh = d // heads
-    lead = x.shape[:-2]
-
-    def split(t):  # (..., N, d) -> (..., H, N, dh)
-        return t.reshape(*lead, n, heads, dh).swapaxes(-3, -2)
-
-    q = split(x @ wq + bq)
-    k = split(x @ wk + bk)
-    v = split(x @ wv + bv)
-    scores = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(dh))
-    bias = mask_bias(valid).reshape(*lead, 1, 1, n)
-    weights = softmax(scores + constant(bias), axis=-1)
-    ctx = (weights @ v).swapaxes(-3, -2).reshape(*lead, n, d)
-    out = ctx @ wo + bo
-    if return_weights:
-        return out, weights.data
-    return out
 
 
 def softmax_np(x: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -15,19 +15,11 @@ bit key built below, which is what lets construction stay vectorized.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InvalidInput
 from .geometry import QuantizedPointCloud
-
-
-class OctreeNode(NamedTuple):
-    occupancy: int  # 1..255
-    level: int      # 1..depth
-    octant: int     # 0..7 (root: 0)
-    parent: int     # index into the sequence; -1 for the root
 
 
 ROOT_PARENT = -1
@@ -55,10 +47,6 @@ class NodeSequence:
     @property
     def levels_present(self) -> int:
         return self.level_offsets.shape[0]
-
-    def node(self, i: int) -> OctreeNode:
-        return OctreeNode(int(self.occupancy[i]), int(self.level[i]),
-                          int(self.octant[i]), int(self.parent[i]))
 
     def level_slice(self, lvl: int) -> slice:
         if not (1 <= lvl <= self.levels_present):

@@ -236,7 +236,7 @@ def test_c08_branch_convergence():
     # that sigmoid(x) >= 0.99 requires
     train(model, [seq], TrainSchedule(branch_epochs=16, main_epochs=0, lr=0.01))
     wc = model.weighted_contexts(seq)
-    _, o, _ = model._heads_np(wc, model._residuals_from_wc(wc))
+    _, o, _ = model._heads(wc, model._residuals_from_wc(wc))
     mse = float(((1.0 - o) ** 2).mean())
     report("branch convergence", o.min() >= 0.99 and mse < 1e-3,
            f"min output {o.min():.4f} (>= 0.99), MSE {mse:.2e} (< 1e-3)")

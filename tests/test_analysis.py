@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from octpcc.context import ContextAssembler, dump_windows
+from octpcc.context import ContextAssembler
 from octpcc.errors import InsufficientClasses, InvalidInput
 from octpcc.geometry import QuantizedPointCloud, quantize, synth
 from octpcc.metrics import (ClassFeatureBank, bpip, chamfer,
-                            collect_features, collect_features_dump, d1_psnr,
-                            interclass_stats)
+                            collect_features, d1_psnr, interclass_stats)
 from octpcc.model import ContextModel, ModelConfig
 from octpcc.octree import build
 
@@ -109,11 +108,11 @@ class TestCollectFeatures:
         wc_prev = None
         for i in range(len(seq)):
             w = asm.window(i)
-            x = model._embed_np(w.slots)
-            wc = model._attend_np(x, w.valid)
+            x = model._embed(w.slots)
+            wc = model._attend(x, w.valid)
             r = (wc - wc_prev) if (model.cfg.enable_residual
                                    and wc_prev is not None) else np.zeros_like(wc)
-            _, _, a1 = model._heads_np(wc, r)
+            _, _, a1 = model._heads(wc, r)
             cls = int(seq.occupancy[i]) - 1
             sums[cls] += a1
             counts[cls] += 1
@@ -123,16 +122,6 @@ class TestCollectFeatures:
         np.testing.assert_allclose(bank.means[present],
                                    sums[present] / counts[present, None],
                                    atol=1e-9)
-
-    def test_dump_format_equivalence(self, tmp_path):
-        model = tiny_model(seed=4)
-        seq = build(quantize(synth("uniform", 150, seed=2), 3))
-        path = tmp_path / "ctx.txt"
-        dump_windows(path, seq, model.cfg.ctx)
-        a = collect_features(model, [seq])
-        b = collect_features_dump(model, path)
-        np.testing.assert_array_equal(a.counts, b.counts)
-        np.testing.assert_allclose(a.means, b.means, atol=1e-9)
 
     def test_empty_corpus(self):
         with pytest.raises(InvalidInput):

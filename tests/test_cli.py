@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import write_malformed_checkpoint
 from octpcc.cli import main
 from octpcc.geometry import read_ply
 
@@ -91,6 +92,19 @@ class TestCodecCommands:
         assert "d1_psnr = inf" in out
         assert "lossless = True" in out
         assert "bpip = " in out
+
+    @pytest.mark.parametrize("case", ["missing_heads", "two_attention_layers",
+                                      "width_disagrees_with_tensors"])
+    def test_malformed_checkpoint_exit_code(self, tmp_path, capsys, case):
+        ply = tmp_path / "cloud.ply"
+        run("synth", "--kind", "plane", "--n", "200", "--seed", "1",
+            "--out", str(ply))
+        ckpt = tmp_path / "bad.ckpt"
+        write_malformed_checkpoint(ckpt, case)
+        capsys.readouterr()
+        assert run("encode", "--input", str(ply), "--checkpoint", str(ckpt),
+                   "--depth", "3", "--out", str(tmp_path / "x.bin")) == 4
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_model_mismatch_exit_code(self, workspace):
         tmp_path, ply, ckpt = workspace

@@ -1,9 +1,7 @@
 import numpy as np
 import pytest
 
-from octpcc.context import (ContextAssembler, ContextConfig, GrowingContext,
-                            dump_windows, load_windows, window_batch,
-                            window_for)
+from octpcc.context import ContextAssembler, ContextConfig, GrowingContext
 from octpcc.errors import InvalidInput
 from octpcc.geometry import QuantizedPointCloud, quantize, synth
 from octpcc.octree import ROOT_PARENT, build
@@ -28,7 +26,7 @@ class TestWindowFor:
         seq = tiny_tree()
         assert seq.occupancy.tolist() == [133, 3, 4, 128]
         cfg = ContextConfig(n_window=4, k_ancestors=1)
-        w = window_for(seq, 3, cfg)
+        w = ContextAssembler(seq, cfg).window(3)
         assert w.valid.all()
         expect = np.array([
             [[133, 1, 0], [0, 0, 0]],    # root; ancestor padded
@@ -41,7 +39,7 @@ class TestWindowFor:
     def test_root_window_fully_padded(self):
         seq = tiny_tree()
         cfg = ContextConfig(n_window=4, k_ancestors=1)
-        w = window_for(seq, 0, cfg)
+        w = ContextAssembler(seq, cfg).window(0)
         assert w.valid.tolist() == [False, False, False, True]
         assert (w.slots[:3] == 0).all()
         np.testing.assert_array_equal(w.slots[3], [[0, 1, 0], [0, 0, 0]])
@@ -63,10 +61,11 @@ class TestWindowFor:
     def test_out_of_range(self):
         seq = tiny_tree()
         cfg = ContextConfig(n_window=4, k_ancestors=1)
+        asm = ContextAssembler(seq, cfg)
         with pytest.raises(InvalidInput):
-            window_for(seq, 4, cfg)
+            asm.window(4)
         with pytest.raises(InvalidInput):
-            window_for(seq, -1, cfg)
+            asm.window(-1)
 
     def test_decode_time_availability(self):
         """Windows depend only on nodes before the target (plus its ancestors).
@@ -90,16 +89,17 @@ class TestWindowFor:
     def test_deterministic(self):
         seq = tiny_tree()
         cfg = ContextConfig(n_window=4, k_ancestors=1)
-        a = window_for(seq, 2, cfg)
-        b = window_for(seq, 2, cfg)
+        a = ContextAssembler(seq, cfg).window(2)
+        b = ContextAssembler(seq, cfg).window(2)
         np.testing.assert_array_equal(a.slots, b.slots)
 
     def test_strict_level_masks_earlier_levels(self):
         seq = tiny_tree()
         cfg = ContextConfig(n_window=4, k_ancestors=1, strict_level=True)
-        w = window_for(seq, 1, cfg)  # first node of level 2: no same-level prior
+        asm = ContextAssembler(seq, cfg)
+        w = asm.window(1)  # first node of level 2: no same-level prior
         assert w.valid.tolist() == [False, False, False, True]
-        w = window_for(seq, 2, cfg)  # one same-level predecessor (node 1)
+        w = asm.window(2)  # one same-level predecessor (node 1)
         assert w.valid.tolist() == [False, False, True, True]
         assert w.slots[2, 0, 0] == 3
 
@@ -109,32 +109,38 @@ class TestWindowBatch:
         qpc = quantize(synth("uniform", 200, seed=3), 4)
         seq = build(qpc)
         cfg = ContextConfig(n_window=8, k_ancestors=2)
-        batch = window_batch(seq, (5, 8), cfg)
-        assert len(batch) == 3
-        for w, i in zip(batch, range(5, 8)):
-            single = window_for(seq, i, cfg)
-            np.testing.assert_array_equal(w.slots, single.slots)
+        asm = ContextAssembler(seq, cfg)
+        slots, valid = asm.window_block(5, 8)
+        assert slots.shape[0] == valid.shape[0] == 3
+        for b, i in enumerate(range(5, 8)):
+            single = asm.window(i)
+            np.testing.assert_array_equal(slots[b], single.slots)
+            np.testing.assert_array_equal(valid[b], single.valid)
 
     def test_chunked_equals_one_by_one(self):
         seq = tiny_tree()
         cfg = ContextConfig(n_window=4, k_ancestors=1)
-        whole = window_batch(seq, (0, len(seq)), cfg)
-        parts = window_batch(seq, (0, 2), cfg) + window_batch(seq, (2, 4), cfg)
-        for a, b in zip(whole, parts):
-            np.testing.assert_array_equal(a.slots, b.slots)
+        asm = ContextAssembler(seq, cfg)
+        whole = asm.window_block(0, len(seq))
+        parts = [asm.window_block(0, 2), asm.window_block(2, 4)]
+        for a, b in zip(whole, zip(*parts)):
+            np.testing.assert_array_equal(a, np.concatenate(b))
 
     def test_level_feature_tracks_level_boundary(self):
         qpc = quantize(synth("uniform", 300, seed=2), 4)
         seq = build(qpc)
         cfg = ContextConfig(n_window=4, k_ancestors=1)
         boundary = int(seq.level_offsets[2])  # first node of level 3
-        for w in window_batch(seq, (boundary - 1, boundary + 1), cfg):
-            assert w.slots[-1, 0, 1] == seq.level[w.target_index]
+        slots, _ = ContextAssembler(seq, cfg).window_block(boundary - 1,
+                                                           boundary + 1)
+        for b, i in enumerate(range(boundary - 1, boundary + 1)):
+            assert slots[b, -1, 0, 1] == seq.level[i]
 
     def test_empty_range_rejected(self):
         seq = tiny_tree()
+        asm = ContextAssembler(seq, ContextConfig(n_window=4, k_ancestors=1))
         with pytest.raises(InvalidInput):
-            window_batch(seq, (2, 2), ContextConfig(n_window=4, k_ancestors=1))
+            asm.window_block(2, 2)
 
 
 class TestGrowingContext:
@@ -159,18 +165,3 @@ class TestGrowingContext:
                     grow.add_node(int(seq.level[next_node]),
                                   int(seq.octant[next_node]), i)
                     next_node += 1
-
-
-class TestDump:
-    def test_roundtrip(self, tmp_path):
-        seq = tiny_tree()
-        cfg = ContextConfig(n_window=4, k_ancestors=1)
-        path = tmp_path / "windows.txt"
-        dump_windows(path, seq, cfg)
-        records = load_windows(path, cfg)
-        assert len(records) == len(seq)
-        for (w, label), i in zip(records, range(len(seq))):
-            ref = window_for(seq, i, cfg)
-            assert label == seq.occupancy[i]
-            np.testing.assert_array_equal(w.slots, ref.slots)
-            np.testing.assert_array_equal(w.valid, ref.valid)

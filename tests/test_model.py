@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
-from octpcc.context import ContextAssembler, window_for
-from octpcc.errors import InvalidInput
+from conftest import MALFORMED_CONFIGS, write_malformed_checkpoint
+from octpcc import nn
+from octpcc.context import ContextAssembler
+from octpcc.errors import ConfigError, InvalidInput
 from octpcc.geometry import quantize, synth
 from octpcc.model import (ContextModel, ModelConfig, TrainSchedule, loss_ce,
                           loss_mse, occupancy_bits, train, zero_head_layers)
 from octpcc.octree import build
 
 LOG2_255 = np.log2(255.0)
-
 
 def tiny_model(seed=3, **overrides):
     return ContextModel.create(ModelConfig.tiny(seed=seed, **overrides))
@@ -23,7 +24,7 @@ class TestForward:
     def test_identical_windows_give_zero_residual_and_same_dist(self):
         model = tiny_model()
         seq = tiny_corpus()[0]
-        w = window_for(seq, 2, model.cfg.ctx)
+        w = ContextAssembler(seq, model.cfg.ctx).window(2)
         wc1, q1, _ = model.predict(w.slots, w.valid, None)
         wc2, q2, _ = model.predict(w.slots, w.valid, wc1)
         np.testing.assert_array_equal(wc1, wc2)
@@ -32,11 +33,11 @@ class TestForward:
     def test_zeroed_output_layers_give_uniform(self):
         model = zero_head_layers(tiny_model())
         seq = tiny_corpus()[0]
-        w = window_for(seq, 1, model.cfg.ctx)
-        res = model.forward(w)
-        np.testing.assert_allclose(res.dist, 1.0 / 255.0, atol=1e-12)
-        np.testing.assert_allclose(res.branch, 0.5, atol=1e-12)
-        assert abs(res.dist.sum() - 1.0) < 1e-6
+        w = ContextAssembler(seq, model.cfg.ctx).window(1)
+        _, dist, branch = model.predict(w.slots, w.valid, None)
+        np.testing.assert_allclose(dist, 1.0 / 255.0, atol=1e-12)
+        np.testing.assert_allclose(branch, 0.5, atol=1e-12)
+        assert abs(dist.sum() - 1.0) < 1e-6
 
     def test_residual_matches_independent_recomputation(self):
         """r for adjacent windows equals separately computed wc_i - wc_{i-1}."""
@@ -45,14 +46,14 @@ class TestForward:
         asm = ContextAssembler(seq, model.cfg.ctx)
         wa = asm.window(4)
         wb = asm.window(5)
-        wc_a = model._attend_np(model._embed_np(wa.slots), wa.valid)
-        wc_b = model._attend_np(model._embed_np(wb.slots), wb.valid)
+        wc_a = model._attend(model._embed(wa.slots), wa.valid)
+        wc_b = model._attend(model._embed(wb.slots), wb.valid)
         r_oracle = wc_b - wc_a
         assert np.linalg.norm(r_oracle) > 0
         # drive the public path and recover r from the head input equivalence
         wc1, q1, _ = model.predict(wa.slots, wa.valid, None)
         wc2, q2, _ = model.predict(wb.slots, wb.valid, wc1)
-        q_manual, _, _ = model._heads_np(wc_b, r_oracle)
+        q_manual, _, _ = model._heads(wc_b, r_oracle)
         np.testing.assert_allclose(q2, q_manual, rtol=0, atol=1e-12)
 
     def test_distribution_valid_for_random_windows(self):
@@ -95,14 +96,6 @@ class TestForward:
             wc_prev, q, o = model.predict(w.slots, w.valid, wc_prev)
             bits.append(loss_ce(q, int(labels[i])))
         assert abs(float(ce.data) - np.mean(bits)) < 1e-9
-
-    def test_layer_norm_hook_and_two_layer_attention(self):
-        model = tiny_model(seed=6, attn_layers=2, layer_norm=True)
-        seq = tiny_corpus()[0]
-        w = window_for(seq, 2, model.cfg.ctx)
-        res = model.forward(w)
-        assert np.isfinite(res.wc).all()
-        assert abs(res.dist.sum() - 1.0) < 1e-6
 
 
 class TestLosses:
@@ -278,6 +271,34 @@ class TestCheckpointing:
                 assert m.params.names() == names
                 digests.add(m.digest())
         assert len(digests) == 4  # config echo distinguishes the variants
+
+    def test_fresh_model_digest_is_stable(self):
+        """Parameter order, initialization and the config echo (including
+        the fixed attn_layers/layer_norm keys) are all part of the digest
+        that existing checkpoints and bitstreams were written with."""
+        cfg = ModelConfig.tiny(seed=0)
+        assert cfg.to_dict()["attn_layers"] == 1
+        assert cfg.to_dict()["layer_norm"] is False
+        assert ContextModel.create(cfg).digest().hex() == (
+            "4568fc4c99584990c1db7cf3b58579b79c977351a75a84041a6e603a1ace8606")
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CONFIGS))
+    def test_malformed_config_rejected(self, tmp_path, case):
+        path = tmp_path / "bad.ckpt"
+        write_malformed_checkpoint(path, case)
+        with pytest.raises(ConfigError):
+            ContextModel.load(path)
+
+    def test_tensor_missing_from_checkpoint_rejected(self, tmp_path):
+        model = tiny_model(seed=15)
+        params = nn.ParamStore()
+        for name, value in model.params.items():
+            if name != "attn0.wo":
+                params.add(name, value)
+        path = tmp_path / "bad.ckpt"
+        nn.save_checkpoint(path, params, model.cfg.to_dict())
+        with pytest.raises(ConfigError, match="attn0.wo"):
+            ContextModel.load(path)
 
     def test_variant_names(self):
         assert ModelConfig.tiny(enable_residual=False,

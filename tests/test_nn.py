@@ -3,78 +3,76 @@ import pytest
 
 from octpcc import nn
 from octpcc.errors import InvalidInput, NumericalError
+from octpcc.model import ContextModel, ModelConfig
 
 
-def attention_params(rng, d, identity_out=False):
-    def mat():
-        return rng.normal(0, 0.5, size=(d, d))
-
-    p = {"wq": mat(), "wk": mat(), "wv": mat(),
-         "wo": np.eye(d) if identity_out else mat(),
-         "bq": np.zeros(d), "bk": np.zeros(d), "bv": np.zeros(d),
-         "bo": np.zeros(d)}
-    return p
-
-
-def run_attention(x, valid, heads, p, **kw):
-    return nn.multi_head_attention(
-        nn.constant(x), valid, heads, p["wq"], p["bq"], p["wk"], p["bk"],
-        p["wv"], p["bv"], p["wo"], p["bo"], **kw)
+def attention_model(rng, d, heads, identity_out=False):
+    """A width-d model with random attention projections and zero biases."""
+    model = ContextModel.create(ModelConfig.tiny(d_model=d, heads=heads))
+    for nm in ("wq", "wk", "wv", "wo"):
+        model.params[f"attn0.{nm}"] = rng.normal(0, 0.5, size=(d, d))
+    if identity_out:
+        model.params["attn0.wo"] = np.eye(d)
+    return model
 
 
 class TestAttention:
     def test_single_unmasked_slot_returns_its_value_projection(self, rng):
         d, n = 8, 5
+        model = attention_model(rng, d, heads=2, identity_out=True)
         x = rng.normal(size=(n, d))
-        p = attention_params(rng, d, identity_out=True)
         valid = np.zeros(n, dtype=bool)
         valid[2] = True
-        out = run_attention(x, valid, heads=2, p=p)
-        want = x[2] @ p["wv"]  # softmax over one element is 1
-        for row in out.data:
-            np.testing.assert_allclose(row, want, atol=1e-12)
+        out = model._attend(x, valid)
+        want = x[2] @ model.params["attn0.wv"]  # softmax over one element is 1
+        np.testing.assert_allclose(out, want, atol=1e-12)
 
     def test_two_identical_slots_split_attention_evenly(self, rng):
+        """Two slots with equal keys but different values get half each."""
         d, n = 8, 4
+        model = attention_model(rng, d, heads=2, identity_out=True)
+        wk = model.params["attn0.wk"].copy()
+        wk[0] = 0.0  # feature 0 reaches the values but not the keys
+        model.params["attn0.wk"] = wk
         x = rng.normal(size=(n, d))
-        x[1] = x[3]
-        p = attention_params(rng, d)
+        x[3] = x[1]
+        x[3, 0] += 1.0
         valid = np.array([False, True, False, True])
-        _, weights = run_attention(x, valid, heads=2, p=p, return_weights=True)
-        np.testing.assert_allclose(weights[..., 1], 0.5, atol=1e-12)
-        np.testing.assert_allclose(weights[..., 3], 0.5, atol=1e-12)
+        wv = model.params["attn0.wv"]
+        assert not np.allclose(x[1] @ wv, x[3] @ wv)
+        out = model._attend(x, valid)
+        np.testing.assert_allclose(out, 0.5 * (x[1] @ wv + x[3] @ wv),
+                                   atol=1e-12)
 
     def test_weights_match_direct_formula(self, rng):
-        """Attention weights vs an independently coded softmax(QK/sqrt(dh))."""
+        """Output vs an independently coded softmax(qK/sqrt(dh)) V per head;
+        the tape path gives the same floats as the plain one."""
         d, n, heads = 8, 4, 2
         dh = d // heads
+        model = attention_model(rng, d, heads)
+        P = model.params
+        for nm in ("bq", "bk", "bv", "bo"):
+            P[f"attn0.{nm}"] = rng.normal(size=d)
         x = rng.normal(size=(n, d))
-        p = attention_params(rng, d)
         valid = np.ones(n, dtype=bool)
-        _, weights = run_attention(x, valid, heads=heads, p=p,
-                                   return_weights=True)
-        q = x @ p["wq"]
-        k = x @ p["wk"]
+        q = x[-1] @ P["attn0.wq"] + P["attn0.bq"]
+        k = x @ P["attn0.wk"] + P["attn0.bk"]
+        v = x @ P["attn0.wv"] + P["attn0.bv"]
+        ctx = []
         for h in range(heads):
-            qh = q[:, h * dh:(h + 1) * dh]
-            kh = k[:, h * dh:(h + 1) * dh]
-            scores = qh @ kh.T / np.sqrt(dh)
-            e = np.exp(scores - scores.max(axis=1, keepdims=True))
-            ref = e / e.sum(axis=1, keepdims=True)
-            np.testing.assert_allclose(weights[h], ref, atol=1e-9)
+            cols = slice(h * dh, (h + 1) * dh)
+            scores = k[:, cols] @ q[cols] / np.sqrt(dh)
+            e = np.exp(scores - scores.max())
+            ctx.append((e / e.sum()) @ v[:, cols])
+        want = np.concatenate(ctx) @ P["attn0.wo"] + P["attn0.bo"]
+        out = model._attend(x, valid)
+        np.testing.assert_allclose(out, want, atol=1e-9)
+        taped = model._attend(nn.constant(x), valid, P.tape())
+        np.testing.assert_array_equal(taped.data, out)
 
-    def test_all_masked_rejected(self, rng):
-        d = 8
-        x = rng.normal(size=(3, d))
-        p = attention_params(rng, d)
+    def test_width_must_divide_heads(self):
         with pytest.raises(InvalidInput):
-            run_attention(x, np.zeros(3, dtype=bool), heads=2, p=p)
-
-    def test_width_must_divide_heads(self, rng):
-        x = rng.normal(size=(3, 6))
-        p = attention_params(rng, 6)
-        with pytest.raises(InvalidInput):
-            run_attention(x, np.ones(3, dtype=bool), heads=4, p=p)
+            ModelConfig.tiny(d_model=6, heads=4)
 
 
 class TestActivations:
@@ -122,7 +120,6 @@ class TestGrad:
         """embedding -> attention -> mlp -> both heads, spot-checked by FD."""
         from octpcc.context import ContextAssembler
         from octpcc.geometry import quantize, synth
-        from octpcc.model import ContextModel, ModelConfig
         from octpcc.octree import build
 
         # seed picked so no relu pre-activation sits within the FD step of 0
