@@ -14,6 +14,11 @@ encoder, the trainer and analysis.  Every feature visible in window i is a
 function of nodes decoded strictly before i (plus the target's ancestors,
 which are decoded before any node of the target's level), so the decoder
 rebuilds the identical window.
+
+The codec builds no N-slot window: its cached step (`model.KVCache`) asks
+`window` only for the slots it has not embedded yet, usually the previous
+node's (now coded) and the target's.  Full windows and `window_block`
+serve the batched path of training and analysis.
 """
 
 from __future__ import annotations
@@ -47,8 +52,8 @@ class ContextConfig:
 
 @dataclass
 class ContextWindow:
-    slots: np.ndarray        # (N, K+1, 3) int32: (occupancy, level, octant)
-    valid: np.ndarray        # (N,) bool
+    slots: np.ndarray        # (slots, K+1, 3) int32: (occupancy, level, octant)
+    valid: np.ndarray        # (slots,) bool
     target_index: int
 
 
@@ -90,22 +95,37 @@ class GrowingContext:
     def set_occupancy(self, i: int, occ: int) -> None:
         self.chains[i, 0, 0] = occ
 
-    def window(self, i: int) -> ContextWindow:
-        if not (0 <= i < self.count):
-            raise InvalidInput(f"node index {i} out of range")
-        n = self.cfg.n_window
-        slots = np.zeros((n, self.cfg.k_ancestors + 1, 3), dtype=np.int32)
-        valid = np.zeros(n, dtype=bool)
-        lo = max(0, i - (n - 1))
+    def window_start(self, i: int) -> int:
+        """First node of target i's window history: nodes [lo, i) fill its slots."""
+        lo = max(0, i - (self.cfg.n_window - 1))
         if self.cfg.strict_level:
             lo = max(lo, int(self.level_start[i]))
-        m = i - lo
-        if m:
-            slots[n - 1 - m:n - 1] = self.chains[lo:i]
-            valid[n - 1 - m:n - 1] = True
-        slots[n - 1] = self.chains[i]
-        slots[n - 1, 0, 0] = PAD  # target occupancy is the unknown
-        valid[n - 1] = True
+        return lo
+
+    def window(self, i: int, start=None) -> ContextWindow:
+        """Target i's N slots: the chains of history nodes [window_start(i), i),
+        padded and masked in front, then the target's chain with its
+        occupancy PAD.
+
+        With `start` (window_start(i) <= start <= i), only the slots of
+        history nodes [start, i) and the target, unpadded: the rows that the
+        codec's cached step has not embedded yet.
+        """
+        if not (0 <= i < self.count):
+            raise InvalidInput(f"node index {i} out of range")
+        lo = self.window_start(i) if start is None else start
+        if not (self.window_start(i) <= lo <= i):
+            raise InvalidInput(f"slot start {lo} outside node {i}'s window")
+        rows = self.chains[lo:i + 1].copy()
+        rows[-1, 0, 0] = PAD  # target occupancy is the unknown
+        if start is not None:
+            return ContextWindow(slots=rows, valid=np.ones(len(rows), dtype=bool),
+                                 target_index=i)
+        n = self.cfg.n_window
+        slots = np.zeros((n,) + rows.shape[1:], dtype=np.int32)
+        valid = np.zeros(n, dtype=bool)
+        slots[n - len(rows):] = rows
+        valid[n - len(rows):] = True
         return ContextWindow(slots=slots, valid=valid, target_index=i)
 
     def window_block(self, start: int, stop: int):

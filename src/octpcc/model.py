@@ -9,6 +9,12 @@ occupancy).  The branch output is fused into the main head by
 concatenation with the main MLP's penultimate activation before the final
 linear layer.
 
+The slot embedding has no positional term and the target is the only
+query, so each history slot's keys and values depend on its node alone.
+The codec (`predict`) therefore embeds and projects each coded node once
+and keeps its K/V rows in a `KVCache`; training and analysis run the same
+attention core batched over whole windows.
+
 Ablation toggles: enable_residual feeds a zero vector instead of r_i;
 enable_branch feeds zeros into the fusion slot.  All four combinations
 share one checkpoint schema.
@@ -28,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import nn
-from .context import ContextAssembler, ContextConfig
+from .context import ContextAssembler, ContextConfig, GrowingContext
 from .errors import ConfigError, InvalidInput, NumericalError
 from .octree import NodeSequence
 
@@ -245,30 +251,42 @@ class ContextModel:
         feat = feat.reshape(*slots.shape[:-2], -1)
         return feat @ P["slot.w"] + P["slot.b"]
 
-    def _attend(self, x, valid: np.ndarray, params=None):
-        """x (..., N, d) -> weighted context (..., d) at the target slot.
+    def _project_kv(self, x, params=None):
+        """Slot vectors x (..., n, d) -> attention keys and values (..., n, d)."""
+        P = self.params if params is None else params
+        return (x @ P["attn0.wk"] + P["attn0.bk"],
+                x @ P["attn0.wv"] + P["attn0.bv"])
 
-        One masked multi-head attention layer whose only query is the
-        target (last) slot.
+    def _attend_core(self, x_t, k, v, valid, params=None):
+        """Target rows x_t (..., 1, d) over key/value rows k, v (..., n, d)
+        -> weighted context (..., d).
+
+        One multi-head attention layer whose only query is the target row.
+        valid (..., n) masks rows out; None attends over every row.
         """
         P = self.params if params is None else params
         heads = self.cfg.heads
-        n, d = x.shape[-2], x.shape[-1]
+        n, d = k.shape[-2], k.shape[-1]
         dh = d // heads
-        lead = x.shape[:-2]
+        lead = k.shape[:-2]
 
         def split(t, rows):  # (..., rows, d) -> (..., H, rows, dh)
             return t.reshape(*lead, rows, heads, dh).swapaxes(-3, -2)
 
-        q = split(x[..., -1:, :] @ P["attn0.wq"] + P["attn0.bq"], 1)
-        k = split(x @ P["attn0.wk"] + P["attn0.bk"], n)
-        v = split(x @ P["attn0.wv"] + P["attn0.bv"], n)
-        bias = nn.mask_bias(valid).reshape(*lead, 1, 1, n)
-        scores = (q @ k.swapaxes(-1, -2)) * (1.0 / math.sqrt(dh)) + bias
+        q = split(x_t @ P["attn0.wq"] + P["attn0.bq"], 1)
+        scores = (q @ split(k, n).swapaxes(-1, -2)) * (1.0 / math.sqrt(dh))
+        if valid is not None:
+            scores = scores + nn.mask_bias(valid).reshape(*lead, 1, 1, n)
         weights = nn.softmax(scores, axis=-1)
-        ctx = (weights @ v).swapaxes(-3, -2).reshape(*lead, 1, d)
+        ctx = (weights @ split(v, n)).swapaxes(-3, -2).reshape(*lead, 1, d)
         out = ctx @ P["attn0.wo"] + P["attn0.bo"]
         return out[..., -1, :]
+
+    def _attend(self, x, valid: np.ndarray, params=None):
+        """Slot vectors x (..., N, d) -> weighted context (..., d) at the
+        target (last) slot; the batched path of training and analysis."""
+        k, v = self._project_kv(x, params)
+        return self._attend_core(x[..., -1:, :], k, v, valid, params)
 
     def _heads(self, wc, r, params=None):
         """(q, o, a1): floored 255-way distribution, 8 branch sigmoids and
@@ -301,19 +319,35 @@ class ContextModel:
         return nn.concat((np.zeros((1, self.cfg.d_model)), wc[1:] - wc[:-1]),
                          axis=0)
 
-    def predict(self, slots: np.ndarray, valid: np.ndarray, wc_prev):
-        """Single-window forward: (wc, dist, branch) as raw arrays.
+    def predict(self, cache: "KVCache", i: int):
+        """The codec's per-node step: (wc, dist, branch) of node i as raw arrays.
 
-        The codec calls exactly this on both sides, one node at a time, so
-        the float sequence, and therefore every frequency table, is
-        identical during encode and decode.
+        Encoder and decoder call exactly this for nodes 0, 1, 2, ... in
+        order, so the float sequence, and therefore every frequency table,
+        is identical on both sides.  Node i's row (its chain with the
+        occupancy PAD) attends over the cached K/V rows of its window's
+        history nodes.  Each call embeds and projects, as one batch, the
+        target's row and the history rows of the nodes coded since the last
+        call (normally node i-1 alone, whose occupancy must be set by then),
+        so each node's history row is computed once.
         """
-        wc = self._attend(self._embed(slots), valid)
-        if self.cfg.enable_residual and wc_prev is not None:
-            r = wc - wc_prev
+        ctx = cache.ctx
+        if not (cache.next_node <= i < ctx.count):
+            raise InvalidInput(f"node {i} is not the next node to predict")
+        lo = ctx.window_start(i)
+        w = ctx.window(i, cache.advance(lo))
+        if not w.slots[:-1, 0, 0].all():
+            raise InvalidInput(f"a history node of node {i} is not coded yet")
+        x = self._embed(w.slots)
+        k, v = self._project_kv(x)
+        rows = cache.rows(lo, k, v)
+        wc = self._attend_core(x[-1:], cache.k[rows], cache.v[rows], None)
+        if self.cfg.enable_residual and cache.wc_prev is not None:
+            r = wc - cache.wc_prev
         else:
             r = np.zeros_like(wc)
         q, o, _ = self._heads(wc, r)
+        cache.wc_prev = wc
         return wc, q, o
 
     def weighted_contexts(self, seq: NodeSequence) -> np.ndarray:
@@ -354,6 +388,56 @@ class ContextModel:
         diff = nn.constant(bits) - o
         mse = (diff * diff).mean()
         return ce, mse
+
+
+class KVCache:
+    """Attention keys and values of coded nodes, for `ContextModel.predict`.
+
+    Rows are kept in node order, oldest first, in one contiguous slice, and
+    masked pad slots get no row.  The buffer holds 2(N-1) history rows plus
+    the target's; when it fills, the newest N-1 rows move to the front, so
+    memory is O(N d) however many nodes are coded.  (A ring that wraps
+    would reorder the softmax sums.)
+    """
+
+    def __init__(self, cfg: ModelConfig, ctx: GrowingContext):
+        self.ctx = ctx
+        self.keep = cfg.ctx.n_window - 1
+        self.k = np.empty((2 * self.keep + 1, cfg.d_model))
+        self.v = np.empty_like(self.k)
+        self.base = 0    # node index of buffer row 0
+        self.count = 0   # history rows held, for nodes [base, base + count)
+        self.wc_prev = None
+
+    @property
+    def next_node(self) -> int:
+        """The first node whose history row is not cached."""
+        return self.base + self.count
+
+    def advance(self, lo: int) -> int:
+        """Forget every node before lo, which no later window holds
+        (strict_level drops earlier levels); returns next_node."""
+        if lo > self.next_node:
+            self.base, self.count = lo, 0
+        return self.next_node
+
+    def rows(self, lo: int, k, v) -> slice:
+        """Append the history rows k[:-1], v[:-1] of nodes next_node, ...,
+        place the target's row k[-1], v[-1] after them, and return the
+        buffer rows of history nodes [lo, target) and the target."""
+        for r in range(len(k) - 1):
+            self.k[self.count] = k[r]
+            self.v[self.count] = v[r]
+            self.count += 1
+            if self.count == len(self.k):
+                drop = self.count - self.keep
+                self.k[:self.keep] = self.k[drop:self.count]
+                self.v[:self.keep] = self.v[drop:self.count]
+                self.base += drop
+                self.count = self.keep
+        self.k[self.count] = k[-1]
+        self.v[self.count] = v[-1]
+        return slice(lo - self.base, self.count + 1)
 
 
 def loss_ce(q: np.ndarray, occupancy: int) -> float:
@@ -422,8 +506,12 @@ def train(model: ContextModel, corpus, schedule: TrainSchedule = TrainSchedule()
 
 
 def write_trace(path, trace) -> None:
-    """CSV-like loss trace: batch_index, ce_loss, mse_loss."""
+    """CSV loss trace: batch_index, ce_loss, mse_loss, stage, lr.
+
+    New columns go after the first three, which readers may rely on.
+    """
     with open(path, "w") as f:
-        f.write("batch_index,ce_loss,mse_loss\n")
+        f.write("batch_index,ce_loss,mse_loss,stage,lr\n")
         for rec in trace:
-            f.write(f"{rec.batch_index},{rec.ce_loss:.6f},{rec.mse_loss:.6f}\n")
+            f.write(f"{rec.batch_index},{rec.ce_loss:.6f},{rec.mse_loss:.6f},"
+                    f"{rec.stage},{rec.lr:.6g}\n")

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 
 import numpy as np
@@ -442,33 +443,52 @@ def save_checkpoint(path, params: ParamStore, config: dict) -> None:
 
 
 def load_checkpoint(path):
-    """Returns (ParamStore, config dict); bit-exact with what was saved."""
+    """Returns (ParamStore, config dict); bit-exact with what was saved.
+
+    ParseError for any blob that is short, garbled or not a checkpoint.
+    """
     with open(path, "rb") as f:
         blob = f.read()
-    if blob[:4] != CHECKPOINT_MAGIC:
+    pos = 0
+
+    def take(n: int) -> bytes:
+        nonlocal pos
+        if n > len(blob) - pos:
+            raise ParseError(f"checkpoint truncated at byte {pos}")
+        pos += n
+        return blob[pos - n:pos]
+
+    def text(n: int) -> str:
+        try:
+            return take(n).decode()
+        except UnicodeDecodeError:
+            raise ParseError(
+                f"checkpoint text at byte {pos - n} is not UTF-8") from None
+
+    if take(4) != CHECKPOINT_MAGIC:
         raise ParseError("not an octpcc checkpoint (bad magic)")
-    (version,) = struct.unpack_from("<H", blob, 4)
+    (version,) = struct.unpack("<H", take(2))
     if version != CHECKPOINT_VERSION:
         raise ParseError(f"unsupported checkpoint version {version}")
-    (cfg_len,) = struct.unpack_from("<I", blob, 6)
-    pos = 10
-    config = json.loads(blob[pos:pos + cfg_len].decode())
-    pos += cfg_len
-    (count,) = struct.unpack_from("<I", blob, pos)
-    pos += 4
+    (cfg_len,) = struct.unpack("<I", take(4))
+    try:
+        config = json.loads(text(cfg_len))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"checkpoint config is not JSON: {exc}") from None
+    (count,) = struct.unpack("<I", take(4))
     params = ParamStore()
     for _ in range(count):
-        (nlen,) = struct.unpack_from("<H", blob, pos)
-        pos += 2
-        name = blob[pos:pos + nlen].decode()
-        pos += nlen
-        (ndim,) = struct.unpack_from("<B", blob, pos)
-        pos += 1
-        shape = struct.unpack_from(f"<{ndim}I", blob, pos)
-        pos += 4 * ndim
-        size = int(np.prod(shape)) if ndim else 1
-        data = np.frombuffer(blob, dtype="<f4", count=size, offset=pos)
-        pos += 4 * size
+        (nlen,) = struct.unpack("<H", take(2))
+        name = text(nlen)
+        if name in params:
+            raise ParseError(f"checkpoint repeats parameter {name!r}")
+        (ndim,) = struct.unpack("<B", take(1))
+        if ndim > 32:  # numpy's array rank limit
+            raise ParseError(f"parameter {name!r} has {ndim} dimensions")
+        shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
+        data = np.frombuffer(take(4 * math.prod(shape)), dtype="<f4")
+        if not np.isfinite(data).all():
+            raise ParseError(f"parameter {name!r} holds non-finite values")
         params.add(name, data.reshape(shape))
     if pos != len(blob):
         raise ParseError("trailing bytes after checkpoint payload")

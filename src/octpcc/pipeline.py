@@ -1,11 +1,13 @@
 """End-to-end encode and decode drivers.
 
-Both directions run the same per-node routine (assemble the context
-window, run the model's single-window forward, quantize the distribution,
-code one symbol) in the same breadth-first order, so the decoder sees
-bit-identical frequency tables.  Model weights travel out of band
-(checkpoint file); the bitstream carries a digest so a mismatched model is
-rejected before any symbol is read.
+Both directions run the same per-node routine (the model's cached step
+`ContextModel.predict`, which embeds and projects the target's row and
+attends over the K/V rows it keeps for the window's already-coded nodes;
+then quantize the distribution and code one symbol) in the same
+breadth-first order, so the decoder sees bit-identical frequency tables.
+Model weights travel out of band (checkpoint file); the bitstream carries a
+digest so a mismatched model is rejected, and a header the model cannot
+decode is refused as corrupt, before any symbol is read.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .coder import (ArithmeticDecoder, ArithmeticEncoder, Bitstream,
 from .context import ContextAssembler, GrowingContext
 from .errors import ConfigError, CorruptStream, InvalidInput, ModelMismatch
 from .geometry import QuantizedPointCloud, RawPointCloud, quantize
-from .model import ContextModel
+from .model import ContextModel, KVCache
 from .octree import ROOT_PARENT, NodeSequence, build, reconstruct
 
 
@@ -76,28 +78,25 @@ def encode(pc: RawPointCloud, depth: int, coded_levels: int,
         n_coded = int(seq.level_offsets[coded_levels])
     else:
         n_coded = len(seq)
-    asm = ContextAssembler(seq, model.cfg.ctx)
+    cache = KVCache(model.cfg, ContextAssembler(seq, model.cfg.ctx))
     enc = ArithmeticEncoder()
     ideal = 0.0
     per_level = []
     level_mark = 0
     cur_level = 1
-    wc_prev = None
     for i in range(n_coded):
         lvl = int(seq.level[i])
         if lvl != cur_level:
             per_level.append(enc.bits_emitted - level_mark)
             level_mark = enc.bits_emitted
             cur_level = lvl
-        w = asm.window(i)
-        wc, q, _ = model.predict(w.slots, w.valid, wc_prev)
+        _, q, _ = model.predict(cache, i)
         table = quantize_dist(q)
         if table_log is not None:
             table_log.append(table.freq.copy())
         sym = int(seq.occupancy[i])
         enc.encode(table, sym - 1)
         ideal += -np.log2(q[sym - 1])
-        wc_prev = wc
     payload = enc.finish()
     per_level.append(len(payload) * 8 - level_mark)
     header = BitstreamHeader(
@@ -124,8 +123,17 @@ def decode(bs: Bitstream, model: ContextModel,
     header = bs.header
     if model.digest() != header.model_digest:
         raise ModelMismatch("bitstream was produced with a different model")
+    if not (1 <= header.coded_levels <= header.depth <= model.cfg.max_depth):
+        raise CorruptStream(
+            f"header declares depth {header.depth} with {header.coded_levels} "
+            f"coded levels; the model needs 1 <= coded levels <= depth <= "
+            f"{model.cfg.max_depth}")
+    if header.flags != _model_flags(model):
+        raise CorruptStream(f"header flags {header.flags:#x} disagree with the "
+                            f"model's {_model_flags(model):#x}")
     coded_levels = header.coded_levels
     grow = GrowingContext(model.cfg.ctx)
+    cache = KVCache(model.cfg, grow)
     dec = ArithmeticDecoder(bs.payload)
     occupancy: list[int] = []
     levels: list[int] = []
@@ -137,18 +145,15 @@ def decode(bs: Bitstream, model: ContextModel,
     octants.append(0)
     parents.append(ROOT_PARENT)
     level_nodes = [0]
-    wc_prev = None
     for lvl in range(1, coded_levels + 1):
         for i in level_nodes:
-            w = grow.window(i)
-            wc, q, _ = model.predict(w.slots, w.valid, wc_prev)
+            _, q, _ = model.predict(cache, i)
             table = quantize_dist(q)
             if table_log is not None:
                 table_log.append(table.freq.copy())
             sym = dec.decode(table) + 1
             grow.set_occupancy(i, sym)
             occupancy.append(sym)
-            wc_prev = wc
         if lvl == coded_levels:
             break
         next_nodes = []
@@ -162,11 +167,15 @@ def decode(bs: Bitstream, model: ContextModel,
                     parents.append(i)
                     next_nodes.append(j)
             if len(levels) > header.node_count:
-                raise CorruptStream("decoded tree exceeds the declared node count")
+                raise CorruptStream(
+                    f"level {lvl}, node {i}: decoded tree exceeds the declared "
+                    f"node count {header.node_count}")
         level_offsets.append(len(level_nodes) + level_offsets[-1])
         level_nodes = next_nodes
     if len(occupancy) != header.node_count:
-        raise CorruptStream("decoded node count disagrees with the header")
+        raise CorruptStream(
+            f"level {coded_levels}, node {len(occupancy) - 1}: decoded "
+            f"{len(occupancy)} nodes; the header declares {header.node_count}")
     seq = NodeSequence(
         depth=header.depth,
         occupancy=np.array(occupancy, dtype=np.int32),
@@ -176,6 +185,8 @@ def decode(bs: Bitstream, model: ContextModel,
         level_offsets=np.array(level_offsets, dtype=np.int64))
     voxels = reconstruct(seq, coded_levels)
     if coded_levels == header.depth and voxels.shape[0] != header.voxel_count:
-        raise CorruptStream("decoded voxel count disagrees with the header")
+        raise CorruptStream(
+            f"level {coded_levels}, node {len(occupancy) - 1}: decoded "
+            f"{voxels.shape[0]} voxels; the header declares {header.voxel_count}")
     return QuantizedPointCloud(depth=header.depth, voxels=voxels,
                                origin=header.origin, scale=header.scale)

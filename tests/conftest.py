@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from octpcc import nn
+from octpcc.context import ContextConfig
 from octpcc.geometry import RawPointCloud
 from octpcc.model import ContextModel, ModelConfig
 
@@ -13,6 +14,20 @@ MALFORMED_CONFIGS = {
     "ill_typed_width": ((), {"d_model": 16.0}),
     "width_disagrees_with_tensors": ((), {"d_model": 32}),
     "heads_do_not_divide_width": ((), {"heads": 5}),
+}
+
+# Model configs on which the codec's cached step must reproduce the batched
+# forward and the decoder the encoder's tables: every residual/branch
+# variant, strict_level, and the default N=64 window, which the test clouds
+# (at least 3N nodes) make the K/V cache compact at least twice.
+FORWARD_CONFIGS = {
+    "residual+branch": ModelConfig.tiny(),
+    "residual": ModelConfig.tiny(enable_branch=False),
+    "branch": ModelConfig.tiny(enable_residual=False),
+    "plain": ModelConfig.tiny(enable_residual=False, enable_branch=False),
+    "strict_level": ModelConfig.tiny(
+        ctx=ContextConfig(n_window=8, k_ancestors=1, strict_level=True)),
+    "default_size": ModelConfig(),
 }
 
 

@@ -3,6 +3,7 @@ import pytest
 from conftest import write_malformed_checkpoint
 from octpcc.cli import main
 from octpcc.geometry import read_ply
+from octpcc.model import ContextModel, ModelConfig
 
 MODEL_FLAGS = ["--window", "8", "--ancestors", "1", "--d-embed", "4",
                "--d-model", "16", "--hidden-main", "32", "--hidden-branch",
@@ -54,7 +55,7 @@ class TestTrain:
         trace = tmp_path / "model.ckpt.trace.csv"
         assert trace.exists()
         lines = trace.read_text().splitlines()
-        assert lines[0] == "batch_index,ce_loss,mse_loss"
+        assert lines[0] == "batch_index,ce_loss,mse_loss,stage,lr"
         assert len(lines) > 2
         assert (tmp_path / "model.ckpt.config").exists()
 
@@ -104,6 +105,19 @@ class TestCodecCommands:
         capsys.readouterr()
         assert run("encode", "--input", str(ply), "--checkpoint", str(ckpt),
                    "--depth", "3", "--out", str(tmp_path / "x.bin")) == 4
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("keep", [5, 12, 200, -3])
+    def test_truncated_checkpoint_exit_code(self, tmp_path, capsys, keep):
+        ply = tmp_path / "cloud.ply"
+        run("synth", "--kind", "plane", "--n", "200", "--seed", "1",
+            "--out", str(ply))
+        ckpt = tmp_path / "cut.ckpt"
+        ContextModel.create(ModelConfig.tiny(seed=1)).save(ckpt)
+        ckpt.write_bytes(ckpt.read_bytes()[:keep])
+        capsys.readouterr()
+        assert run("encode", "--input", str(ply), "--checkpoint", str(ckpt),
+                   "--depth", "3", "--out", str(tmp_path / "x.bin")) == 3
         assert capsys.readouterr().err.startswith("error: ")
 
     def test_model_mismatch_exit_code(self, workspace):

@@ -1,13 +1,18 @@
+import csv
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from conftest import MALFORMED_CONFIGS, write_malformed_checkpoint
+from conftest import FORWARD_CONFIGS, MALFORMED_CONFIGS, write_malformed_checkpoint
 from octpcc import nn
-from octpcc.context import ContextAssembler
-from octpcc.errors import ConfigError, InvalidInput
+from octpcc.coder import quantize_dist
+from octpcc.context import ContextAssembler, GrowingContext
+from octpcc.errors import ConfigError, InvalidInput, ParseError
 from octpcc.geometry import quantize, synth
-from octpcc.model import (ContextModel, ModelConfig, TrainSchedule, loss_ce,
-                          loss_mse, occupancy_bits, train, zero_head_layers)
+from octpcc.model import (ContextModel, KVCache, ModelConfig, TrainSchedule,
+                          loss_ce, loss_mse, occupancy_bits, train,
+                          write_trace, zero_head_layers)
 from octpcc.octree import build
 
 LOG2_255 = np.log2(255.0)
@@ -20,21 +25,32 @@ def tiny_corpus(n=60, seed=2, depth=3):
     return [build(quantize(synth("gaussian_clusters", n, seed=seed), depth))]
 
 
+def predict_all(model, seq, upto=None, step=1):
+    """The codec's cached step over nodes range(0, upto, step): (wc, q, o)
+    per node."""
+    cache = KVCache(model.cfg, ContextAssembler(seq, model.cfg.ctx))
+    nodes = range(0, len(seq) if upto is None else upto, step)
+    return [model.predict(cache, i) for i in nodes]
+
+
 class TestForward:
     def test_identical_windows_give_zero_residual_and_same_dist(self):
         model = tiny_model()
         seq = tiny_corpus()[0]
-        w = ContextAssembler(seq, model.cfg.ctx).window(2)
-        wc1, q1, _ = model.predict(w.slots, w.valid, None)
-        wc2, q2, _ = model.predict(w.slots, w.valid, wc1)
+        cache = KVCache(model.cfg, ContextAssembler(seq, model.cfg.ctx))
+        for i in range(3):
+            model.predict(cache, i)
+        # node 2 twice more, its row embedded alone both times: the same wc,
+        # so wc - wc_prev is exactly zero the second time
+        wc1, _, _ = model.predict(cache, 2)
+        wc2, q2, _ = model.predict(cache, 2)
         np.testing.assert_array_equal(wc1, wc2)
-        np.testing.assert_array_equal(q1, q2)  # wc - wc_prev is exactly zero
+        np.testing.assert_array_equal(q2, model._heads(wc1, 0 * wc1)[0])
 
     def test_zeroed_output_layers_give_uniform(self):
         model = zero_head_layers(tiny_model())
         seq = tiny_corpus()[0]
-        w = ContextAssembler(seq, model.cfg.ctx).window(1)
-        _, dist, branch = model.predict(w.slots, w.valid, None)
+        _, dist, branch = predict_all(model, seq, 2)[1]
         np.testing.assert_allclose(dist, 1.0 / 255.0, atol=1e-12)
         np.testing.assert_allclose(branch, 0.5, atol=1e-12)
         assert abs(dist.sum() - 1.0) < 1e-6
@@ -51,34 +67,60 @@ class TestForward:
         r_oracle = wc_b - wc_a
         assert np.linalg.norm(r_oracle) > 0
         # drive the public path and recover r from the head input equivalence
-        wc1, q1, _ = model.predict(wa.slots, wa.valid, None)
-        wc2, q2, _ = model.predict(wb.slots, wb.valid, wc1)
+        _, q2, _ = predict_all(model, seq, 6)[5]
         q_manual, _, _ = model._heads(wc_b, r_oracle)
         np.testing.assert_allclose(q2, q_manual, rtol=0, atol=1e-12)
 
     def test_distribution_valid_for_random_windows(self):
         model = tiny_model(seed=9)
         seq = tiny_corpus(200, seed=5, depth=4)[0]
-        asm = ContextAssembler(seq, model.cfg.ctx)
-        wc_prev = None
-        for i in range(0, len(seq), 7):
-            w = asm.window(i)
-            wc_prev, q, o = model.predict(w.slots, w.valid, wc_prev)
+        for _, q, o in predict_all(model, seq):
             assert abs(q.sum() - 1.0) < 1e-6
             assert q.min() > 0
             assert (o > 0).all() and (o < 1).all()
 
-    def test_batched_path_agrees_with_per_node_path(self):
-        """Training-side batched forward vs the codec's per-node chain."""
-        model = tiny_model(seed=7)
-        seq = tiny_corpus(120, seed=8, depth=4)[0]
+    @pytest.mark.parametrize("case", list(FORWARD_CONFIGS))
+    def test_batched_path_agrees_with_per_node_path(self, case):
+        """The codec's cached step vs the batched forward of training and
+        analysis.  It rests on the slot embedding having no positional term
+        and the target being the only query.  GEMV and GEMM round
+        differently, so q agrees to rounding and the tables the coder reads
+        bit for bit."""
+        model = ContextModel.create(replace(FORWARD_CONFIGS[case], seed=7))
+        seq = build(quantize(synth("gaussian_clusters", 300, seed=8), 5))
+        assert len(seq) >= 3 * model.cfg.ctx.n_window
         q_batch, _ = model.distributions(seq)
-        asm = ContextAssembler(seq, model.cfg.ctx)
-        wc_prev = None
-        for i in range(len(seq)):
-            w = asm.window(i)
-            wc_prev, q, _ = model.predict(w.slots, w.valid, wc_prev)
-            np.testing.assert_allclose(q, q_batch[i], rtol=0, atol=1e-9)
+        for i, (_, q, _) in enumerate(predict_all(model, seq)):
+            np.testing.assert_allclose(q, q_batch[i], rtol=0, atol=1e-13)
+            np.testing.assert_array_equal(quantize_dist(q).freq,
+                                          quantize_dist(q_batch[i]).freq)
+
+    def test_skipped_nodes_are_cached_in_one_batch(self):
+        """Predicting every fifth node makes each step cache five history
+        rows at once, across the buffer's compactions (N=8).  Without
+        residuals q depends on the window alone, so it still matches."""
+        model = tiny_model(seed=7, enable_residual=False)
+        seq = build(quantize(synth("gaussian_clusters", 300, seed=8), 5))
+        q_batch, _ = model.distributions(seq)
+        for i, (_, q, _) in zip(range(0, len(seq), 5),
+                                predict_all(model, seq, step=5)):
+            np.testing.assert_allclose(q, q_batch[i], rtol=0, atol=1e-13)
+
+    def test_cached_step_needs_nodes_in_order(self):
+        model = tiny_model()
+        cache = KVCache(model.cfg, GrowingContext(model.cfg.ctx))
+        for level, octant, parent in ((1, 0, -1), (2, 0, 0), (2, 3, 0)):
+            cache.ctx.add_node(level, octant, parent)
+        model.predict(cache, 0)
+        with pytest.raises(InvalidInput, match="not coded"):
+            model.predict(cache, 1)  # node 0's occupancy is still unknown
+        cache.ctx.set_occupancy(0, 9)
+        cache.ctx.set_occupancy(1, 5)
+        model.predict(cache, 2)  # node 1 unpredicted: its row is still added
+        with pytest.raises(InvalidInput, match="next node"):
+            model.predict(cache, 1)
+        with pytest.raises(InvalidInput, match="next node"):
+            model.predict(cache, 3)  # not in the context table
 
     def test_tape_ce_matches_inference_chain(self):
         model = tiny_model(seed=4)
@@ -89,12 +131,8 @@ class TestForward:
         labels = seq.occupancy[:n]
         ce, mse = model.batch_losses(model.params.tape(), slots, valid,
                                      labels, False)
-        wc_prev = None
-        bits = []
-        for i in range(n):
-            w = asm.window(i)
-            wc_prev, q, o = model.predict(w.slots, w.valid, wc_prev)
-            bits.append(loss_ce(q, int(labels[i])))
+        bits = [loss_ce(q, int(labels[i]))
+                for i, (_, q, _) in enumerate(predict_all(model, seq, n))]
         assert abs(float(ce.data) - np.mean(bits)) < 1e-9
 
 
@@ -207,6 +245,24 @@ class TestTrain:
             else:
                 assert not np.array_equal(model.params[name], after1[name]), name
 
+    def test_trace_csv_records_stage_and_lr(self, tmp_path):
+        model = tiny_model(seed=1)
+        sched = TrainSchedule(branch_epochs=1, main_epochs=2, lr=0.01,
+                              lr_decay=0.5)
+        trace = train(model, tiny_corpus(), sched)
+        path = tmp_path / "trace.csv"
+        write_trace(path, trace)
+        with open(path, newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert list(rows[0])[:3] == ["batch_index", "ce_loss", "mse_loss"]
+        assert len(rows) == len(trace)
+        for row, rec in zip(rows, trace):
+            assert int(row["batch_index"]) == rec.batch_index
+            assert int(row["stage"]) == rec.stage
+            assert float(row["lr"]) == rec.lr
+        assert {(int(r["stage"]), float(r["lr"])) for r in rows} == {
+            (1, 0.01), (2, 0.01), (2, 0.005)}
+
     def test_empty_corpus_rejected(self):
         with pytest.raises(InvalidInput):
             train(tiny_model(), [], TrainSchedule())
@@ -298,6 +354,16 @@ class TestCheckpointing:
         path = tmp_path / "bad.ckpt"
         nn.save_checkpoint(path, params, model.cfg.to_dict())
         with pytest.raises(ConfigError, match="attn0.wo"):
+            ContextModel.load(path)
+
+    def test_non_finite_tensor_rejected(self, tmp_path):
+        model = tiny_model(seed=15)
+        bias = model.params["main.b2"].copy()
+        bias[3] = np.nan
+        model.params["main.b2"] = bias
+        path = tmp_path / "nan.ckpt"
+        model.save(path)
+        with pytest.raises(ParseError, match="main.b2"):
             ContextModel.load(path)
 
     def test_variant_names(self):

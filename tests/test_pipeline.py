@@ -1,6 +1,10 @@
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from conftest import FORWARD_CONFIGS
 from octpcc.coder import Bitstream, HEADER_BYTES
 from octpcc.errors import (ConfigError, CorruptStream, InvalidInput,
                            ModelMismatch)
@@ -82,12 +86,14 @@ class TestEncodeDecode:
 
 
 class TestAgreement:
-    def test_freq_tables_identical_both_directions(self):
+    @pytest.mark.parametrize("case", list(FORWARD_CONFIGS))
+    def test_freq_tables_identical_both_directions(self, case):
         """The decode side reproduces encode's table sequence bit for bit."""
         pc = synth("lidar_rings", 300, seed=8)
-        model = tiny_model(seed=11)
+        model = ContextModel.create(replace(FORWARD_CONFIGS[case], seed=11))
         enc_log = []
-        bs, _ = encode(pc, 5, 5, model, table_log=enc_log)
+        bs, report = encode(pc, 6, 6, model, table_log=enc_log)
+        assert report.node_count >= 3 * model.cfg.ctx.n_window
         dec_log = []
         decode(bs, model, table_log=dec_log)
         assert len(enc_log) == len(dec_log) > 0
@@ -128,9 +134,24 @@ class TestFailureModes:
             try:
                 out = decode(Bitstream.from_bytes(bytes(corrupt)), model)
                 assert not out.same_voxels(qpc)
-            except CorruptStream:
+            except CorruptStream as exc:
+                assert re.match(r"level \d+, node \d+: ", str(exc)), exc
                 hits += 1
         assert hits > 0  # the count checks catch garbage trees
+
+    @pytest.mark.parametrize("field,value", [
+        ("depth", 3),         # below coded_levels = 5
+        ("depth", 30),        # beyond the model's max_depth
+        ("coded_levels", 0),
+        ("flags", 0),         # the model has residual and branch on
+    ])
+    def test_header_the_model_cannot_decode_rejected(self, field, value):
+        pc = synth("uniform", 100, seed=1)
+        model = tiny_model(seed=1)
+        bs, _ = encode(pc, 5, 5, model)
+        setattr(bs.header, field, value)
+        with pytest.raises(CorruptStream, match="header"):
+            decode(Bitstream.from_bytes(bs.to_bytes()), model)
 
     def test_report_text_format(self):
         pc = synth("uniform", 100, seed=2)
