@@ -1,6 +1,6 @@
 """Lossless octree point cloud geometry codec with a learned entropy model."""
 
-from .context import ContextConfig, ContextWindow
+from .context import ContextConfig
 from .errors import (ConfigError, CorruptStream, InsufficientClasses,
                      InvalidInput, ModelMismatch, NumericalError, OctpccError,
                      ParseError)
@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Bitstream", "ClassFeatureBank", "ConfigError", "ContextConfig",
-    "ContextModel", "ContextWindow", "CorruptStream", "EncodeReport",
+    "ContextModel", "CorruptStream", "EncodeReport",
     "FreqTable", "InsufficientClasses", "InterClassStats", "InvalidInput",
     "ModelConfig", "ModelMismatch", "NodeSequence", "NumericalError",
     "OctpccError", "ParseError", "QuantizedPointCloud",

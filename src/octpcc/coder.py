@@ -29,6 +29,10 @@ _SECOND = _TOP >> 1
 
 assert FREQ_TOTAL <= _MIN_RANGE
 
+# Decoding reads 32 bits, then one per renormalisation; encoding writes one or
+# more per renormalisation, then a final 1: a true stream is overread <= 31 bits.
+MAX_BITS_PAST_END = 32
+
 
 @dataclass
 class FreqTable:
@@ -59,26 +63,22 @@ def quantize_dist(q: np.ndarray) -> FreqTable:
 
     Every class is first granted frequency 1; the remaining mass is
     apportioned by floor with a largest-remainder correction (ties broken
-    toward lower class index), so the total is exactly 2**16.
+    toward lower class index), so the total is exactly 2**16.  InvalidInput
+    unless the entries lie in [0, 1] and sum to 1.
     """
     q = np.asarray(q, dtype=np.float64)
     if q.shape != (255,):
         raise InvalidInput("distribution must have 255 entries")
+    if not 0.0 <= q.min() <= q.max() <= 1.0:  # also false for NaN
+        raise InvalidInput("distribution entries must lie in [0, 1]")
     scaled = q * (FREQ_TOTAL - 255)
     base = np.floor(scaled)
     freq = base.astype(np.int64) + 1
     deficit = FREQ_TOTAL - int(freq.sum())
-    if deficit > 0:
-        order = np.lexsort((np.arange(255), base - scaled))  # frac desc, index asc
-        freq[order[:deficit]] += 1
-    elif deficit < 0:
-        order = np.argsort(-freq, kind="stable")
-        for idx in order:
-            if deficit == 0:
-                break
-            take = min(int(freq[idx]) - 1, -deficit)
-            freq[idx] -= take
-            deficit += take
+    if not 0 <= deficit <= 255:
+        raise InvalidInput(f"distribution sums to {q.sum()!r}, not 1")
+    order = np.argsort(base - scaled, kind="stable")  # frac desc, index asc
+    freq[order[:deficit]] += 1
     cum = np.zeros(256, dtype=np.int64)
     np.cumsum(freq, out=cum[1:])
     return FreqTable(freq=freq, cum=cum, total=FREQ_TOTAL)
@@ -111,12 +111,12 @@ class _BitReader:
     def __init__(self, payload: bytes):
         self._payload = payload
         self._pos = 0
-        self.exhausted = False
+        self.bits_past_end = 0  # zeros read beyond the payload
 
     def read(self) -> int:
         byte, bit = divmod(self._pos, 8)
         if byte >= len(self._payload):
-            self.exhausted = True
+            self.bits_past_end += 1
             return 0
         self._pos += 1
         return (self._payload[byte] >> (7 - bit)) & 1
@@ -173,12 +173,12 @@ class ArithmeticEncoder:
 
 class ArithmeticDecoder:
     def __init__(self, payload: bytes):
-        self._in = _BitReader(payload)
+        self.reader = _BitReader(payload)
         self._low = 0
         self._high = _MASK
         self._code = 0
         for _ in range(_STATE_BITS):
-            self._code = (self._code << 1) | self._in.read()
+            self._code = (self._code << 1) | self.reader.read()
 
     def decode(self, table: FreqTable) -> int:
         low, high = self._low, self._high
@@ -193,12 +193,12 @@ class ArithmeticDecoder:
         self._low = low + sym_lo * span // total
         while True:
             if (self._low ^ self._high) & _TOP == 0:
-                self._code = ((self._code << 1) & _MASK) | self._in.read()
+                self._code = ((self._code << 1) & _MASK) | self.reader.read()
                 self._low = (self._low << 1) & _MASK
                 self._high = ((self._high << 1) & _MASK) | 1
             elif self._low & ~self._high & _SECOND:
                 self._code = (self._code & _TOP) | ((self._code << 1) & (_MASK >> 1)) \
-                    | self._in.read()
+                    | self.reader.read()
                 self._low = (self._low << 1) & (_MASK >> 1)
                 self._high = ((self._high << 1) & (_MASK >> 1)) | _TOP | 1
             else:

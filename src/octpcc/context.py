@@ -4,8 +4,8 @@ For a target node i the model sees N slots: the N-1 most recent nodes of
 the global breadth-first order (each expanded with its K ancestors) and,
 in the final slot, the target's own ancestor chain with the target's
 occupancy zeroed out (it is exactly what is being predicted, unknown at
-decode time).  Slots that would refer to nodes before the
-start of the stream are zero-padded and masked.
+decode time).  Slots that would refer to nodes before the start of the
+stream are masked.
 
 GrowingContext is the one window table.  The decoder fills it node by
 node as symbols arrive; ContextAssembler fills it from a whole sequence
@@ -15,10 +15,11 @@ function of nodes decoded strictly before i (plus the target's ancestors,
 which are decoded before any node of the target's level), so the decoder
 rebuilds the identical window.
 
-The codec builds no N-slot window: its cached step (`model.KVCache`) asks
-`window` only for the slots it has not embedded yet, usually the previous
-node's (now coded) and the target's.  Full windows and `window_block`
-serve the batched path of training and analysis.
+A window is not copied slot by slot: its slots index per-node rows (each
+node's chain, or the target's with occupancy PAD).  The codec's cached step
+(`model.KVCache`) asks `window` only for the rows it has not embedded yet,
+usually the previous node's (now coded) and the target's; `window_block`
+gives training and analysis a block's rows once and its windows as indices.
 """
 
 from __future__ import annotations
@@ -48,13 +49,6 @@ class ContextConfig:
     def __post_init__(self):
         if self.n_window < 1 or self.k_ancestors < 0:
             raise InvalidInput("need n_window >= 1 and k_ancestors >= 0")
-
-
-@dataclass
-class ContextWindow:
-    slots: np.ndarray        # (slots, K+1, 3) int32: (occupancy, level, octant)
-    valid: np.ndarray        # (slots,) bool
-    target_index: int
 
 
 class GrowingContext:
@@ -95,52 +89,47 @@ class GrowingContext:
     def set_occupancy(self, i: int, occ: int) -> None:
         self.chains[i, 0, 0] = occ
 
-    def window_start(self, i: int) -> int:
-        """First node of target i's window history: nodes [lo, i) fill its slots."""
-        lo = max(0, i - (self.cfg.n_window - 1))
+    def window_start(self, i):
+        """First node of target i's window history: nodes [lo, i) fill its
+        slots.  Elementwise over an array of targets."""
+        lo = np.maximum(0, i - (self.cfg.n_window - 1))
         if self.cfg.strict_level:
-            lo = max(lo, int(self.level_start[i]))
+            lo = np.maximum(lo, self.level_start[i])
         return lo
 
-    def window(self, i: int, start=None) -> ContextWindow:
-        """Target i's N slots: the chains of history nodes [window_start(i), i),
-        padded and masked in front, then the target's chain with its
-        occupancy PAD.
-
-        With `start` (window_start(i) <= start <= i), only the slots of
-        history nodes [start, i) and the target, unpadded: the rows that the
-        codec's cached step has not embedded yet.
-        """
+    def window(self, i: int, start: int):
+        """(rows, valid): the chains of history nodes [start, i), then the
+        target's with its occupancy PAD, for window_start(i) <= start <= i;
+        every row is valid."""
         if not (0 <= i < self.count):
             raise InvalidInput(f"node index {i} out of range")
-        lo = self.window_start(i) if start is None else start
-        if not (self.window_start(i) <= lo <= i):
-            raise InvalidInput(f"slot start {lo} outside node {i}'s window")
-        rows = self.chains[lo:i + 1].copy()
+        if not (self.window_start(i) <= start <= i):
+            raise InvalidInput(f"slot start {start} outside node {i}'s window")
+        rows = self.chains[start:i + 1].copy()
         rows[-1, 0, 0] = PAD  # target occupancy is the unknown
-        if start is not None:
-            return ContextWindow(slots=rows, valid=np.ones(len(rows), dtype=bool),
-                                 target_index=i)
-        n = self.cfg.n_window
-        slots = np.zeros((n,) + rows.shape[1:], dtype=np.int32)
-        valid = np.zeros(n, dtype=bool)
-        slots[n - len(rows):] = rows
-        valid[n - len(rows):] = True
-        return ContextWindow(slots=slots, valid=valid, target_index=i)
+        return rows, np.ones(len(rows), dtype=bool)
 
     def window_block(self, start: int, stop: int):
-        """Stacked slots/valid for targets [start, stop); order preserved."""
+        """(rows, valid, index) for targets [start, stop), order preserved.
+
+        rows: the chains of nodes [window_start(start), stop - 1), then each
+        target's with its occupancy PAD.  Slot s of window b holds row
+        index[b, s] if valid[b, s]: the last slot the target's row, the ones
+        before it the history nodes [window_start(t), t), right-aligned.
+        """
         if not (0 <= start < stop <= self.count):
             raise InvalidInput("empty or out-of-range window batch")
-        count = stop - start
-        n = self.cfg.n_window
-        slots = np.zeros((count, n, self.cfg.k_ancestors + 1, 3), dtype=np.int32)
-        valid = np.zeros((count, n), dtype=bool)
-        for b, i in enumerate(range(start, stop)):
-            w = self.window(i)
-            slots[b] = w.slots
-            valid[b] = w.valid
-        return slots, valid
+        targets = np.arange(start, stop)
+        lo = self.window_start(targets)
+        first = int(lo[0])  # window_start never decreases along the stream
+        own = self.chains[start:stop].copy()
+        own[:, 0, 0] = PAD  # target occupancy is the unknown
+        rows = np.concatenate((self.chains[first:stop - 1], own))
+        nodes = targets[:, None] + np.arange(1 - self.cfg.n_window, 1)
+        valid = nodes >= lo[:, None]
+        index = np.where(valid, nodes - first, 0)
+        index[:, -1] = (stop - 1 - first) + np.arange(len(targets))
+        return rows, valid, index
 
 
 class ContextAssembler(GrowingContext):

@@ -10,10 +10,10 @@ concatenation with the main MLP's penultimate activation before the final
 linear layer.
 
 The slot embedding has no positional term and the target is the only
-query, so each history slot's keys and values depend on its node alone.
-The codec (`predict`) therefore embeds and projects each coded node once
-and keeps its K/V rows in a `KVCache`; training and analysis run the same
-attention core batched over whole windows.
+query, so each history slot's keys and values depend on its node alone,
+and every path embeds and projects each node's row once: the codec
+(`predict`) keeps coded nodes' K/V rows in a `KVCache`, and training and
+analysis gather a window block's K/V rows into its windows by index.
 
 Ablation toggles: enable_residual feeds a zero vector instead of r_i;
 enable_branch feeds zeros into the fusion slot.  All four combinations
@@ -194,19 +194,19 @@ def zero_head_layers(model: "ContextModel") -> "ContextModel":
     return model
 
 
-# Targets per batched forward in weighted_contexts: bounds the
-# (chunk, N, slot features) intermediates.
+# Targets per batched forward in weighted_contexts: bounds the gathered
+# (chunk, N, d) keys and values.
 ANALYSIS_CHUNK = 512
 
 
 class ContextModel:
     """Bundles a ModelConfig with its ParamStore; encoder and decoder share it.
 
-    The forward pass is written once, as `_embed`, `_attend` and `_heads`.
-    Each reads its weights from `params`: the ParamStore by default (plain
-    ndarrays, used by the codec and analysis) or a training tape of Tensors
-    (used by `batch_losses`).  Both runs perform the same ops in the same
-    order.
+    The forward pass is written once, as `_embed`, `_project_kv`,
+    `_attend_core` and `_heads`.  Each reads its weights from `params`: the
+    ParamStore by default (plain ndarrays, used by the codec and analysis)
+    or a training tape of Tensors (used by `batch_losses`).  Both runs
+    perform the same ops in the same order.
     """
 
     def __init__(self, cfg: ModelConfig, params: nn.ParamStore):
@@ -242,7 +242,7 @@ class ContextModel:
         return nn.checkpoint_digest(self.params, self.cfg.to_dict())
 
     def _embed(self, slots: np.ndarray, params=None):
-        """slots (..., N, K+1, 3) -> slot vectors (..., N, d)."""
+        """Chains (..., K+1, 3) -> slot vectors (..., d)."""
         P = self.params if params is None else params
         occ = nn.embedding(P["embed.occupancy"], slots[..., 0])
         lvl = nn.embedding(P["embed.level"], slots[..., 1])
@@ -282,11 +282,15 @@ class ContextModel:
         out = ctx @ P["attn0.wo"] + P["attn0.bo"]
         return out[..., -1, :]
 
-    def _attend(self, x, valid: np.ndarray, params=None):
-        """Slot vectors x (..., N, d) -> weighted context (..., d) at the
-        target (last) slot; the batched path of training and analysis."""
+    def _attend_block(self, block, params=None):
+        """Weighted contexts (B, d) of a `GrowingContext.window_block`: each
+        row is embedded and projected once, then gathered into the windows."""
+        rows, valid, index = block
+        x = self._embed(rows, params)
         k, v = self._project_kv(x, params)
-        return self._attend_core(x[..., -1:, :], k, v, valid, params)
+        return self._attend_core(nn.embedding(x, index[:, -1:]),
+                                 nn.embedding(k, index), nn.embedding(v, index),
+                                 valid, params)
 
     def _heads(self, wc, r, params=None):
         """(q, o, a1): floored 255-way distribution, 8 branch sigmoids and
@@ -335,10 +339,10 @@ class ContextModel:
         if not (cache.next_node <= i < ctx.count):
             raise InvalidInput(f"node {i} is not the next node to predict")
         lo = ctx.window_start(i)
-        w = ctx.window(i, cache.advance(lo))
-        if not w.slots[:-1, 0, 0].all():
+        slots, _ = ctx.window(i, cache.advance(lo))
+        if not slots[:-1, 0, 0].all():
             raise InvalidInput(f"a history node of node {i} is not coded yet")
-        x = self._embed(w.slots)
+        x = self._embed(slots)
         k, v = self._project_kv(x)
         rows = cache.rows(lo, k, v)
         wc = self._attend_core(x[-1:], cache.k[rows], cache.v[rows], None)
@@ -356,8 +360,7 @@ class ContextModel:
         out = np.empty((len(seq), self.cfg.d_model))
         for start in range(0, len(seq), ANALYSIS_CHUNK):
             stop = min(start + ANALYSIS_CHUNK, len(seq))
-            slots, valid = asm.window_block(start, stop)
-            out[start:stop] = self._attend(self._embed(slots), valid)
+            out[start:stop] = self._attend_block(asm.window_block(start, stop))
         return out
 
     def distributions(self, seq: NodeSequence):
@@ -372,13 +375,13 @@ class ContextModel:
         picked = q[np.arange(len(seq)), seq.occupancy - 1]
         return float(-np.log2(picked).sum())
 
-    def batch_losses(self, tape, slots, valid, labels, leading_prev: bool):
+    def batch_losses(self, tape, block, labels, leading_prev: bool):
         """(ce, mse) Tensors for one training batch.
 
-        slots/valid cover the batch targets plus, when leading_prev, one
-        extra leading window whose wc seeds the first residual.
+        The window block covers the batch targets plus, when leading_prev,
+        one extra leading window whose wc seeds the first residual.
         """
-        wc_all = self._attend(self._embed(slots, tape), valid, tape)
+        wc_all = self._attend_block(block, tape)
         wc = wc_all[1:] if leading_prev else wc_all
         q, o, _ = self._heads(wc, self._residuals_from_wc(wc_all, leading_prev),
                               tape)
@@ -487,10 +490,10 @@ def train(model: ContextModel, corpus, schedule: TrainSchedule = TrainSchedule()
                 for start in range(0, len(seq), schedule.batch_size):
                     stop = min(start + schedule.batch_size, len(seq))
                     lead = cfg.enable_residual and start > 0
-                    slots, valid = asm.window_block(start - (1 if lead else 0), stop)
+                    block = asm.window_block(start - (1 if lead else 0), stop)
                     labels = seq.occupancy[start:stop]
                     tape = model.params.tape()
-                    ce, mse = model.batch_losses(tape, slots, valid, labels, lead)
+                    ce, mse = model.batch_losses(tape, block, labels, lead)
                     loss = mse if stage == 1 else ce
                     if not np.isfinite(loss.data):
                         raise NumericalError("non-finite training loss")

@@ -200,7 +200,7 @@ class Tensor:
             if self.requires_grad:
                 if self.grad is None:
                     self.grad = np.zeros_like(self.data)
-                self.grad[key] += g
+                np.add.at(self.grad, key, g)  # an index array may repeat an element
 
         return Tensor(self.data[key], parents=(self,), backward=back, op="slice")
 

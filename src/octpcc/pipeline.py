@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coder import (ArithmeticDecoder, ArithmeticEncoder, Bitstream,
-                    BitstreamHeader, FLAG_BRANCH, FLAG_RESIDUAL, HEADER_BYTES,
-                    quantize_dist)
+from .coder import (MAX_BITS_PAST_END, ArithmeticDecoder, ArithmeticEncoder,
+                    Bitstream, BitstreamHeader, FLAG_BRANCH, FLAG_RESIDUAL,
+                    HEADER_BYTES, quantize_dist)
 from .context import ContextAssembler, GrowingContext
 from .errors import ConfigError, CorruptStream, InvalidInput, ModelMismatch
 from .geometry import QuantizedPointCloud, RawPointCloud, quantize
@@ -152,6 +152,9 @@ def decode(bs: Bitstream, model: ContextModel,
             if table_log is not None:
                 table_log.append(table.freq.copy())
             sym = dec.decode(table) + 1
+            if dec.reader.bits_past_end > MAX_BITS_PAST_END:
+                raise CorruptStream(f"level {lvl}, node {i}: decoding read past the "
+                                    f"end of the {len(bs.payload)}-byte payload")
             grow.set_occupancy(i, sym)
             occupancy.append(sym)
         if lvl == coded_levels:

@@ -18,8 +18,9 @@ MALFORMED_CONFIGS = {
 
 # Model configs on which the codec's cached step must reproduce the batched
 # forward and the decoder the encoder's tables: every residual/branch
-# variant, strict_level, and the default N=64 window, which the test clouds
-# (at least 3N nodes) make the K/V cache compact at least twice.
+# variant, strict_level, a window of the target alone (no history slot, no
+# ancestor), and the default N=64 window, which the test clouds (at least 3N
+# nodes) make the K/V cache compact at least twice.
 FORWARD_CONFIGS = {
     "residual+branch": ModelConfig.tiny(),
     "residual": ModelConfig.tiny(enable_branch=False),
@@ -27,6 +28,7 @@ FORWARD_CONFIGS = {
     "plain": ModelConfig.tiny(enable_residual=False, enable_branch=False),
     "strict_level": ModelConfig.tiny(
         ctx=ContextConfig(n_window=8, k_ancestors=1, strict_level=True)),
+    "target_only": ModelConfig.tiny(ctx=ContextConfig(n_window=1, k_ancestors=0)),
     "default_size": ModelConfig(),
 }
 

@@ -134,11 +134,11 @@ def test_c04_gradient_correctness():
     model = ContextModel.create(cfg)
     seq = build(quantize(synth("uniform", 40, seed=0), 3))
     asm = ContextAssembler(seq, cfg.ctx)
-    slots, valid = asm.window_block(0, 2)
+    block = asm.window_block(0, 2)
     labels = seq.occupancy[:2]
 
     def loss(tape, _):
-        ce, mse = model.batch_losses(tape, slots, valid, labels, False)
+        ce, mse = model.batch_losses(tape, block, labels, False)
         return ce + mse
 
     analytic = nn.grad(loss, model.params, None)
@@ -151,12 +151,12 @@ def test_c04_gradient_correctness():
         for ix in range(flat.size):
             orig = flat[ix]
             flat[ix] = orig + eps
-            ce, mse = model.batch_losses(model.params.tape(), slots, valid,
-                                         labels, False)
+            ce, mse = model.batch_losses(model.params.tape(), block, labels,
+                                         False)
             up = float(ce.data + mse.data)
             flat[ix] = orig - eps
-            ce, mse = model.batch_losses(model.params.tape(), slots, valid,
-                                         labels, False)
+            ce, mse = model.batch_losses(model.params.tape(), block, labels,
+                                         False)
             dn = float(ce.data + mse.data)
             flat[ix] = orig
             fd = (up - dn) / (2 * eps)

@@ -107,9 +107,7 @@ class TestCollectFeatures:
         counts = np.zeros(255, dtype=np.int64)
         wc_prev = None
         for i in range(len(seq)):
-            w = asm.window(i)
-            x = model._embed(w.slots)
-            wc = model._attend(x, w.valid)
+            wc = model._attend_block(asm.window_block(i, i + 1))[0]
             r = (wc - wc_prev) if (model.cfg.enable_residual
                                    and wc_prev is not None) else np.zeros_like(wc)
             _, _, a1 = model._heads(wc, r)

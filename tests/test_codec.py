@@ -60,6 +60,21 @@ class TestQuantizeDist:
         with pytest.raises(InvalidInput):
             FreqTable.from_freq(np.zeros(255))
 
+    @pytest.mark.parametrize("case", ["nan", "negative", "entry_over_one",
+                                      "sum_over_one", "sum_zero"])
+    def test_unquantizable_rejected(self, rng, case):
+        """Entries outside [0, 1], floors over the 2**16 budget, or too little
+        mass for one correction per class to reach it."""
+        q = random_dist(rng)
+        first = np.arange(255) == 0
+        q = {"nan": np.where(first, np.nan, q),
+             "negative": np.where(first, -0.01, q),
+             "entry_over_one": np.where(first, 2.0, q),
+             "sum_over_one": q * 1.01,
+             "sum_zero": q * 0.0}[case]
+        with pytest.raises(InvalidInput):
+            quantize_dist(q)
+
 
 class TestRoundTrip:
     def test_all_symbols_many_tables(self, rng):

@@ -21,28 +21,34 @@ def tiny_tree():
                                      origin=np.zeros(3), scale=1.0))
 
 
+def window(ctx, i):
+    """Target i's N slots (the rows its slots index) and their mask."""
+    rows, valid, index = ctx.window_block(i, i + 1)
+    return rows[index[0]], valid[0]
+
+
 class TestWindowFor:
     def test_tiny_tree_hand_enumeration(self):
         seq = tiny_tree()
         assert seq.occupancy.tolist() == [133, 3, 4, 128]
         cfg = ContextConfig(n_window=4, k_ancestors=1)
-        w = ContextAssembler(seq, cfg).window(3)
-        assert w.valid.all()
+        slots, valid = window(ContextAssembler(seq, cfg), 3)
+        assert valid.all()
         expect = np.array([
             [[133, 1, 0], [0, 0, 0]],    # root; ancestor padded
             [[3, 2, 0], [133, 1, 0]],
             [[4, 2, 2], [133, 1, 0]],
             [[0, 2, 7], [133, 1, 0]],    # target: own occupancy hidden
         ], dtype=np.int32)
-        np.testing.assert_array_equal(w.slots, expect)
+        np.testing.assert_array_equal(slots, expect)
 
     def test_root_window_fully_padded(self):
         seq = tiny_tree()
         cfg = ContextConfig(n_window=4, k_ancestors=1)
-        w = ContextAssembler(seq, cfg).window(0)
-        assert w.valid.tolist() == [False, False, False, True]
-        assert (w.slots[:3] == 0).all()
-        np.testing.assert_array_equal(w.slots[3], [[0, 1, 0], [0, 0, 0]])
+        rows, valid, _ = ContextAssembler(seq, cfg).window_block(0, 1)
+        assert valid[0].tolist() == [False, False, False, True]
+        assert len(rows) == 1  # no history row: the pad slots hold nothing
+        np.testing.assert_array_equal(rows[0], [[0, 1, 0], [0, 0, 0]])
 
     def test_sliding_property(self):
         """Adjacent windows share all predecessor content shifted by one."""
@@ -51,21 +57,21 @@ class TestWindowFor:
         cfg = ContextConfig(n_window=8, k_ancestors=2)
         asm = ContextAssembler(seq, cfg)
         for i in range(10, 14):
-            a = asm.window(i)
-            b = asm.window(i + 1)
-            np.testing.assert_array_equal(a.slots[1:cfg.n_window - 1],
-                                          b.slots[0:cfg.n_window - 2])
+            a, _ = window(asm, i)
+            b, _ = window(asm, i + 1)
+            np.testing.assert_array_equal(a[1:cfg.n_window - 1],
+                                          b[0:cfg.n_window - 2])
             # the one new predecessor slot is node i with its true occupancy
-            assert b.slots[cfg.n_window - 2, 0, 0] == seq.occupancy[i]
+            assert b[cfg.n_window - 2, 0, 0] == seq.occupancy[i]
 
     def test_out_of_range(self):
         seq = tiny_tree()
         cfg = ContextConfig(n_window=4, k_ancestors=1)
         asm = ContextAssembler(seq, cfg)
         with pytest.raises(InvalidInput):
-            asm.window(4)
+            window(asm, 4)
         with pytest.raises(InvalidInput):
-            asm.window(-1)
+            window(asm, -1)
 
     def test_decode_time_availability(self):
         """Windows depend only on nodes before the target (plus its ancestors).
@@ -81,27 +87,26 @@ class TestWindowFor:
         for i in (0, 3, 17, len(seq) - 1):
             scrambled = build(qpc)
             scrambled.occupancy[i:] = 199
-            w_clean = asm.window(i)
-            w_dirty = ContextAssembler(scrambled, cfg).window(i)
-            np.testing.assert_array_equal(w_clean.slots, w_dirty.slots)
-            np.testing.assert_array_equal(w_clean.valid, w_dirty.valid)
+            for clean, dirty in zip(
+                    window(asm, i), window(ContextAssembler(scrambled, cfg), i)):
+                np.testing.assert_array_equal(clean, dirty)
 
     def test_deterministic(self):
         seq = tiny_tree()
         cfg = ContextConfig(n_window=4, k_ancestors=1)
-        a = ContextAssembler(seq, cfg).window(2)
-        b = ContextAssembler(seq, cfg).window(2)
-        np.testing.assert_array_equal(a.slots, b.slots)
+        a, _ = window(ContextAssembler(seq, cfg), 2)
+        b, _ = window(ContextAssembler(seq, cfg), 2)
+        np.testing.assert_array_equal(a, b)
 
     def test_strict_level_masks_earlier_levels(self):
         seq = tiny_tree()
         cfg = ContextConfig(n_window=4, k_ancestors=1, strict_level=True)
         asm = ContextAssembler(seq, cfg)
-        w = asm.window(1)  # first node of level 2: no same-level prior
-        assert w.valid.tolist() == [False, False, False, True]
-        w = asm.window(2)  # one same-level predecessor (node 1)
-        assert w.valid.tolist() == [False, False, True, True]
-        assert w.slots[2, 0, 0] == 3
+        _, valid = window(asm, 1)  # first node of level 2: no same-level prior
+        assert valid.tolist() == [False, False, False, True]
+        slots, valid = window(asm, 2)  # one same-level predecessor (node 1)
+        assert valid.tolist() == [False, False, True, True]
+        assert slots[2, 0, 0] == 3
 
 
 class TestWindowBatch:
@@ -110,31 +115,58 @@ class TestWindowBatch:
         seq = build(qpc)
         cfg = ContextConfig(n_window=8, k_ancestors=2)
         asm = ContextAssembler(seq, cfg)
-        slots, valid = asm.window_block(5, 8)
-        assert slots.shape[0] == valid.shape[0] == 3
+        rows, valid, index = asm.window_block(5, 8)
+        assert index.shape == valid.shape == (3, cfg.n_window)
         for b, i in enumerate(range(5, 8)):
-            single = asm.window(i)
-            np.testing.assert_array_equal(slots[b], single.slots)
-            np.testing.assert_array_equal(valid[b], single.valid)
+            slots, single_valid = window(asm, i)
+            np.testing.assert_array_equal(valid[b], single_valid)
+            np.testing.assert_array_equal(rows[index[b]][valid[b]],
+                                          slots[single_valid])
+
+    @pytest.mark.parametrize("cfg", [
+        ContextConfig(n_window=8, k_ancestors=2),
+        ContextConfig(n_window=8, k_ancestors=2, strict_level=True),
+        ContextConfig(n_window=1, k_ancestors=0)],
+        ids=["global", "strict_level", "target_only"])
+    def test_matches_padded_reference(self, cfg):
+        """Each window vs a padded slot array built one target at a time."""
+        seq = build(quantize(synth("uniform", 300, seed=3), 4))
+        asm = ContextAssembler(seq, cfg)
+        rows, valid, index = asm.window_block(3, len(seq))
+        n = cfg.n_window
+        for b, i in enumerate(range(3, len(seq))):
+            lo = max(0, i - (n - 1))
+            if cfg.strict_level:
+                lo = max(lo, int(seq.level_offsets[seq.level[i] - 1]))
+            chains = asm.chains[lo:i + 1].copy()
+            chains[-1, 0, 0] = 0
+            want = np.zeros((n,) + chains.shape[1:], dtype=np.int32)
+            want[n - len(chains):] = chains
+            np.testing.assert_array_equal(valid[b],
+                                          np.arange(n) >= n - len(chains))
+            np.testing.assert_array_equal(
+                np.where(valid[b, :, None, None], rows[index[b]], 0), want)
 
     def test_chunked_equals_one_by_one(self):
         seq = tiny_tree()
         cfg = ContextConfig(n_window=4, k_ancestors=1)
         asm = ContextAssembler(seq, cfg)
-        whole = asm.window_block(0, len(seq))
+        rows, valid, index = asm.window_block(0, len(seq))
         parts = [asm.window_block(0, 2), asm.window_block(2, 4)]
-        for a, b in zip(whole, zip(*parts)):
-            np.testing.assert_array_equal(a, np.concatenate(b))
+        np.testing.assert_array_equal(
+            valid, np.concatenate([part[1] for part in parts]))
+        slots = [part[0][part[2]][part[1]] for part in parts]
+        np.testing.assert_array_equal(rows[index][valid], np.concatenate(slots))
 
     def test_level_feature_tracks_level_boundary(self):
         qpc = quantize(synth("uniform", 300, seed=2), 4)
         seq = build(qpc)
         cfg = ContextConfig(n_window=4, k_ancestors=1)
         boundary = int(seq.level_offsets[2])  # first node of level 3
-        slots, _ = ContextAssembler(seq, cfg).window_block(boundary - 1,
-                                                           boundary + 1)
+        rows, _, index = ContextAssembler(seq, cfg).window_block(boundary - 1,
+                                                                 boundary + 1)
         for b, i in enumerate(range(boundary - 1, boundary + 1)):
-            assert slots[b, -1, 0, 1] == seq.level[i]
+            assert rows[index[b, -1], 0, 1] == seq.level[i]
 
     def test_empty_range_rejected(self):
         seq = tiny_tree()
@@ -155,10 +187,9 @@ class TestGrowingContext:
             grow.add_node(1, 0, ROOT_PARENT)
             next_node = 1
             for i in range(len(seq)):
-                a = asm.window(i)
-                g = grow.window(i)
-                np.testing.assert_array_equal(a.slots, g.slots)
-                np.testing.assert_array_equal(a.valid, g.valid)
+                for a, g in zip(asm.window_block(i, i + 1),
+                                grow.window_block(i, i + 1)):
+                    np.testing.assert_array_equal(a, g)
                 grow.set_occupancy(i, int(seq.occupancy[i]))
                 # children become known once their parent's byte is decoded
                 while next_node < len(seq) and seq.parent[next_node] == i:

@@ -60,10 +60,8 @@ class TestForward:
         model = tiny_model()
         seq = tiny_corpus()[0]
         asm = ContextAssembler(seq, model.cfg.ctx)
-        wa = asm.window(4)
-        wb = asm.window(5)
-        wc_a = model._attend(model._embed(wa.slots), wa.valid)
-        wc_b = model._attend(model._embed(wb.slots), wb.valid)
+        wc_a = model._attend_block(asm.window_block(4, 5))[0]
+        wc_b = model._attend_block(asm.window_block(5, 6))[0]
         r_oracle = wc_b - wc_a
         assert np.linalg.norm(r_oracle) > 0
         # drive the public path and recover r from the head input equivalence
@@ -127,10 +125,9 @@ class TestForward:
         seq = tiny_corpus(80, seed=3)[0]
         asm = ContextAssembler(seq, model.cfg.ctx)
         n = min(12, len(seq))
-        slots, valid = asm.window_block(0, n)
+        block = asm.window_block(0, n)
         labels = seq.occupancy[:n]
-        ce, mse = model.batch_losses(model.params.tape(), slots, valid,
-                                     labels, False)
+        ce, mse = model.batch_losses(model.params.tape(), block, labels, False)
         bits = [loss_ce(q, int(labels[i]))
                 for i, (_, q, _) in enumerate(predict_all(model, seq, n))]
         assert abs(float(ce.data) - np.mean(bits)) < 1e-9
@@ -181,10 +178,10 @@ class TestFusion:
         model = tiny_model(seed=5, enable_branch=False)
         seq = tiny_corpus()[0]
         asm = ContextAssembler(seq, model.cfg.ctx)
-        slots, valid = asm.window_block(0, 6)
+        block = asm.window_block(0, 6)
         labels = seq.occupancy[:6]
         tape = model.params.tape()
-        ce, _ = model.batch_losses(tape, slots, valid, labels, False)
+        ce, _ = model.batch_losses(tape, block, labels, False)
         ce.backward()
         for name in model.params.names():
             if name.startswith("branch."):
@@ -195,10 +192,10 @@ class TestFusion:
         model = tiny_model(seed=5, enable_branch=True)
         seq = tiny_corpus()[0]
         asm = ContextAssembler(seq, model.cfg.ctx)
-        slots, valid = asm.window_block(0, 6)
+        block = asm.window_block(0, 6)
         labels = seq.occupancy[:6]
         tape = model.params.tape()
-        ce, _ = model.batch_losses(tape, slots, valid, labels, False)
+        ce, _ = model.batch_losses(tape, block, labels, False)
         ce.backward()
         assert tape["branch.w2"].grad is not None
         assert np.abs(tape["branch.w2"].grad).max() > 0

@@ -6,6 +6,12 @@ from octpcc.errors import InvalidInput, NumericalError
 from octpcc.model import ContextModel, ModelConfig
 
 
+def attend(model, x, valid, params=None):
+    """The attention layer over slot vectors x (n, d), target last."""
+    k, v = model._project_kv(x, params)
+    return model._attend_core(x[-1:], k, v, valid, params)
+
+
 def attention_model(rng, d, heads, identity_out=False):
     """A width-d model with random attention projections and zero biases."""
     model = ContextModel.create(ModelConfig.tiny(d_model=d, heads=heads))
@@ -23,7 +29,7 @@ class TestAttention:
         x = rng.normal(size=(n, d))
         valid = np.zeros(n, dtype=bool)
         valid[2] = True
-        out = model._attend(x, valid)
+        out = attend(model, x, valid)
         want = x[2] @ model.params["attn0.wv"]  # softmax over one element is 1
         np.testing.assert_allclose(out, want, atol=1e-12)
 
@@ -40,7 +46,7 @@ class TestAttention:
         valid = np.array([False, True, False, True])
         wv = model.params["attn0.wv"]
         assert not np.allclose(x[1] @ wv, x[3] @ wv)
-        out = model._attend(x, valid)
+        out = attend(model, x, valid)
         np.testing.assert_allclose(out, 0.5 * (x[1] @ wv + x[3] @ wv),
                                    atol=1e-12)
 
@@ -65,9 +71,9 @@ class TestAttention:
             e = np.exp(scores - scores.max())
             ctx.append((e / e.sum()) @ v[:, cols])
         want = np.concatenate(ctx) @ P["attn0.wo"] + P["attn0.bo"]
-        out = model._attend(x, valid)
+        out = attend(model, x, valid)
         np.testing.assert_allclose(out, want, atol=1e-9)
-        taped = model._attend(nn.constant(x), valid, P.tape())
+        taped = attend(model, nn.constant(x), valid, P.tape())
         np.testing.assert_array_equal(taped.data, out)
 
     def test_width_must_divide_heads(self):
@@ -116,6 +122,23 @@ class TestGrad:
         want[y] -= 1.0
         np.testing.assert_allclose(g["z"], want, atol=1e-9)
 
+    def test_repeated_index_gradient_matches_embedding(self, rng):
+        """A row picked twice by t[[0, 0, 2]] gets both gradients, as it
+        does through nn.embedding."""
+        store = nn.ParamStore()
+        store.add("t", rng.normal(size=(3, 2)))
+        w = rng.normal(size=(3, 2))
+
+        def by_index(tape, _):
+            return (tape["t"][[0, 0, 2]] * w).sum()
+
+        def by_embedding(tape, _):
+            return (nn.embedding(tape["t"], np.array([0, 0, 2])) * w).sum()
+
+        g = nn.grad(by_index, store, None)["t"]
+        np.testing.assert_array_equal(g, nn.grad(by_embedding, store, None)["t"])
+        np.testing.assert_array_equal(g, [w[0] + w[1], [0, 0], w[2]])
+
     def test_composite_matches_finite_differences(self, rng):
         """embedding -> attention -> mlp -> both heads, spot-checked by FD."""
         from octpcc.context import ContextAssembler
@@ -127,11 +150,11 @@ class TestGrad:
         model = ContextModel.create(cfg)
         seq = build(quantize(synth("uniform", 40, seed=0), 3))
         asm = ContextAssembler(seq, cfg.ctx)
-        slots, valid = asm.window_block(0, 2)
+        block = asm.window_block(0, 2)
         labels = seq.occupancy[:2]
 
         def loss(tape, _):
-            ce, mse = model.batch_losses(tape, slots, valid, labels, False)
+            ce, mse = model.batch_losses(tape, block, labels, False)
             return ce + mse
 
         analytic = nn.grad(loss, model.params, None)
@@ -143,12 +166,12 @@ class TestGrad:
                                        replace=False):
                 orig = flat[ix]
                 flat[ix] = orig + eps
-                ce, mse = model.batch_losses(model.params.tape(), slots, valid,
-                                             labels, False)
+                ce, mse = model.batch_losses(model.params.tape(), block, labels,
+                                             False)
                 up = float(ce.data + mse.data)
                 flat[ix] = orig - eps
-                ce, mse = model.batch_losses(model.params.tape(), slots, valid,
-                                             labels, False)
+                ce, mse = model.batch_losses(model.params.tape(), block, labels,
+                                             False)
                 dn = float(ce.data + mse.data)
                 flat[ix] = orig
                 fd = (up - dn) / (2 * eps)

@@ -139,6 +139,19 @@ class TestFailureModes:
                 hits += 1
         assert hits > 0  # the count checks catch garbage trees
 
+    def test_short_payload_stops_decoding(self):
+        """A payload cut to 4 bytes under an inflated node count fails once
+        the decoder has read more than 32 bits past the payload's end."""
+        pc = synth("uniform", 300, seed=7)
+        model = tiny_model(seed=1)
+        bs, _ = encode(pc, 5, 5, model)
+        assert len(bs.payload) > 4
+        bs.header.node_count *= 100
+        short = Bitstream(header=bs.header, payload=bs.payload[:4])
+        with pytest.raises(CorruptStream,
+                           match=r"^level \d+, node \d+: .* past the end"):
+            decode(Bitstream.from_bytes(short.to_bytes()), model)
+
     @pytest.mark.parametrize("field,value", [
         ("depth", 3),         # below coded_levels = 5
         ("depth", 30),        # beyond the model's max_depth
