@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
+from . import nn
 from .errors import InsufficientClasses, InvalidInput
 from .geometry import QuantizedPointCloud, dequantize
 from .model import ContextModel
@@ -46,14 +47,10 @@ def collect_features(model: ContextModel, corpus) -> ClassFeatureBank:
     """Per-class means of the first main-MLP layer output over a corpus."""
     if not corpus:
         raise InvalidInput("feature collection needs a non-empty corpus")
-    dim = model.cfg.d_hidden_main
-    sums = np.zeros((255, dim))
-    counts = np.zeros(255, dtype=np.int64)
-    for seq in corpus:
-        _, a1 = model.distributions(seq)
-        labels = seq.occupancy - 1
-        np.add.at(sums, labels, a1)
-        counts += np.bincount(labels, minlength=255)
+    labels = np.concatenate([seq.occupancy - 1 for seq in corpus])
+    feats = np.concatenate([model.distributions(seq)[1] for seq in corpus])
+    sums = nn.scatter_add(labels, feats, (255, model.cfg.d_hidden_main))
+    counts = np.bincount(labels, minlength=255)
     means = np.zeros_like(sums)
     present = counts > 0
     means[present] = sums[present] / counts[present, None]

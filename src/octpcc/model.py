@@ -468,8 +468,9 @@ def train(model: ContextModel, corpus, schedule: TrainSchedule = TrainSchedule()
     """Two-stage training; returns the per-batch loss trace.
 
     Stage 1 updates only branch parameters against the MSE loss; stage 2
-    freezes them and updates everything else against cross-entropy.  The
-    per-epoch learning rate is lr * lr_decay**epoch within each stage.
+    freezes them and updates everything else against cross-entropy.  Each
+    batch backpropagates into its stage's parameters alone.  The per-epoch
+    learning rate is lr * lr_decay**epoch within each stage.
     No shuffling: residual pairing needs the serialized node order.
     """
     if not corpus:
@@ -492,7 +493,7 @@ def train(model: ContextModel, corpus, schedule: TrainSchedule = TrainSchedule()
                     lead = cfg.enable_residual and start > 0
                     block = asm.window_block(start - (1 if lead else 0), stop)
                     labels = seq.occupancy[start:stop]
-                    tape = model.params.tape()
+                    tape = model.params.tape(group)
                     ce, mse = model.batch_losses(tape, block, labels, lead)
                     loss = mse if stage == 1 else ce
                     if not np.isfinite(loss.data):

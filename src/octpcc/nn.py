@@ -68,8 +68,9 @@ class Tensor:
 
     def _accum(self, g):
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.array(g, dtype=np.float64)  # g may be a view of another grad
+        else:
+            self.grad += g
 
     def backward(self):
         if self.data.size != 1:
@@ -229,6 +230,20 @@ def concat(tensors, axis: int):
                   parents=tuple(tensors), backward=back, op="concat")
 
 
+def scatter_add(idx, values, shape) -> np.ndarray:
+    """out[idx[j]] += values[j] into a zero array of `shape`, by one bincount.
+
+    values has shape idx.shape + shape[1:].  Each row's contributions are
+    summed in index order, so the result equals np.add.at on zeros bit for bit.
+    """
+    idx = np.asarray(idx, dtype=np.int64).ravel()
+    width = math.prod(shape[1:])
+    flat = (idx[:, None] * width + np.arange(width)).ravel()
+    out = np.bincount(flat, weights=np.asarray(values).ravel(),
+                      minlength=math.prod(shape))
+    return out.reshape(shape)
+
+
 def embedding(table, idx: np.ndarray):
     if not isinstance(table, Tensor):
         return table[idx]
@@ -236,9 +251,7 @@ def embedding(table, idx: np.ndarray):
 
     def back(g):
         if table.requires_grad:
-            if table.grad is None:
-                table.grad = np.zeros_like(table.data)
-            np.add.at(table.grad, idx, g)
+            table._accum(scatter_add(idx, g, table.shape))
 
     return Tensor(table.data[idx], parents=(table,), backward=back, op="embedding")
 
@@ -363,9 +376,10 @@ class ParamStore:
             out.add(name, value.copy())
         return out
 
-    def tape(self) -> dict[str, Tensor]:
-        """Fresh differentiable views of every parameter."""
-        return {name: Tensor(value, requires_grad=True)
+    def tape(self, learn=None) -> dict[str, Tensor]:
+        """Fresh views of every parameter.  Those named in `learn` (all of
+        them by default) are differentiable; backward skips the rest."""
+        return {name: Tensor(value, requires_grad=learn is None or name in learn)
                 for name, value in self._params.items()}
 
 
@@ -384,15 +398,23 @@ def grad(loss_fn, params: ParamStore, inputs) -> dict[str, np.ndarray]:
 
 def adam_step(params: ParamStore, grads: dict, lr: float,
               betas=(0.9, 0.999), eps: float = 1e-8) -> None:
-    """One Adam update (with bias correction) for every named gradient."""
+    """One Adam update (with bias correction) for every named gradient.
+
+    Every gradient is checked before any parameter or Adam state changes:
+    InvalidInput for an unknown name or a wrong shape, NumericalError for a
+    NaN or inf.
+    """
     b1, b2 = betas
+    grads = {name: np.asarray(g, dtype=np.float64) for name, g in grads.items()}
     for name, g in grads.items():
         if name not in params._params:
             raise InvalidInput(f"gradient for unknown parameter {name!r}")
-        p = params._params[name]
-        g = np.asarray(g, dtype=np.float64)
-        if g.shape != p.shape:
+        if g.shape != params._params[name].shape:
             raise InvalidInput(f"gradient shape mismatch for {name!r}")
+        if not np.isfinite(g).all():
+            raise NumericalError(f"non-finite gradient for parameter {name!r}")
+    for name, g in grads.items():
+        p = params._params[name]
         m = params._m.get(name)
         if m is None:
             m = np.zeros_like(p)

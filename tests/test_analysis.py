@@ -121,6 +121,23 @@ class TestCollectFeatures:
                                    sums[present] / counts[present, None],
                                    atol=1e-9)
 
+    def test_sums_match_add_at_over_a_corpus(self):
+        """Over several sequences the bank equals np.add.at's sums, added
+        sequence after sequence, bit for bit."""
+        model = tiny_model(seed=8)
+        corpus = [build(quantize(synth("gaussian_clusters", 200, seed=s), 4))
+                  for s in (5, 6)]
+        sums = np.zeros((255, model.cfg.d_hidden_main))
+        counts = np.zeros(255, dtype=np.int64)
+        for seq in corpus:
+            np.add.at(sums, seq.occupancy - 1, model.distributions(seq)[1])
+            np.add.at(counts, seq.occupancy - 1, 1)
+        bank = collect_features(model, corpus)
+        present = counts > 0
+        np.testing.assert_array_equal(bank.counts, counts)
+        np.testing.assert_array_equal(bank.means[present],
+                                      sums[present] / counts[present, None])
+
     def test_empty_corpus(self):
         with pytest.raises(InvalidInput):
             collect_features(tiny_model(), [])

@@ -10,9 +10,10 @@ from octpcc.coder import quantize_dist
 from octpcc.context import ContextAssembler, GrowingContext
 from octpcc.errors import ConfigError, InvalidInput, ParseError
 from octpcc.geometry import quantize, synth
-from octpcc.model import (ContextModel, KVCache, ModelConfig, TrainSchedule,
-                          loss_ce, loss_mse, occupancy_bits, train,
-                          write_trace, zero_head_layers)
+from octpcc.model import (ContextModel, KVCache, ModelConfig, TraceRecord,
+                          TrainSchedule, branch_param_names, loss_ce, loss_mse,
+                          main_param_names, occupancy_bits, train, write_trace,
+                          zero_head_layers)
 from octpcc.octree import build
 
 LOG2_255 = np.log2(255.0)
@@ -201,7 +202,70 @@ class TestFusion:
         assert np.abs(tape["branch.w2"].grad).max() > 0
 
 
+def train_on_full_tape(model, corpus, schedule):
+    """`train` with every batch backpropagated into every parameter and only
+    the stage's group passed to Adam: the reference for the stage-scoped
+    tape."""
+    cfg = model.cfg
+    trace = []
+    for stage in (1, 2):
+        epochs = schedule.branch_epochs if stage == 1 else schedule.main_epochs
+        group = (branch_param_names if stage == 1 else main_param_names)(
+            model.params)
+        for epoch in range(epochs):
+            lr = schedule.lr * schedule.lr_decay ** epoch
+            for seq in corpus:
+                asm = ContextAssembler(seq, cfg.ctx)
+                for start in range(0, len(seq), schedule.batch_size):
+                    stop = min(start + schedule.batch_size, len(seq))
+                    lead = cfg.enable_residual and start > 0
+                    block = asm.window_block(start - (1 if lead else 0), stop)
+                    tape = model.params.tape()
+                    ce, mse = model.batch_losses(tape, block,
+                                                 seq.occupancy[start:stop], lead)
+                    (mse if stage == 1 else ce).backward()
+                    nn.adam_step(model.params,
+                                 {name: tape[name].grad for name in group
+                                  if tape[name].grad is not None},
+                                 lr, schedule.betas, schedule.eps)
+                    trace.append(TraceRecord(stage, len(trace), float(ce.data),
+                                             float(mse.data), lr))
+    return trace
+
+
 class TestTrain:
+    def test_stage_one_tape_leaves_non_branch_gradients_unformed(self):
+        model = tiny_model(seed=6)
+        seq = tiny_corpus()[0]
+        block = ContextAssembler(seq, model.cfg.ctx).window_block(0, 8)
+        tape = model.params.tape(branch_param_names(model.params))
+        _, mse = model.batch_losses(tape, block, seq.occupancy[:8], False)
+        mse.backward()
+        for name, t in tape.items():
+            if name.startswith("branch."):
+                assert t.grad is not None, name
+            else:
+                assert t.grad is None, name
+
+    @pytest.mark.parametrize("case", list(FORWARD_CONFIGS))
+    def test_stage_scoped_tape_matches_full_tape(self, case):
+        """Trace, weights and Adam moments bit for bit against the trainer
+        that backpropagates into every parameter."""
+        cfg = replace(FORWARD_CONFIGS[case], seed=11)
+        corpus = [tiny_corpus(60, seed=2)[0], tiny_corpus(40, seed=9)[0]]
+        sched = TrainSchedule(branch_epochs=1, main_epochs=2, lr=0.01,
+                              batch_size=8)
+        scoped, full = ContextModel.create(cfg), ContextModel.create(cfg)
+        assert train(scoped, corpus, sched) == train_on_full_tape(full, corpus,
+                                                                  sched)
+        for name in scoped.params.names():
+            np.testing.assert_array_equal(scoped.params[name], full.params[name])
+            np.testing.assert_array_equal(scoped.params._m[name],
+                                          full.params._m[name])
+            np.testing.assert_array_equal(scoped.params._v[name],
+                                          full.params._v[name])
+            assert scoped.params.step_of(name) == full.params.step_of(name)
+
     def test_zero_lr_leaves_params_and_losses_flat(self):
         model = tiny_model(seed=1)
         before = {n: model.params[n].copy() for n in model.params.names()}

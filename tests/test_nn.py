@@ -139,6 +139,38 @@ class TestGrad:
         np.testing.assert_array_equal(g, nn.grad(by_embedding, store, None)["t"])
         np.testing.assert_array_equal(g, [w[0] + w[1], [0, 0], w[2]])
 
+    def test_gradient_shared_by_two_inputs_is_copied(self, rng):
+        """a + b passes one upstream array to both inputs; b's second
+        gradient must not reach a's."""
+        store = nn.ParamStore()
+        store.add("a", rng.normal(size=3))
+        store.add("b", rng.normal(size=3))
+        w, u = rng.normal(size=3), rng.normal(size=3)
+
+        def loss(tape, _):
+            return (tape["b"] * u).sum() + ((tape["a"] + tape["b"]) * w).sum()
+
+        g = nn.grad(loss, store, None)
+        np.testing.assert_array_equal(g["a"], w)
+        np.testing.assert_array_equal(g["b"], w + u)
+
+    @pytest.mark.parametrize("idx", [np.array([4, 0, 4, 2, 4]),
+                                     np.array([[1, 3, 1, 0], [3, 3, 2, 1]])],
+                             ids=["1d", "2d_repeated"])
+    @pytest.mark.parametrize("prefilled", [False, True])
+    def test_embedding_backward_matches_add_at(self, rng, idx, prefilled):
+        """The table gradient is np.add.at's, bit for bit; a gradient the
+        table already holds gets the fresh scatter added to it."""
+        table = nn.Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+        w = rng.normal(size=idx.shape + (3,))
+        before = rng.normal(size=(5, 3)) if prefilled else np.zeros((5, 3))
+        if prefilled:
+            table.grad = before.copy()
+        (nn.embedding(table, idx) * w).sum().backward()
+        scattered = np.zeros((5, 3))
+        np.add.at(scattered, idx, w)
+        np.testing.assert_array_equal(table.grad, before + scattered)
+
     def test_composite_matches_finite_differences(self, rng):
         """embedding -> attention -> mlp -> both heads, spot-checked by FD."""
         from octpcc.context import ContextAssembler
@@ -222,6 +254,25 @@ class TestAdam:
         store.add("w", np.zeros((2, 2)))
         with pytest.raises(InvalidInput):
             nn.adam_step(store, {"w": np.zeros(3)}, lr=0.1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_gradient_raises_before_any_update(self, rng, bad):
+        store = nn.ParamStore()
+        store.add("a", rng.normal(size=3))
+        store.add("b", rng.normal(size=2))
+        nn.adam_step(store, {"a": rng.normal(size=3), "b": rng.normal(size=2)},
+                     lr=0.1)
+        state = {name: (store[name].copy(), store._m[name].copy(),
+                        store._v[name].copy(), store.step_of(name))
+                 for name in store.names()}
+        with pytest.raises(NumericalError, match="'b'"):
+            nn.adam_step(store, {"a": rng.normal(size=3),
+                                 "b": np.array([0.5, bad])}, lr=0.1)
+        for name, (p, m, v, steps) in state.items():
+            np.testing.assert_array_equal(store[name], p)
+            np.testing.assert_array_equal(store._m[name], m)
+            np.testing.assert_array_equal(store._v[name], v)
+            assert store.step_of(name) == steps
 
 
 class TestCheckpoint:
