@@ -54,9 +54,6 @@ class FreqTable:
             raise InvalidInput(f"total frequency {total} exceeds {FREQ_TOTAL}")
         return cls(freq=freq, cum=cum, total=total)
 
-    def ideal_bits(self, symbol: int) -> float:
-        return float(-np.log2(self.freq[symbol] / self.total))
-
 
 def quantize_dist(q: np.ndarray) -> FreqTable:
     """Deterministic 2**16-total integer quantization of a 255-way distribution.

@@ -21,6 +21,10 @@ SYNTH_KINDS = ("uniform", "plane", "sphere", "gaussian_clusters", "lidar_rings")
 _PLANE_COEF = (0.4, -0.3, 0.1)  # z = a*x + b*y + c
 _SPHERE_RADIUS = 0.8
 
+# The deepest octree: its sort key packs 3 bits per level into one uint64,
+# so 21 levels (63 bits) fit.
+MAX_DEPTH = 21
+
 
 @dataclass
 class RawPointCloud:
@@ -90,8 +94,8 @@ def quantize(pc: RawPointCloud, depth: int) -> QuantizedPointCloud:
     """
     if not isinstance(pc, RawPointCloud):
         pc = RawPointCloud(np.asarray(pc, dtype=np.float64))
-    if not (1 <= depth <= 21):
-        raise InvalidInput(f"depth must be in [1, 21], got {depth}")
+    if not (1 <= depth <= MAX_DEPTH):
+        raise InvalidInput(f"depth must be in [1, {MAX_DEPTH}], got {depth}")
     pts = pc.points
     origin = pts.min(axis=0)
     extent = float((pts.max(axis=0) - origin).max())
@@ -213,7 +217,11 @@ def read_ply(path) -> RawPointCloud:
                 need = want * count
                 if pos + need > len(tokens):
                     raise ParseError("ASCII PLY body shorter than declared")
-                block = np.array(tokens[pos:pos + need], dtype=np.float64).reshape(count, want)
+                try:
+                    block = np.array(tokens[pos:pos + need], dtype=np.float64)
+                except ValueError:
+                    raise ParseError("ASCII PLY vertex value is not a number") from None
+                block = block.reshape(count, want)
                 cols = [names.index(a) for a in ("x", "y", "z")]
                 pts = block[:, cols]
                 break
@@ -267,21 +275,22 @@ def _parse_ply_header(f):
         elif parts[0] == "element":
             if len(parts) != 3:
                 raise ParseError(f"malformed element line: {ln!r}")
-            try:
-                count = int(parts[2])
-            except ValueError:
-                raise ParseError(f"malformed element count: {ln!r}") from None
-            elements.append({"name": parts[1], "count": count, "props": []})
+            if not parts[2].isdigit():
+                raise ParseError(f"malformed element count: {ln!r}")
+            elements.append({"name": parts[1], "count": int(parts[2]), "props": []})
         elif parts[0] == "property":
             if not elements:
                 raise ParseError("property before any element")
-            if parts[1] == "list":
-                # (name, None) marks a variable-length property
-                elements[-1]["props"].append((parts[-1], None))
+            # (name, None) marks a variable-length property
+            if len(parts) == 5 and parts[1] == "list":
+                prop = (parts[4], None)
+            elif len(parts) == 3 and parts[1] in _PLY_TYPES:
+                prop = (parts[2], _PLY_TYPES[parts[1]])
             else:
-                if parts[1] not in _PLY_TYPES:
-                    raise ParseError(f"unknown property type {parts[1]!r}")
-                elements[-1]["props"].append((parts[2], _PLY_TYPES[parts[1]]))
+                raise ParseError(f"malformed property line: {ln!r}")
+            if prop[0] in (name for name, _ in elements[-1]["props"]):
+                raise ParseError(f"repeated property {prop[0]!r}")
+            elements[-1]["props"].append(prop)
         else:
             raise ParseError(f"unrecognized header line: {ln!r}")
     if fmt is None:
@@ -298,6 +307,8 @@ def _skip_ascii_element(tokens, pos, elem):
             if code is None:
                 if pos >= len(tokens):
                     raise ParseError("ASCII PLY body shorter than declared")
+                if not tokens[pos].isdigit():
+                    raise ParseError("ASCII PLY list count is not an integer >= 0")
                 pos += 1 + int(tokens[pos])
             else:
                 pos += 1

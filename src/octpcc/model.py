@@ -36,20 +36,20 @@ import numpy as np
 from . import nn
 from .context import ContextAssembler, ContextConfig, GrowingContext
 from .errors import ConfigError, InvalidInput, NumericalError
+from .geometry import MAX_DEPTH
 from .octree import NodeSequence
 
 PROB_FLOOR = 1e-6  # uniform mixing weight; keeps every class strictly positive
 LOG2 = math.log(2.0)
-MAX_TREE_DEPTH = 21
 
 
 # Checkpoint config keys and their JSON types.
 _CTX_KEYS = {"n_window": int, "k_ancestors": int, "strict_level": bool}
 _MODEL_KEYS = {"d_embed": int, "d_model": int, "d_hidden_main": int,
                "d_hidden_branch": int, "heads": int, "enable_residual": bool,
-               "enable_branch": bool, "max_depth": int, "seed": int}
+               "enable_branch": bool, "seed": int}
 # Kept in every config for checkpoint compatibility; no other value loads.
-_FIXED_KEYS = {"attn_layers": 1, "layer_norm": False}
+_FIXED_KEYS = {"attn_layers": 1, "layer_norm": False, "max_depth": MAX_DEPTH}
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,6 @@ class ModelConfig:
     heads: int = 4
     enable_residual: bool = True
     enable_branch: bool = True
-    max_depth: int = MAX_TREE_DEPTH
     seed: int = 0
 
     def __post_init__(self):
@@ -86,8 +85,8 @@ class ModelConfig:
             "d_model": self.d_model, "d_hidden_main": self.d_hidden_main,
             "d_hidden_branch": self.d_hidden_branch, "heads": self.heads,
             "enable_residual": self.enable_residual,
-            "enable_branch": self.enable_branch, "max_depth": self.max_depth,
-            "seed": self.seed, **_FIXED_KEYS,
+            "enable_branch": self.enable_branch, "seed": self.seed,
+            **_FIXED_KEYS,
         }
 
     @classmethod
@@ -132,8 +131,6 @@ class TrainSchedule:
     lr: float = 1e-3
     lr_decay: float = 0.95
     batch_size: int = 32
-    betas: tuple = (0.9, 0.999)
-    eps: float = 1e-8
 
 
 class TraceRecord(NamedTuple):
@@ -153,7 +150,7 @@ def param_shapes(cfg: ModelConfig) -> dict:
     """Name -> shape of every parameter, in initialization and checkpoint order."""
     e, d = cfg.d_embed, cfg.d_model
     hm, hb = cfg.d_hidden_main, cfg.d_hidden_branch
-    shapes = {"embed.occupancy": (256, e), "embed.level": (cfg.max_depth + 1, e),
+    shapes = {"embed.occupancy": (256, e), "embed.level": (MAX_DEPTH + 1, e),
               "embed.octant": (8, e),
               "slot.w": ((cfg.ctx.k_ancestors + 1) * 3 * e, d), "slot.b": (d,)}
     shapes.update({f"attn0.{nm}": (d, d) for nm in ("wq", "wk", "wv", "wo")})
@@ -369,14 +366,10 @@ class ContextModel:
         q, _, a1 = self._heads(wc, self._residuals_from_wc(wc))
         return q, a1
 
-    def sequence_entropy(self, seq: NodeSequence) -> float:
-        """Ideal codelength in bits: sum of -log2 q(x_i | c_i) in encode order."""
-        q, _ = self.distributions(seq)
-        picked = q[np.arange(len(seq)), seq.occupancy - 1]
-        return float(-np.log2(picked).sum())
-
     def batch_losses(self, tape, block, labels, leading_prev: bool):
-        """(ce, mse) Tensors for one training batch.
+        """(ce, mse) Tensors for one training batch: the mean over targets
+        of -log2 q[occupancy - 1] in bits, and the mean squared error of the
+        8 branch outputs against the occupancy's bits (bit j = octant j).
 
         The window block covers the batch targets plus, when leading_prev,
         one extra leading window whose wc seeds the first residual.
@@ -443,27 +436,6 @@ class KVCache:
         return slice(lo - self.base, self.count + 1)
 
 
-def loss_ce(q: np.ndarray, occupancy: int) -> float:
-    """Cross-entropy against the one-hot label, in bits: -log2 q[occ-1]."""
-    if not (1 <= occupancy <= 255):
-        raise InvalidInput("occupancy must be in [1, 255]")
-    return float(-np.log2(q[occupancy - 1]))
-
-
-def loss_mse(o: np.ndarray, l) -> float:
-    """Mean squared error between branch output and the 8 child-occupied bits."""
-    l = np.asarray(l, dtype=np.float64)
-    o = np.asarray(o, dtype=np.float64)
-    if o.shape != (8,) or l.shape != (8,):
-        raise InvalidInput("branch vector and label must both have 8 entries")
-    return float(((l - o) ** 2).mean())
-
-
-def occupancy_bits(occ) -> np.ndarray:
-    """8 child-occupied booleans of an occupancy code (bit j = octant j)."""
-    return ((np.asarray(occ)[..., None] >> np.arange(8)) & 1).astype(bool)
-
-
 def train(model: ContextModel, corpus, schedule: TrainSchedule = TrainSchedule()):
     """Two-stage training; returns the per-batch loss trace.
 
@@ -501,8 +473,7 @@ def train(model: ContextModel, corpus, schedule: TrainSchedule = TrainSchedule()
                     loss.backward()
                     grads = {name: tape[name].grad for name in group
                              if tape[name].grad is not None}
-                    nn.adam_step(model.params, grads, lr, schedule.betas,
-                                 schedule.eps)
+                    nn.adam_step(model.params, grads, lr)
                     trace.append(TraceRecord(stage, batch_counter,
                                              float(ce.data), float(mse.data), lr))
                     batch_counter += 1

@@ -131,13 +131,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        def back(g):
-            if self.requires_grad:
-                self._accum(-g)
-
-        return Tensor(-self.data, parents=(self,), backward=back, op="neg")
-
     def __matmul__(self, other):
         other = _as_tensor(other)
         if self.ndim < 2 or other.ndim < 2:
@@ -163,22 +156,15 @@ class Tensor:
             out = np.log(self.data)
         return Tensor(out, parents=(self,), backward=back, op="log")
 
-    def sum(self, axis=None, keepdims=False):
+    def sum(self):
         def back(g):
-            if not self.requires_grad:
-                return
-            if axis is None:
+            if self.requires_grad:
                 self._accum(np.broadcast_to(g, self.shape).copy())
-            else:
-                gg = g if keepdims else np.expand_dims(g, axis)
-                self._accum(np.broadcast_to(gg, self.shape).copy())
 
-        return Tensor(self.data.sum(axis=axis, keepdims=keepdims),
-                      parents=(self,), backward=back, op="sum")
+        return Tensor(self.data.sum(), parents=(self,), backward=back, op="sum")
 
-    def mean(self, axis=None, keepdims=False):
-        denom = self.data.size if axis is None else self.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / denom)
+    def mean(self):
+        return self.sum() * (1.0 / self.data.size)
 
     def reshape(self, *shape):
         def back(g):

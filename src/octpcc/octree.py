@@ -155,10 +155,3 @@ def reconstruct(seq: NodeSequence, levels: int) -> np.ndarray:
     child_cells, _, _ = _expand_children(cells, seq.occupancy[sl])
     side = 1 << (seq.depth - levels)
     return child_cells * side + side // 2
-
-
-def reconstruct_cloud(seq: NodeSequence, levels: int, origin, scale,
-                      source_id: str = "") -> QuantizedPointCloud:
-    """`reconstruct` wrapped back into a QuantizedPointCloud."""
-    return QuantizedPointCloud(depth=seq.depth, voxels=reconstruct(seq, levels),
-                               origin=origin, scale=scale, source_id=source_id)

@@ -22,7 +22,7 @@ from .coder import (MAX_BITS_PAST_END, ArithmeticDecoder, ArithmeticEncoder,
                     HEADER_BYTES, quantize_dist)
 from .context import ContextAssembler, GrowingContext
 from .errors import ConfigError, CorruptStream, InvalidInput, ModelMismatch
-from .geometry import QuantizedPointCloud, RawPointCloud, quantize
+from .geometry import MAX_DEPTH, QuantizedPointCloud, RawPointCloud, quantize
 from .model import ContextModel, KVCache
 from .octree import ROOT_PARENT, NodeSequence, build, reconstruct
 
@@ -69,9 +69,9 @@ def encode(pc: RawPointCloud, depth: int, coded_levels: int,
     t0 = time.perf_counter()
     if not (1 <= coded_levels <= depth):
         raise InvalidInput("need 1 <= coded_levels <= depth")
-    if depth > model.cfg.max_depth:
+    if depth > MAX_DEPTH:
         raise ConfigError(
-            f"depth {depth} exceeds the model's max_depth {model.cfg.max_depth}")
+            f"depth {depth} exceeds the octree depth limit {MAX_DEPTH}")
     qpc = quantize(pc, depth)
     seq = build(qpc)
     if coded_levels < seq.levels_present:
@@ -123,11 +123,11 @@ def decode(bs: Bitstream, model: ContextModel,
     header = bs.header
     if model.digest() != header.model_digest:
         raise ModelMismatch("bitstream was produced with a different model")
-    if not (1 <= header.coded_levels <= header.depth <= model.cfg.max_depth):
+    if not (1 <= header.coded_levels <= header.depth <= MAX_DEPTH):
         raise CorruptStream(
             f"header declares depth {header.depth} with {header.coded_levels} "
-            f"coded levels; the model needs 1 <= coded levels <= depth <= "
-            f"{model.cfg.max_depth}")
+            f"coded levels; the codec needs 1 <= coded levels <= depth <= "
+            f"{MAX_DEPTH}")
     if header.flags != _model_flags(model):
         raise CorruptStream(f"header flags {header.flags:#x} disagree with the "
                             f"model's {_model_flags(model):#x}")

@@ -11,6 +11,7 @@ MALFORMED_CONFIGS = {
     "missing_heads": (("heads",), {}),
     "two_attention_layers": ((), {"attn_layers": 2}),
     "layer_norm_on": ((), {"layer_norm": True}),
+    "max_depth_not_21": ((), {"max_depth": 4}),
     "ill_typed_width": ((), {"d_model": 16.0}),
     "width_disagrees_with_tensors": ((), {"d_model": 32}),
     "heads_do_not_divide_width": ((), {"heads": 5}),

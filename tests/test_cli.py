@@ -155,6 +155,15 @@ class TestCodecCommands:
                          (tmp_path / f"{tag}.bin.report").read_bytes()))
         assert outs[0] == outs[1]
 
+    def test_malformed_ply_exit_code(self, tmp_path, capsys):
+        ply = tmp_path / "bad.ply"
+        ply.write_bytes(b"ply\nformat ascii 1.0\nelement vertex 1\n"
+                        b"property float x\nproperty float y\n"
+                        b"property float z\nend_header\n0 abc 1\n")
+        assert run("eval", "--original", str(ply), "--decoded", str(ply),
+                   "--depth", "3") == 3
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_truncated_levels(self, workspace, capsys):
         tmp_path, ply, ckpt = workspace
         bs = tmp_path / "trunc.bin"

@@ -109,7 +109,7 @@ class TestOptimality:
         n = 1000
         symbols = rng.integers(1, 256, size=n).tolist()
         payload = encode_symbols(symbols, [table] * n)
-        ideal = sum(table.ideal_bits(s - 1) for s in symbols)
+        ideal = sum(-np.log2(table.freq[s - 1] / table.total) for s in symbols)
         assert len(payload) * 8 <= 1.01 * ideal + 64
         assert abs(ideal / n - np.log2(255)) < 0.01
 
@@ -120,7 +120,8 @@ class TestOptimality:
             use = [tables[int(i)] for i in rng.integers(0, 5, size=n)]
             symbols = [int(rng.integers(1, 256)) for _ in range(n)]
             payload = encode_symbols(symbols, use)
-            ideal = sum(t.ideal_bits(s - 1) for s, t in zip(symbols, use))
+            ideal = sum(-np.log2(t.freq[s - 1] / t.total)
+                        for s, t in zip(symbols, use))
             assert len(payload) * 8 <= 1.01 * ideal + 64
             assert decode_symbols(payload, use) == symbols
 

@@ -176,3 +176,44 @@ class TestPly:
                         "property float x\nproperty float y\nend_header\n0 0\n")
         with pytest.raises(ParseError):
             read_ply(path)
+
+    @pytest.mark.parametrize("blob", [
+        # ASCII vertex token that is not a number
+        b"ply\nformat ascii 1.0\nelement vertex 1\nproperty float x\n"
+        b"property float y\nproperty float z\nend_header\n0 abc 1\n",
+        # non-integer and negative list counts in a face before the vertices
+        b"ply\nformat ascii 1.0\nelement face 1\n"
+        b"property list uchar int vertex_indices\nelement vertex 1\n"
+        b"property float x\nproperty float y\nproperty float z\n"
+        b"end_header\n1.5 0 1\n0 0 0\n",
+        b"ply\nformat ascii 1.0\nelement face 1\n"
+        b"property list uchar int vertex_indices\nelement vertex 1\n"
+        b"property float x\nproperty float y\nproperty float z\n"
+        b"end_header\n-1 0 0 0\n",
+        # property lines short of their arity
+        b"ply\nformat ascii 1.0\nelement vertex 1\nproperty float\n"
+        b"property float x\nproperty float y\nproperty float z\n"
+        b"end_header\n0 0 0\n",
+        b"ply\nformat ascii 1.0\nelement face 1\nproperty list uchar int\n"
+        b"element vertex 1\nproperty float x\nproperty float y\n"
+        b"property float z\nend_header\n0\n0 0 0\n",
+        # a property name repeated within an element
+        b"ply\nformat binary_little_endian 1.0\nelement vertex 1\n"
+        b"property float x\nproperty float x\nproperty float y\n"
+        b"property float z\nend_header\n" + bytes(16),
+        b"ply\nformat ascii 1.0\nelement vertex 1\nproperty float x\n"
+        b"property float x\nproperty float y\nproperty float z\n"
+        b"end_header\n0 1 2 3\n",
+        # negative element count
+        b"ply\nformat binary_little_endian 1.0\nelement vertex -1\n"
+        b"property float x\nproperty float y\nproperty float z\n"
+        b"end_header\n" + bytes(24),
+    ], ids=["ascii_non_number", "list_count_not_integer", "list_count_negative",
+            "property_without_name", "list_property_without_name",
+            "binary_repeated_property", "ascii_repeated_property",
+            "negative_element_count"])
+    def test_malformed_body_or_header(self, tmp_path, blob):
+        path = tmp_path / "bad.ply"
+        path.write_bytes(blob)
+        with pytest.raises(ParseError):
+            read_ply(path)

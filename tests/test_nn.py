@@ -115,7 +115,7 @@ class TestGrad:
 
         def loss(tape, _):
             p = nn.softmax(tape["z"].reshape(1, 6), axis=-1)
-            return -(nn.take_along_last(p, np.array([y])).log().sum())
+            return nn.take_along_last(p, np.array([y])).log().sum() * -1.0
 
         g = nn.grad(loss, store, None)
         want = nn.softmax_np(store["z"])

@@ -3,8 +3,7 @@ import pytest
 
 from octpcc.errors import InvalidInput
 from octpcc.geometry import QuantizedPointCloud, quantize, synth
-from octpcc.octree import (build, occupancy_code, reconstruct,
-                           reconstruct_cloud)
+from octpcc.octree import build, occupancy_code, reconstruct
 
 from conftest import brute_force_level_occupancies
 
@@ -129,9 +128,3 @@ class TestReconstruct:
             reconstruct(seq, 0)
         with pytest.raises(InvalidInput):
             reconstruct(seq, 4)
-
-    def test_reconstruct_cloud_carries_frame(self):
-        qpc = quantize(synth("plane", 300, seed=1), 4)
-        seq = build(qpc)
-        out = reconstruct_cloud(seq, 4, qpc.origin, qpc.scale)
-        assert out.same_voxels(qpc)

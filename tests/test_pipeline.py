@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import FORWARD_CONFIGS
+import octpcc
 from octpcc.coder import Bitstream, HEADER_BYTES
 from octpcc.errors import (ConfigError, CorruptStream, InvalidInput,
                            ModelMismatch)
@@ -80,9 +81,9 @@ class TestEncodeDecode:
             encode(pc, 4, 5, model)
 
     def test_depth_beyond_model_support(self):
-        model = ContextModel.create(ModelConfig.tiny(max_depth=4))
+        model = ContextModel.create(ModelConfig())
         with pytest.raises(ConfigError):
-            encode(synth("uniform", 50, seed=1), 5, 5, model)
+            encode(synth("uniform", 50, seed=1), 22, 22, model)
 
 
 class TestAgreement:
@@ -154,7 +155,7 @@ class TestFailureModes:
 
     @pytest.mark.parametrize("field,value", [
         ("depth", 3),         # below coded_levels = 5
-        ("depth", 30),        # beyond the model's max_depth
+        ("depth", 30),        # beyond the deepest octree, 21
         ("coded_levels", 0),
         ("flags", 0),         # the model has residual and branch on
     ])
@@ -172,3 +173,8 @@ class TestFailureModes:
         text = report.to_text()
         for key in ("total_bits", "bpip", "per_level_bits", "ideal_bits"):
             assert f"{key} = " in text
+
+
+def test_every_export_resolves():
+    """No name in the package's __all__ outlives what it names."""
+    assert [name for name in octpcc.__all__ if not hasattr(octpcc, name)] == []
