@@ -7,10 +7,10 @@ occupancy zeroed out (it is exactly what is being predicted, unknown at
 decode time).  Slots that would refer to nodes before the start of the
 stream are masked.
 
-GrowingContext is the one window table.  The decoder fills it node by
-node as symbols arrive; ContextAssembler fills it from a whole sequence
-through the same add_node/set_occupancy calls, in the same order, for the
-encoder, the trainer and analysis.  Every feature visible in window i is a
+GrowingContext is the one window table.  The codec walk fills it level by
+level as symbols are coded, on both sides; ContextAssembler fills it from a
+whole sequence through the same add_node/set_occupancy calls, in the same
+order, for the trainer and analysis.  Every feature visible in window i is a
 function of nodes decoded strictly before i (plus the target's ancestors,
 which are decoded before any node of the target's level), so the decoder
 rebuilds the identical window.
@@ -133,7 +133,7 @@ class GrowingContext:
 
 
 class ContextAssembler(GrowingContext):
-    """The window table of a whole, known sequence (encode / training side)."""
+    """The window table of a whole, known sequence (training and analysis)."""
 
     def __init__(self, seq: NodeSequence, cfg: ContextConfig):
         super().__init__(cfg)

@@ -41,6 +41,18 @@ class NodeSequence:
     parent: np.ndarray         # (n,) int64, ROOT_PARENT for the root
     level_offsets: np.ndarray  # (levels_present,) int64
 
+    @classmethod
+    def from_levels(cls, depth: int, levels) -> "NodeSequence":
+        """The stream of per-level (occupancy, parent, octant) arrays, level 1
+        first; parents are stream indices, as in the result."""
+        occ, parent, octant = (np.concatenate(part) for part in zip(*levels))
+        sizes = [len(level[0]) for level in levels]
+        return cls(depth=depth, occupancy=occ.astype(np.int32),
+                   level=np.repeat(np.arange(1, len(levels) + 1, dtype=np.int32),
+                                   sizes),
+                   octant=octant.astype(np.int32), parent=parent.astype(np.int64),
+                   level_offsets=np.cumsum([0] + sizes[:-1], dtype=np.int64))
+
     def __len__(self):
         return self.occupancy.shape[0]
 
@@ -81,41 +93,24 @@ def build(qpc: QuantizedPointCloud) -> NodeSequence:
     """Serialize the voxel set of `qpc` into breadth-first octree nodes."""
     depth = qpc.depth
     keys = np.sort(_interleave(qpc.voxels, depth))
-    occ_parts, lvl_parts, oct_parts, par_parts = [], [], [], []
-    offsets = np.zeros(depth, dtype=np.int64)
-    total = 0
-    prev_prefixes = None
-    prev_offset = 0
+    levels = []
+    parent = np.full(1, ROOT_PARENT)
+    octant = np.zeros(1, dtype=np.int32)
+    above = 0  # stream index of the first node of the level above
     for lvl in range(1, depth + 1):
         prefix = keys >> np.uint64(3 * (depth - lvl + 1))
         digit = (keys >> np.uint64(3 * (depth - lvl))) & np.uint64(7)
         starts = np.flatnonzero(np.r_[True, prefix[1:] != prefix[:-1]])
         node_prefix = prefix[starts]
-        occ = np.bitwise_or.reduceat(
-            (np.uint64(1) << digit).astype(np.uint64), starts)
-        if lvl == 1:
-            parent = np.full(1, ROOT_PARENT, dtype=np.int64)
-            octant = np.zeros(1, dtype=np.int32)
-        else:
-            parent = prev_offset + np.searchsorted(prev_prefixes,
-                                                   node_prefix >> np.uint64(3))
+        if lvl > 1:
+            parent = above + np.searchsorted(prev_prefixes,
+                                             node_prefix >> np.uint64(3))
             octant = (node_prefix & np.uint64(7)).astype(np.int32)
-        occ_parts.append(occ.astype(np.int32))
-        lvl_parts.append(np.full(len(starts), lvl, dtype=np.int32))
-        oct_parts.append(octant)
-        par_parts.append(parent.astype(np.int64))
-        offsets[lvl - 1] = total
+            above += len(prev_prefixes)
+        occ = np.bitwise_or.reduceat(np.uint64(1) << digit, starts)
+        levels.append((occ, parent, octant))
         prev_prefixes = node_prefix
-        prev_offset = total
-        total += len(starts)
-    return NodeSequence(
-        depth=depth,
-        occupancy=np.concatenate(occ_parts),
-        level=np.concatenate(lvl_parts),
-        octant=np.concatenate(oct_parts),
-        parent=np.concatenate(par_parts),
-        level_offsets=offsets,
-    )
+    return NodeSequence.from_levels(depth, levels)
 
 
 _OCT_OFFSETS = np.array([[(j >> 2) & 1, (j >> 1) & 1, j & 1] for j in range(8)],
@@ -132,13 +127,11 @@ def node_cells(seq: NodeSequence, levels: int) -> np.ndarray:
     return cells
 
 
-def _expand_children(cells: np.ndarray, occ: np.ndarray):
-    """Child cells (next resolution) implied by occupancy bytes, in node order."""
-    bits = (occ[:, None] >> np.arange(8)) & 1
-    counts = bits.sum(axis=1)
-    parents = np.repeat(np.arange(len(occ)), counts)
-    octants = np.tile(np.arange(8), len(occ))[bits.astype(bool).ravel()]
-    return cells[parents] * 2 + _OCT_OFFSETS[octants], parents, octants
+def children(occ: np.ndarray):
+    """(parent, octant) of the nodes that occupancy bytes `occ` imply on the
+    next level, in stream order: parents in order, each one's octants
+    ascending.  `parent` indexes `occ`."""
+    return np.nonzero((occ[:, None] >> np.arange(8)) & 1)
 
 
 def reconstruct(seq: NodeSequence, levels: int) -> np.ndarray:
@@ -152,6 +145,6 @@ def reconstruct(seq: NodeSequence, levels: int) -> np.ndarray:
         raise InvalidInput(f"levels must be in [1, {seq.levels_present}]")
     cells = node_cells(seq, levels)
     sl = seq.level_slice(levels)
-    child_cells, _, _ = _expand_children(cells, seq.occupancy[sl])
+    parent, octant = children(seq.occupancy[sl])
     side = 1 << (seq.depth - levels)
-    return child_cells * side + side // 2
+    return (cells[parent] * 2 + _OCT_OFFSETS[octant]) * side + side // 2

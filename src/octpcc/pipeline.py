@@ -1,13 +1,15 @@
 """End-to-end encode and decode drivers.
 
-Both directions run the same per-node routine (the model's cached step
-`ContextModel.predict`, which embeds and projects the target's row and
-attends over the K/V rows it keeps for the window's already-coded nodes;
-then quantize the distribution and code one symbol) in the same
-breadth-first order, so the decoder sees bit-identical frequency tables.
-Model weights travel out of band (checkpoint file); the bitstream carries a
-digest so a mismatched model is rejected, and a header the model cannot
-decode is refused as corrupt, before any symbol is read.
+Both directions run one walk, `_walk`: it grows the tree from the root level
+by level, in breadth-first order, and for each node runs the model's cached
+step `ContextModel.predict` (which embeds and projects the target's row and
+attends over the K/V rows it keeps for the window's already-coded nodes),
+quantizes the distribution and codes one symbol.  The encoder codes the
+known occupancy and the decoder decodes it; everything else is shared, so
+the decoder sees bit-identical frequency tables.  Model weights travel out
+of band (checkpoint file); the bitstream carries a digest so a mismatched
+model is rejected, and a header the model cannot decode is refused as
+corrupt, before any symbol is read.
 """
 
 from __future__ import annotations
@@ -20,11 +22,11 @@ import numpy as np
 from .coder import (MAX_BITS_PAST_END, ArithmeticDecoder, ArithmeticEncoder,
                     Bitstream, BitstreamHeader, FLAG_BRANCH, FLAG_RESIDUAL,
                     HEADER_BYTES, quantize_dist)
-from .context import ContextAssembler, GrowingContext
-from .errors import ConfigError, CorruptStream, InvalidInput, ModelMismatch
+from .context import GrowingContext
+from .errors import CorruptStream, InvalidInput, ModelMismatch
 from .geometry import MAX_DEPTH, QuantizedPointCloud, RawPointCloud, quantize
 from .model import ContextModel, KVCache
-from .octree import ROOT_PARENT, NodeSequence, build, reconstruct
+from .octree import ROOT_PARENT, NodeSequence, build, children, reconstruct
 
 
 @dataclass
@@ -63,42 +65,65 @@ def _model_flags(model: ContextModel) -> int:
             | (FLAG_BRANCH if model.cfg.enable_branch else 0))
 
 
+def _walk(model: ContextModel, depth: int, coded_levels: int, node_limit: int,
+          code, table_log) -> NodeSequence:
+    """Grow the tree from the root through `coded_levels` levels, coding each
+    node in stream order; both directions run this.
+
+    A level's nodes enter the window table together, once the level above is
+    coded.  Each node's distribution is predicted and quantized, and
+    `code(level, i, q, table)` codes node i and returns its occupancy.  A
+    level that would take the tree past `node_limit` nodes is refused.
+    """
+    ctx = GrowingContext(model.cfg.ctx)
+    cache = KVCache(model.cfg, ctx)
+    levels = []
+    parent, octant = np.full(1, ROOT_PARENT), np.zeros(1, dtype=np.int64)
+    for lvl in range(1, coded_levels + 1):
+        first = ctx.count
+        if first + len(parent) > node_limit:
+            raise CorruptStream(
+                f"level {lvl - 1}, node {parent[node_limit - first]}: decoded "
+                f"tree exceeds the declared node count {node_limit}")
+        for p, o in zip(parent.tolist(), octant.tolist()):
+            ctx.add_node(level=lvl, octant=o, parent=p)
+        occ = np.empty(len(parent), dtype=np.int32)
+        for i in range(first, ctx.count):
+            _, q, _ = model.predict(cache, i)
+            table = quantize_dist(q)
+            if table_log is not None:
+                table_log.append(table.freq.copy())
+            occ[i - first] = sym = code(lvl, i, q, table)
+            ctx.set_occupancy(i, sym)
+        levels.append((occ, parent, octant))
+        parent, octant = children(occ)
+        parent += first
+    return NodeSequence.from_levels(depth, levels)
+
+
 def encode(pc: RawPointCloud, depth: int, coded_levels: int,
            model: ContextModel, table_log=None):
     """Compress a raw cloud; returns (Bitstream, EncodeReport)."""
     t0 = time.perf_counter()
     if not (1 <= coded_levels <= depth):
         raise InvalidInput("need 1 <= coded_levels <= depth")
-    if depth > MAX_DEPTH:
-        raise ConfigError(
-            f"depth {depth} exceeds the octree depth limit {MAX_DEPTH}")
     qpc = quantize(pc, depth)
     seq = build(qpc)
-    if coded_levels < seq.levels_present:
-        n_coded = int(seq.level_offsets[coded_levels])
-    else:
-        n_coded = len(seq)
-    cache = KVCache(model.cfg, ContextAssembler(seq, model.cfg.ctx))
     enc = ArithmeticEncoder()
     ideal = 0.0
-    per_level = []
-    level_mark = 0
-    cur_level = 1
-    for i in range(n_coded):
-        lvl = int(seq.level[i])
-        if lvl != cur_level:
-            per_level.append(enc.bits_emitted - level_mark)
-            level_mark = enc.bits_emitted
-            cur_level = lvl
-        _, q, _ = model.predict(cache, i)
-        table = quantize_dist(q)
-        if table_log is not None:
-            table_log.append(table.freq.copy())
+    marks = []  # bits emitted before each coded level
+
+    def code(level, i, q, table):
+        nonlocal ideal
+        if level > len(marks):
+            marks.append(enc.bits_emitted)
         sym = int(seq.occupancy[i])
         enc.encode(table, sym - 1)
         ideal += -np.log2(q[sym - 1])
+        return sym
+
+    n_coded = len(_walk(model, depth, coded_levels, len(seq), code, table_log))
     payload = enc.finish()
-    per_level.append(len(payload) * 8 - level_mark)
     header = BitstreamHeader(
         depth=depth, coded_levels=coded_levels, origin=qpc.origin,
         scale=qpc.scale, raw_point_count=len(pc), voxel_count=len(qpc),
@@ -109,9 +134,9 @@ def encode(pc: RawPointCloud, depth: int, coded_levels: int,
     report = EncodeReport(
         total_bits=total_bits, header_bits=HEADER_BYTES * 8,
         payload_bits=len(payload) * 8, bpip=total_bits / len(pc),
-        per_level_bits=per_level, ideal_bits=float(ideal),
-        wall_time=time.perf_counter() - t0, node_count=n_coded,
-        raw_point_count=len(pc), voxel_count=len(qpc))
+        per_level_bits=np.diff(marks + [len(payload) * 8]).tolist(),
+        ideal_bits=float(ideal), wall_time=time.perf_counter() - t0,
+        node_count=n_coded, raw_point_count=len(pc), voxel_count=len(qpc))
     return bs, report
 
 
@@ -128,68 +153,33 @@ def decode(bs: Bitstream, model: ContextModel,
             f"header declares depth {header.depth} with {header.coded_levels} "
             f"coded levels; the codec needs 1 <= coded levels <= depth <= "
             f"{MAX_DEPTH}")
+    if header.node_count < 1:
+        raise CorruptStream("header declares 0 nodes; a coded tree has at "
+                            "least its root")
     if header.flags != _model_flags(model):
         raise CorruptStream(f"header flags {header.flags:#x} disagree with the "
                             f"model's {_model_flags(model):#x}")
     coded_levels = header.coded_levels
-    grow = GrowingContext(model.cfg.ctx)
-    cache = KVCache(model.cfg, grow)
     dec = ArithmeticDecoder(bs.payload)
-    occupancy: list[int] = []
-    levels: list[int] = []
-    octants: list[int] = []
-    parents: list[int] = []
-    level_offsets = [0]
-    grow.add_node(level=1, octant=0, parent=ROOT_PARENT)
-    levels.append(1)
-    octants.append(0)
-    parents.append(ROOT_PARENT)
-    level_nodes = [0]
-    for lvl in range(1, coded_levels + 1):
-        for i in level_nodes:
-            _, q, _ = model.predict(cache, i)
-            table = quantize_dist(q)
-            if table_log is not None:
-                table_log.append(table.freq.copy())
-            sym = dec.decode(table) + 1
-            if dec.reader.bits_past_end > MAX_BITS_PAST_END:
-                raise CorruptStream(f"level {lvl}, node {i}: decoding read past the "
-                                    f"end of the {len(bs.payload)}-byte payload")
-            grow.set_occupancy(i, sym)
-            occupancy.append(sym)
-        if lvl == coded_levels:
-            break
-        next_nodes = []
-        for i in level_nodes:
-            occ = occupancy[i]
-            for octant in range(8):
-                if occ >> octant & 1:
-                    j = grow.add_node(level=lvl + 1, octant=octant, parent=i)
-                    levels.append(lvl + 1)
-                    octants.append(octant)
-                    parents.append(i)
-                    next_nodes.append(j)
-            if len(levels) > header.node_count:
-                raise CorruptStream(
-                    f"level {lvl}, node {i}: decoded tree exceeds the declared "
-                    f"node count {header.node_count}")
-        level_offsets.append(len(level_nodes) + level_offsets[-1])
-        level_nodes = next_nodes
-    if len(occupancy) != header.node_count:
+
+    def code(level, i, q, table):
+        sym = dec.decode(table) + 1
+        if dec.reader.bits_past_end > MAX_BITS_PAST_END:
+            raise CorruptStream(f"level {level}, node {i}: decoding read past the "
+                                f"end of the {len(bs.payload)}-byte payload")
+        return sym
+
+    seq = _walk(model, header.depth, coded_levels, header.node_count, code,
+                table_log)
+    n = len(seq)
+    if n != header.node_count:
         raise CorruptStream(
-            f"level {coded_levels}, node {len(occupancy) - 1}: decoded "
-            f"{len(occupancy)} nodes; the header declares {header.node_count}")
-    seq = NodeSequence(
-        depth=header.depth,
-        occupancy=np.array(occupancy, dtype=np.int32),
-        level=np.array(levels, dtype=np.int32),
-        octant=np.array(octants, dtype=np.int32),
-        parent=np.array(parents, dtype=np.int64),
-        level_offsets=np.array(level_offsets, dtype=np.int64))
+            f"level {coded_levels}, node {n - 1}: decoded {n} nodes; the "
+            f"header declares {header.node_count}")
     voxels = reconstruct(seq, coded_levels)
     if coded_levels == header.depth and voxels.shape[0] != header.voxel_count:
         raise CorruptStream(
-            f"level {coded_levels}, node {len(occupancy) - 1}: decoded "
-            f"{voxels.shape[0]} voxels; the header declares {header.voxel_count}")
+            f"level {coded_levels}, node {n - 1}: decoded {voxels.shape[0]} "
+            f"voxels; the header declares {header.voxel_count}")
     return QuantizedPointCloud(depth=header.depth, voxels=voxels,
                                origin=header.origin, scale=header.scale)

@@ -120,6 +120,25 @@ class TestCodecCommands:
                    "--depth", "3", "--out", str(tmp_path / "x.bin")) == 3
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("command,depth", [
+        ("encode", "0"), ("encode", "22"), ("eval", "22")])
+    def test_depth_out_of_range_exit_code(self, tmp_path, capsys, command,
+                                          depth):
+        """A depth outside 1-21 is a data error on every command."""
+        ply = tmp_path / "cloud.ply"
+        run("synth", "--kind", "plane", "--n", "200", "--seed", "1",
+            "--out", str(ply))
+        if command == "encode":
+            ckpt = tmp_path / "model.ckpt"
+            ContextModel.create(ModelConfig.tiny(seed=1)).save(ckpt)
+            argv = ["--input", str(ply), "--checkpoint", str(ckpt),
+                    "--out", str(tmp_path / "x.bin")]
+        else:
+            argv = ["--original", str(ply), "--decoded", str(ply)]
+        capsys.readouterr()
+        assert run(command, *argv, "--depth", depth) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_model_mismatch_exit_code(self, workspace):
         tmp_path, ply, ckpt = workspace
         bs = tmp_path / "cloud.bin"

@@ -3,7 +3,8 @@ import pytest
 
 from octpcc.errors import InvalidInput
 from octpcc.geometry import QuantizedPointCloud, quantize, synth
-from octpcc.octree import build, occupancy_code, reconstruct
+from octpcc.octree import (ROOT_PARENT, NodeSequence, build, children,
+                           occupancy_code, reconstruct)
 
 from conftest import brute_force_level_occupancies
 
@@ -77,6 +78,30 @@ class TestBuild:
         b = build(qpc_from_voxels(voxels[rng.permutation(len(voxels))], 4))
         np.testing.assert_array_equal(a.occupancy, b.occupancy)
         np.testing.assert_array_equal(a.parent, b.parent)
+
+    @pytest.mark.parametrize("depth", range(1, 8))
+    def test_children_and_from_levels_reproduce_build(self, rng, depth):
+        """Growing the tree from the root with `children` visits build's
+        nodes in build's order (the encoder indexes build's occupancy by the
+        codec walk's node index), and from_levels reassembles the stream."""
+        voxels = np.unique(rng.integers(0, 1 << depth, size=(300, 3)), axis=0)
+        seq = build(qpc_from_voxels(voxels, depth))
+        parent, octant = [ROOT_PARENT], [0]
+        for lvl in range(1, depth):
+            sl = seq.level_slice(lvl)
+            p, o = children(seq.occupancy[sl])
+            parent.extend(sl.start + p)
+            octant.extend(o)
+        np.testing.assert_array_equal(seq.parent, parent)
+        np.testing.assert_array_equal(seq.octant, octant)
+        slices = [seq.level_slice(lvl) for lvl in range(1, depth + 1)]
+        again = NodeSequence.from_levels(depth, [
+            (seq.occupancy[sl], seq.parent[sl], seq.octant[sl]) for sl in slices])
+        assert again.depth == seq.depth
+        for field in ("occupancy", "level", "octant", "parent", "level_offsets"):
+            got, want = getattr(again, field), getattr(seq, field)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
 
 
 class TestOccupancyCode:

@@ -7,8 +7,7 @@ import pytest
 from conftest import FORWARD_CONFIGS
 import octpcc
 from octpcc.coder import Bitstream, HEADER_BYTES
-from octpcc.errors import (ConfigError, CorruptStream, InvalidInput,
-                           ModelMismatch)
+from octpcc.errors import CorruptStream, InvalidInput, ModelMismatch
 from octpcc.geometry import RawPointCloud, quantize, synth
 from octpcc.model import ContextModel, ModelConfig, zero_head_layers
 from octpcc.octree import build, reconstruct
@@ -81,8 +80,9 @@ class TestEncodeDecode:
             encode(pc, 4, 5, model)
 
     def test_depth_beyond_model_support(self):
+        """Depth 22 is a data error, refused by quantize's one depth check."""
         model = ContextModel.create(ModelConfig())
-        with pytest.raises(ConfigError):
+        with pytest.raises(InvalidInput, match="depth must be in"):
             encode(synth("uniform", 50, seed=1), 22, 22, model)
 
 
@@ -158,6 +158,7 @@ class TestFailureModes:
         ("depth", 30),        # beyond the deepest octree, 21
         ("coded_levels", 0),
         ("flags", 0),         # the model has residual and branch on
+        ("node_count", 0),    # a coded tree has at least its root
     ])
     def test_header_the_model_cannot_decode_rejected(self, field, value):
         pc = synth("uniform", 100, seed=1)
@@ -166,6 +167,36 @@ class TestFailureModes:
         setattr(bs.header, field, value)
         with pytest.raises(CorruptStream, match="header"):
             decode(Bitstream.from_bytes(bs.to_bytes()), model)
+
+    @pytest.mark.parametrize("field,change", [
+        ("node_count", "one"), ("node_count", "half"),
+        ("node_count", "one_short"), ("node_count", "one_over"),
+        ("voxel_count", -1), ("voxel_count", +1),
+    ])
+    def test_count_check_messages(self, field, change):
+        """A wrong count is reported with the level and node where the
+        decoder noticed it, and with what it decoded."""
+        pc = synth("uniform", 100, seed=1)
+        model = tiny_model(seed=1)
+        bs, report = encode(pc, 4, 4, model)
+        seq = build(quantize(pc, 4))
+        n, last = len(seq), f"level 4, node {len(seq) - 1}: decoded"
+        if field == "voxel_count":
+            declared = report.voxel_count + change
+            want = (f"{last} {report.voxel_count} voxels; the header declares "
+                    f"{declared}")
+        elif change == "one_over":
+            declared = n + 1
+            want = f"{last} {n} nodes; the header declares {declared}"
+        else:
+            declared = {"one": 1, "half": n // 2, "one_short": n - 1}[change]
+            node = int(seq.parent[declared])  # parent of the first node past it
+            want = (f"level {seq.level[node]}, node {node}: decoded tree "
+                    f"exceeds the declared node count {declared}")
+        setattr(bs.header, field, declared)
+        with pytest.raises(CorruptStream) as info:
+            decode(Bitstream.from_bytes(bs.to_bytes()), model)
+        assert str(info.value) == want
 
     def test_report_text_format(self):
         pc = synth("uniform", 100, seed=2)
