@@ -18,7 +18,7 @@ from .errors import (ConfigError, CorruptStream, InvalidInput, ModelMismatch,
                      OctpccError, ParseError)
 from .geometry import (QuantizedPointCloud, SYNTH_KINDS, dequantize, quantize,
                        read_ply, synth, write_ply)
-from .coder import Bitstream
+from .coder import HEADER_BYTES, Bitstream
 from .model import (ContextModel, ModelConfig, TrainSchedule, train,
                     write_trace)
 from .octree import build
@@ -45,20 +45,23 @@ def _onoff(value: str) -> bool:
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--window", type=int, default=64, help="context slots N")
-    p.add_argument("--ancestors", type=int, default=2, help="ancestors K per slot")
-    p.add_argument("--strict-level", type=_onoff, default=False,
+    m = ModelConfig()
+    p.add_argument("--window", type=int, default=m.ctx.n_window,
+                   help="context slots N")
+    p.add_argument("--ancestors", type=int, default=m.ctx.k_ancestors,
+                   help="ancestors K per slot")
+    p.add_argument("--strict-level", type=_onoff, default=m.ctx.strict_level,
                    help="restrict the window to same-level predecessors")
-    p.add_argument("--d-embed", type=int, default=16)
-    p.add_argument("--d-model", type=int, default=64)
-    p.add_argument("--hidden-main", type=int, default=128)
-    p.add_argument("--hidden-branch", type=int, default=64)
-    p.add_argument("--heads", type=int, default=4)
-    p.add_argument("--residual", type=_onoff, default=True,
+    p.add_argument("--d-embed", type=int, default=m.d_embed)
+    p.add_argument("--d-model", type=int, default=m.d_model)
+    p.add_argument("--hidden-main", type=int, default=m.d_hidden_main)
+    p.add_argument("--hidden-branch", type=int, default=m.d_hidden_branch)
+    p.add_argument("--heads", type=int, default=m.heads)
+    p.add_argument("--residual", type=_onoff, default=m.enable_residual,
                    help="context feature residual on|off")
-    p.add_argument("--branch", type=_onoff, default=True,
+    p.add_argument("--branch", type=_onoff, default=m.enable_branch,
                    help="occupancy branch + fusion on|off")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=m.seed)
 
 
 def _model_config(args) -> ModelConfig:
@@ -69,6 +72,12 @@ def _model_config(args) -> ModelConfig:
                        d_hidden_branch=args.hidden_branch, heads=args.heads,
                        enable_residual=args.residual,
                        enable_branch=args.branch, seed=args.seed)
+
+
+def _schedule(args) -> TrainSchedule:
+    return TrainSchedule(branch_epochs=args.branch_epochs,
+                         main_epochs=args.main_epochs, lr=args.lr,
+                         lr_decay=args.lr_decay, batch_size=args.batch_size)
 
 
 def cmd_synth(args) -> int:
@@ -85,11 +94,7 @@ def cmd_train(args) -> int:
         pc = read_ply(path)
         corpus.append(build(quantize(pc, args.depth)))
     model = ContextModel.create(_model_config(args))
-    schedule = TrainSchedule(branch_epochs=args.branch_epochs,
-                             main_epochs=args.main_epochs, lr=args.lr,
-                             lr_decay=args.lr_decay,
-                             batch_size=args.batch_size)
-    trace = train(model, corpus, schedule)
+    trace = train(model, corpus, _schedule(args))
     model.save(args.out)
     _write_echo(args.out, args)
     trace_path = args.trace or f"{args.out}.trace.csv"
@@ -130,11 +135,10 @@ def cmd_eval(args) -> int:
     decoded = read_ply(args.decoded)
     qa = quantize(original, args.depth)
     if args.bitstream:
-        from .coder import HEADER_BYTES
-        header = Bitstream.read(args.bitstream).header
-        origin, scale = header.origin, header.scale
-        total_bits = (HEADER_BYTES + header._payload_len) * 8
-        points = header.raw_point_count
+        bs = Bitstream.read(args.bitstream)
+        origin, scale = bs.header.origin, bs.header.scale
+        total_bits = (HEADER_BYTES + len(bs.payload)) * 8
+        points = bs.header.raw_point_count
     else:
         origin, scale = qa.origin, qa.scale
         total_bits = None
@@ -188,11 +192,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="checkpoint path")
     p.add_argument("--trace", default=None, help="loss trace CSV path")
     _add_model_flags(p)
-    p.add_argument("--branch-epochs", type=int, default=1)
-    p.add_argument("--main-epochs", type=int, default=3)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--lr-decay", type=float, default=0.95)
-    p.add_argument("--batch-size", type=int, default=32)
+    s = TrainSchedule()
+    p.add_argument("--branch-epochs", type=int, default=s.branch_epochs)
+    p.add_argument("--main-epochs", type=int, default=s.main_epochs)
+    p.add_argument("--lr", type=float, default=s.lr)
+    p.add_argument("--lr-decay", type=float, default=s.lr_decay)
+    p.add_argument("--batch-size", type=int, default=s.batch_size)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("encode", help="compress a point cloud")

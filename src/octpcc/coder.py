@@ -291,6 +291,11 @@ class Bitstream:
         payload = blob[HEADER_BYTES:]
         if len(payload) != header._payload_len:
             raise CorruptStream("payload length disagrees with header")
+        if not np.isfinite(header.origin).all():
+            raise CorruptStream(f"header origin {header.origin} must be finite")
+        if not (np.isfinite(header.scale) and header.scale > 0):
+            raise CorruptStream(f"header scale {header.scale} must be finite "
+                                "and positive")
         return cls(header=header, payload=payload)
 
     def write(self, path) -> None:

@@ -48,7 +48,7 @@ def collect_features(model: ContextModel, corpus) -> ClassFeatureBank:
     if not corpus:
         raise InvalidInput("feature collection needs a non-empty corpus")
     labels = np.concatenate([seq.occupancy - 1 for seq in corpus])
-    feats = np.concatenate([model.distributions(seq)[1] for seq in corpus])
+    feats = np.concatenate([model.distributions(seq)[2] for seq in corpus])
     sums = nn.scatter_add(labels, feats, (255, model.cfg.d_hidden_main))
     counts = np.bincount(labels, minlength=255)
     means = np.zeros_like(sums)
@@ -97,14 +97,12 @@ def chamfer(a: QuantizedPointCloud, b: QuantizedPointCloud) -> float:
     return float(((d_ab ** 2).mean() + (d_ba ** 2).mean()) / 2.0)
 
 
-def d1_psnr(a: QuantizedPointCloud, b: QuantizedPointCloud,
-            depth: int = None) -> float:
+def d1_psnr(a: QuantizedPointCloud, b: QuantizedPointCloud) -> float:
     """Point-to-point geometry PSNR with peak 3*(2**depth - 1)**2 (voxel units).
 
     Identical clouds return the +inf sentinel.
     """
     _check_same_frame(a, b)
-    depth = a.depth if depth is None else depth
     va = a.voxels.astype(np.float64)
     vb = b.voxels.astype(np.float64)
     d_ab = cKDTree(vb).query(va)[0]
@@ -112,7 +110,7 @@ def d1_psnr(a: QuantizedPointCloud, b: QuantizedPointCloud,
     mse = ((d_ab ** 2).mean() + (d_ba ** 2).mean()) / 2.0
     if mse == 0.0:
         return float("inf")
-    peak = 3.0 * ((1 << depth) - 1) ** 2
+    peak = 3.0 * ((1 << a.depth) - 1) ** 2
     return float(10.0 * np.log10(peak / mse))
 
 

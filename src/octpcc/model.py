@@ -21,8 +21,9 @@ share one checkpoint schema.
 
 Training is two-stage: first only the branch parameters learn (MSE loss),
 then the branch is frozen and everything else learns (cross-entropy).
-Batches preserve the breadth-first node order so residual pairing during
-training matches what the codec does at encode time.
+Training and analysis run one batched pass: `blocks` cuts a sequence into
+window blocks in node order, each past the first leading with the window
+before it, and `_block_heads` pairs residuals as the codec does.
 """
 
 from __future__ import annotations
@@ -191,7 +192,7 @@ def zero_head_layers(model: "ContextModel") -> "ContextModel":
     return model
 
 
-# Targets per batched forward in weighted_contexts: bounds the gathered
+# Targets per window block in `distributions`: bounds the gathered
 # (chunk, N, d) keys and values.
 ANALYSIS_CHUNK = 512
 
@@ -303,22 +304,22 @@ class ContextModel:
         q = p * (1.0 - PROB_FLOOR) + PROB_FLOOR / 255.0
         return q, o, a1
 
-    def _residuals_from_wc(self, wc, leading_prev: bool = False):
-        """r_i = wc_i - wc_{i-1} for consecutive targets (rows of wc).
+    def _block_heads(self, block, lead: bool, params=None):
+        """_heads of a window block's targets, with r_i = wc_i - wc_{i-1}.
 
-        With leading_prev, row 0 only seeds the first residual and gets no
-        residual of its own; otherwise the first row's residual is zero.
-        Zero throughout when residuals are disabled.
+        With lead, the first window only seeds the first residual; otherwise
+        r_0 = 0; r = 0 with residuals off.  r slices wc_all afresh: reusing
+        wc would reorder the tape's gradient sums and change trained bits.
         """
-        rows = wc.shape[0] - (1 if leading_prev else 0)
+        wc_all = self._attend_block(block, params)
+        wc = wc_all[1:] if lead else wc_all
         if not self.cfg.enable_residual:
-            return np.zeros((rows, self.cfg.d_model))
-        if leading_prev:
-            return wc[1:] - wc[:-1]
-        if rows == 1:
-            return np.zeros((1, self.cfg.d_model))
-        return nn.concat((np.zeros((1, self.cfg.d_model)), wc[1:] - wc[:-1]),
-                         axis=0)
+            r = np.zeros(wc.shape)
+        elif lead:
+            r = wc_all[1:] - wc_all[:-1]
+        else:
+            r = nn.concat((np.zeros((1, wc.shape[1])), wc[1:] - wc[:-1]), axis=0)
+        return self._heads(wc, r, params)
 
     def predict(self, cache: "KVCache", i: int):
         """The codec's per-node step: (wc, dist, branch) of node i as raw arrays.
@@ -351,33 +352,30 @@ class ContextModel:
         cache.wc_prev = wc
         return wc, q, o
 
-    def weighted_contexts(self, seq: NodeSequence) -> np.ndarray:
-        """wc for every node, batched (training/analysis use; not the codec)."""
-        asm = ContextAssembler(seq, self.cfg.ctx)
-        out = np.empty((len(seq), self.cfg.d_model))
-        for start in range(0, len(seq), ANALYSIS_CHUNK):
-            stop = min(start + ANALYSIS_CHUNK, len(seq))
-            out[start:stop] = self._attend_block(asm.window_block(start, stop))
-        return out
+    def blocks(self, asm: ContextAssembler, size: int):
+        """(start, stop, block, lead) for consecutive runs of `size` targets.
+        With residuals on, each block past the first leads with one extra
+        window (lead) whose wc seeds the first residual."""
+        for start in range(0, asm.count, size):
+            stop = min(start + size, asm.count)
+            lead = self.cfg.enable_residual and start > 0
+            yield start, stop, asm.window_block(start - lead, stop), lead
 
     def distributions(self, seq: NodeSequence):
-        """(dists (n,255), first-layer activations (n,hidden)) for a sequence."""
-        wc = self.weighted_contexts(seq)
-        q, _, a1 = self._heads(wc, self._residuals_from_wc(wc))
-        return q, a1
+        """(q, o, a1) of `_heads` for every node of a sequence, batched
+        (analysis use; not the codec)."""
+        asm = ContextAssembler(seq, self.cfg.ctx)
+        heads = [self._block_heads(block, lead)
+                 for _, _, block, lead in self.blocks(asm, ANALYSIS_CHUNK)]
+        return tuple(np.concatenate(part) for part in zip(*heads))
 
-    def batch_losses(self, tape, block, labels, leading_prev: bool):
+    def batch_losses(self, tape, block, labels, lead: bool):
         """(ce, mse) Tensors for one training batch: the mean over targets
         of -log2 q[occupancy - 1] in bits, and the mean squared error of the
         8 branch outputs against the occupancy's bits (bit j = octant j).
-
-        The window block covers the batch targets plus, when leading_prev,
-        one extra leading window whose wc seeds the first residual.
+        block and lead are as `blocks` yields them.
         """
-        wc_all = self._attend_block(block, tape)
-        wc = wc_all[1:] if leading_prev else wc_all
-        q, o, _ = self._heads(wc, self._residuals_from_wc(wc_all, leading_prev),
-                              tape)
+        q, o, _ = self._block_heads(block, lead, tape)
         picked = nn.take_along_last(q, np.asarray(labels, dtype=np.int64) - 1)
         ce = picked.log().mean() * (-1.0 / LOG2)
         bits = ((np.asarray(labels)[:, None] >> np.arange(8)) & 1).astype(np.float64)
@@ -390,16 +388,15 @@ class KVCache:
     """Attention keys and values of coded nodes, for `ContextModel.predict`.
 
     Rows are kept in node order, oldest first, in one contiguous slice, and
-    masked pad slots get no row.  The buffer holds 2(N-1) history rows plus
-    the target's; when it fills, the newest N-1 rows move to the front, so
-    memory is O(N d) however many nodes are coded.  (A ring that wraps
-    would reorder the softmax sums.)
+    masked pad slots get no row.  The buffer holds 2N-1 rows; when a step's
+    rows would not fit, the rows of the target's history nodes move to the
+    front first, so memory is O(N d) however many nodes are coded.  (A ring
+    that wraps would reorder the softmax sums.)
     """
 
     def __init__(self, cfg: ModelConfig, ctx: GrowingContext):
         self.ctx = ctx
-        self.keep = cfg.ctx.n_window - 1
-        self.k = np.empty((2 * self.keep + 1, cfg.d_model))
+        self.k = np.empty((2 * cfg.ctx.n_window - 1, cfg.d_model))
         self.v = np.empty_like(self.k)
         self.base = 0    # node index of buffer row 0
         self.count = 0   # history rows held, for nodes [base, base + count)
@@ -421,19 +418,17 @@ class KVCache:
         """Append the history rows k[:-1], v[:-1] of nodes next_node, ...,
         place the target's row k[-1], v[-1] after them, and return the
         buffer rows of history nodes [lo, target) and the target."""
-        for r in range(len(k) - 1):
-            self.k[self.count] = k[r]
-            self.v[self.count] = v[r]
-            self.count += 1
-            if self.count == len(self.k):
-                drop = self.count - self.keep
-                self.k[:self.keep] = self.k[drop:self.count]
-                self.v[:self.keep] = self.v[drop:self.count]
-                self.base += drop
-                self.count = self.keep
-        self.k[self.count] = k[-1]
-        self.v[self.count] = v[-1]
-        return slice(lo - self.base, self.count + 1)
+        if self.count + len(k) > len(self.k):
+            held = slice(lo - self.base, self.count)
+            self.count -= held.start
+            self.k[:self.count] = self.k[held]
+            self.v[:self.count] = self.v[held]
+            self.base = lo
+        start, stop = lo - self.base, self.count + len(k)
+        self.k[self.count:stop] = k
+        self.v[self.count:stop] = v
+        self.count = stop - 1
+        return slice(start, stop)
 
 
 def train(model: ContextModel, corpus, schedule: TrainSchedule = TrainSchedule()):
@@ -447,10 +442,8 @@ def train(model: ContextModel, corpus, schedule: TrainSchedule = TrainSchedule()
     """
     if not corpus:
         raise InvalidInput("training corpus is empty")
-    cfg = model.cfg
-    assemblers = [ContextAssembler(seq, cfg.ctx) for seq in corpus]
+    assemblers = [ContextAssembler(seq, model.cfg.ctx) for seq in corpus]
     trace: list[TraceRecord] = []
-    batch_counter = 0
     for stage in (1, 2):
         epochs = schedule.branch_epochs if stage == 1 else schedule.main_epochs
         if stage == 1:
@@ -460,13 +453,11 @@ def train(model: ContextModel, corpus, schedule: TrainSchedule = TrainSchedule()
         for epoch in range(epochs):
             lr = schedule.lr * schedule.lr_decay ** epoch
             for seq, asm in zip(corpus, assemblers):
-                for start in range(0, len(seq), schedule.batch_size):
-                    stop = min(start + schedule.batch_size, len(seq))
-                    lead = cfg.enable_residual and start > 0
-                    block = asm.window_block(start - (1 if lead else 0), stop)
-                    labels = seq.occupancy[start:stop]
+                for start, stop, block, lead in model.blocks(
+                        asm, schedule.batch_size):
                     tape = model.params.tape(group)
-                    ce, mse = model.batch_losses(tape, block, labels, lead)
+                    ce, mse = model.batch_losses(tape, block,
+                                                 seq.occupancy[start:stop], lead)
                     loss = mse if stage == 1 else ce
                     if not np.isfinite(loss.data):
                         raise NumericalError("non-finite training loss")
@@ -474,9 +465,8 @@ def train(model: ContextModel, corpus, schedule: TrainSchedule = TrainSchedule()
                     grads = {name: tape[name].grad for name in group
                              if tape[name].grad is not None}
                     nn.adam_step(model.params, grads, lr)
-                    trace.append(TraceRecord(stage, batch_counter,
+                    trace.append(TraceRecord(stage, len(trace),
                                              float(ce.data), float(mse.data), lr))
-                    batch_counter += 1
     return trace
 
 

@@ -93,7 +93,7 @@ class TestCollectFeatures:
         voxels = np.array(np.meshgrid(*[np.arange(4)] * 3)).reshape(3, -1).T
         seq = build(qpc_from_voxels(voxels, 2))
         bank = collect_features(model, [seq])
-        _, a1 = model.distributions(seq)
+        a1 = model.distributions(seq)[2]
         row = bank.means[254]
         np.testing.assert_allclose(row, a1.mean(axis=0), atol=1e-12)
 
@@ -130,7 +130,7 @@ class TestCollectFeatures:
         sums = np.zeros((255, model.cfg.d_hidden_main))
         counts = np.zeros(255, dtype=np.int64)
         for seq in corpus:
-            np.add.at(sums, seq.occupancy - 1, model.distributions(seq)[1])
+            np.add.at(sums, seq.occupancy - 1, model.distributions(seq)[2])
             np.add.at(counts, seq.occupancy - 1, 1)
         bank = collect_features(model, corpus)
         present = counts > 0

@@ -1,9 +1,10 @@
 import pytest
 
 from conftest import write_malformed_checkpoint
-from octpcc.cli import main
+from octpcc.cli import _model_config, _schedule, build_parser, main
+from octpcc.coder import Bitstream
 from octpcc.geometry import read_ply
-from octpcc.model import ContextModel, ModelConfig
+from octpcc.model import ContextModel, ModelConfig, TrainSchedule
 
 MODEL_FLAGS = ["--window", "8", "--ancestors", "1", "--d-embed", "4",
                "--d-model", "16", "--hidden-main", "32", "--hidden-branch",
@@ -69,6 +70,12 @@ class TestTrain:
                    "off", "--branch-epochs", "1", "--main-epochs", "1") == 0
         from octpcc.model import ContextModel
         assert ContextModel.load(ckpt).cfg.variant == "plain"
+
+    def test_defaults_are_the_library_defaults(self):
+        args = build_parser().parse_args(["train", "--corpus", "c.ply",
+                                          "--depth", "4", "--out", "m.ckpt"])
+        assert _model_config(args) == ModelConfig()
+        assert _schedule(args) == TrainSchedule()
 
     def test_missing_corpus(self, tmp_path):
         assert run("train", "--corpus", str(tmp_path / "nope.ply"), "--depth",
@@ -162,6 +169,24 @@ class TestCodecCommands:
         assert run("decode", "--bitstream", str(tmp_path / "bad.bin"),
                    "--checkpoint", str(ckpt),
                    "--out", str(tmp_path / "y.ply")) == 5
+
+    def test_eval_refuses_a_forged_frame(self, workspace, capsys):
+        """A header scale that is not a finite positive number fails as a
+        corrupt stream before eval reads the decoded cloud against it."""
+        tmp_path, ply, ckpt = workspace
+        bs, dec = tmp_path / "cloud.bin", tmp_path / "dec.ply"
+        run("encode", "--input", str(ply), "--checkpoint", str(ckpt),
+            "--depth", "4", "--out", str(bs))
+        run("decode", "--bitstream", str(bs), "--checkpoint", str(ckpt),
+            "--out", str(dec))
+        stream = Bitstream.read(bs)
+        stream.header.scale = -1.0
+        stream.write(tmp_path / "forged.bin")
+        capsys.readouterr()
+        assert run("eval", "--original", str(ply), "--decoded", str(dec),
+                   "--depth", "4", "--bitstream",
+                   str(tmp_path / "forged.bin")) == 5
+        assert "header scale" in capsys.readouterr().err
 
     def test_encode_outputs_byte_reproducible(self, workspace):
         tmp_path, ply, ckpt = workspace

@@ -10,9 +10,10 @@ from octpcc.coder import quantize_dist
 from octpcc.context import ContextAssembler, GrowingContext
 from octpcc.errors import ConfigError, InvalidInput, ParseError
 from octpcc.geometry import quantize, synth
-from octpcc.model import (ContextModel, KVCache, ModelConfig, TraceRecord,
-                          TrainSchedule, branch_param_names, main_param_names,
-                          train, write_trace, zero_head_layers)
+from octpcc.model import (ANALYSIS_CHUNK, ContextModel, KVCache, ModelConfig,
+                          TraceRecord, TrainSchedule, branch_param_names,
+                          main_param_names, train, write_trace,
+                          zero_head_layers)
 from octpcc.octree import build
 
 LOG2_255 = np.log2(255.0)
@@ -31,6 +32,17 @@ def predict_all(model, seq, upto=None, step=1):
     cache = KVCache(model.cfg, ContextAssembler(seq, model.cfg.ctx))
     nodes = range(0, len(seq) if upto is None else upto, step)
     return [model.predict(cache, i) for i in nodes]
+
+
+def assert_batched_matches_cached(model, seq):
+    """GEMV and GEMM round differently, so the batched pass's q agrees with
+    the cached step's to rounding and the tables the coder reads bit for
+    bit."""
+    q_batch = model.distributions(seq)[0]
+    for i, (_, q, _) in enumerate(predict_all(model, seq)):
+        np.testing.assert_allclose(q, q_batch[i], rtol=0, atol=1e-13)
+        np.testing.assert_array_equal(quantize_dist(q).freq,
+                                      quantize_dist(q_batch[i]).freq)
 
 
 class TestForward:
@@ -81,17 +93,22 @@ class TestForward:
     def test_batched_path_agrees_with_per_node_path(self, case):
         """The codec's cached step vs the batched forward of training and
         analysis.  It rests on the slot embedding having no positional term
-        and the target being the only query.  GEMV and GEMM round
-        differently, so q agrees to rounding and the tables the coder reads
-        bit for bit."""
+        and the target being the only query."""
         model = ContextModel.create(replace(FORWARD_CONFIGS[case], seed=7))
         seq = build(quantize(synth("gaussian_clusters", 300, seed=8), 5))
         assert len(seq) >= 3 * model.cfg.ctx.n_window
-        q_batch, _ = model.distributions(seq)
-        for i, (_, q, _) in enumerate(predict_all(model, seq)):
-            np.testing.assert_allclose(q, q_batch[i], rtol=0, atol=1e-13)
-            np.testing.assert_array_equal(quantize_dist(q).freq,
-                                          quantize_dist(q_batch[i]).freq)
+        assert_batched_matches_cached(model, seq)
+
+    @pytest.mark.parametrize("case", ["residual+branch", "strict_level",
+                                      "default_size"])
+    def test_batched_path_agrees_across_analysis_chunks(self, case):
+        """As above on a sequence of several ANALYSIS_CHUNK blocks, where
+        each block after the first recomputes the window before it to seed
+        its first residual."""
+        model = ContextModel.create(replace(FORWARD_CONFIGS[case], seed=7))
+        seq = build(quantize(synth("plane", 20000, seed=1), 6))
+        assert len(seq) > 2 * ANALYSIS_CHUNK
+        assert_batched_matches_cached(model, seq)
 
     def test_skipped_nodes_are_cached_in_one_batch(self):
         """Predicting every fifth node makes each step cache five history
@@ -99,7 +116,7 @@ class TestForward:
         residuals q depends on the window alone, so it still matches."""
         model = tiny_model(seed=7, enable_residual=False)
         seq = build(quantize(synth("gaussian_clusters", 300, seed=8), 5))
-        q_batch, _ = model.distributions(seq)
+        q_batch = model.distributions(seq)[0]
         for i, (_, q, _) in zip(range(0, len(seq), 5),
                                 predict_all(model, seq, step=5)):
             np.testing.assert_allclose(q, q_batch[i], rtol=0, atol=1e-13)
@@ -347,7 +364,7 @@ class TestTrain:
 
 def ideal_bits(model, seq):
     """Sum of -log2 q(x_i | c_i) over the sequence, from the batched forward."""
-    q, _ = model.distributions(seq)
+    q = model.distributions(seq)[0]
     return float(-np.log2(q[np.arange(len(seq)), seq.occupancy - 1]).sum())
 
 

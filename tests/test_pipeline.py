@@ -159,6 +159,9 @@ class TestFailureModes:
         ("coded_levels", 0),
         ("flags", 0),         # the model has residual and branch on
         ("node_count", 0),    # a coded tree has at least its root
+        ("scale", np.nan), ("scale", 0.0), ("scale", -1.0), ("scale", np.inf),
+        ("origin", np.array([np.nan, 0.0, 0.0])),
+        ("origin", np.array([0.0, -np.inf, 0.0])),
     ])
     def test_header_the_model_cannot_decode_rejected(self, field, value):
         pc = synth("uniform", 100, seed=1)
