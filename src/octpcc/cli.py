@@ -80,6 +80,10 @@ def _schedule(args) -> TrainSchedule:
                          lr_decay=args.lr_decay, batch_size=args.batch_size)
 
 
+def _corpus(args) -> list:
+    return [build(quantize(read_ply(path), args.depth)) for path in args.corpus]
+
+
 def cmd_synth(args) -> int:
     pc = synth(args.kind, args.n, args.seed, jitter=args.jitter)
     write_ply(args.out, pc, binary=args.format == "binary")
@@ -89,12 +93,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    corpus = []
-    for path in args.corpus:
-        pc = read_ply(path)
-        corpus.append(build(quantize(pc, args.depth)))
     model = ContextModel.create(_model_config(args))
-    trace = train(model, corpus, _schedule(args))
+    trace = train(model, _corpus(args), _schedule(args))
     model.save(args.out)
     _write_echo(args.out, args)
     trace_path = args.trace or f"{args.out}.trace.csv"
@@ -158,10 +158,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    corpus = []
-    for path in args.corpus:
-        pc = read_ply(path)
-        corpus.append(build(quantize(pc, args.depth)))
+    corpus = _corpus(args)
     for ckpt in args.checkpoint:
         model = ContextModel.load(ckpt)
         bank = metrics.collect_features(model, corpus)

@@ -71,6 +71,8 @@ class ModelConfig:
             raise InvalidInput("model dimensions must be positive")
         if self.d_model % self.heads:
             raise InvalidInput("d_model must be divisible by heads")
+        if self.seed < 0:
+            raise InvalidInput("seed must be >= 0")
 
     @property
     def variant(self) -> str:
@@ -132,6 +134,14 @@ class TrainSchedule:
     lr: float = 1e-3
     lr_decay: float = 0.95
     batch_size: int = 32
+
+    def __post_init__(self):
+        if self.batch_size < 1:
+            raise InvalidInput("batch_size must be >= 1")
+        if min(self.branch_epochs, self.main_epochs) < 0:
+            raise InvalidInput("epoch counts must be >= 0")
+        if not all(math.isfinite(x) and x >= 0 for x in (self.lr, self.lr_decay)):
+            raise InvalidInput("lr and lr_decay must be finite and >= 0")
 
 
 class TraceRecord(NamedTuple):
@@ -203,8 +213,8 @@ class ContextModel:
     The forward pass is written once, as `_embed`, `_project_kv`,
     `_attend_core` and `_heads`.  Each reads its weights from `params`: the
     ParamStore by default (plain ndarrays, used by the codec and analysis)
-    or a training tape of Tensors (used by `batch_losses`).  Both runs
-    perform the same ops in the same order.
+    or a training tape (used by `batch_losses`), on which only the learned
+    weights are Tensors.  Both runs perform the same ops in the same order.
     """
 
     def __init__(self, cfg: ModelConfig, params: nn.ParamStore):
@@ -370,17 +380,18 @@ class ContextModel:
         return tuple(np.concatenate(part) for part in zip(*heads))
 
     def batch_losses(self, tape, block, labels, lead: bool):
-        """(ce, mse) Tensors for one training batch: the mean over targets
+        """(ce, mse) for one training batch: the mean over targets
         of -log2 q[occupancy - 1] in bits, and the mean squared error of the
         8 branch outputs against the occupancy's bits (bit j = octant j).
-        block and lead are as `blocks` yields them.
+        block and lead are as `blocks` yields them.  A loss that no learned
+        parameter of `tape` reaches is a plain scalar.
         """
         q, o, _ = self._block_heads(block, lead, tape)
         picked = nn.take_along_last(q, np.asarray(labels, dtype=np.int64) - 1)
-        ce = picked.log().mean() * (-1.0 / LOG2)
+        ce = nn.mean(nn.log(picked)) * (-1.0 / LOG2)
         bits = ((np.asarray(labels)[:, None] >> np.arange(8)) & 1).astype(np.float64)
-        diff = nn.constant(bits) - o
-        mse = (diff * diff).mean()
+        diff = o - bits
+        mse = nn.mean(diff * diff)
         return ce, mse
 
 
@@ -436,8 +447,10 @@ def train(model: ContextModel, corpus, schedule: TrainSchedule = TrainSchedule()
 
     Stage 1 updates only branch parameters against the MSE loss; stage 2
     freezes them and updates everything else against cross-entropy.  Each
-    batch backpropagates into its stage's parameters alone.  The per-epoch
-    learning rate is lr * lr_decay**epoch within each stage.
+    batch backpropagates into its stage's parameters alone, and the frozen
+    rest runs on plain arrays.  The per-epoch learning rate is
+    lr * lr_decay**epoch within each stage.  A non-finite loss raises
+    NumericalError before Adam changes anything.
     No shuffling: residual pairing needs the serialized node order.
     """
     if not corpus:
@@ -446,10 +459,8 @@ def train(model: ContextModel, corpus, schedule: TrainSchedule = TrainSchedule()
     trace: list[TraceRecord] = []
     for stage in (1, 2):
         epochs = schedule.branch_epochs if stage == 1 else schedule.main_epochs
-        if stage == 1:
-            group = set(branch_param_names(model.params))
-        else:
-            group = set(main_param_names(model.params))
+        names = branch_param_names if stage == 1 else main_param_names
+        group = set(names(model.params))
         for epoch in range(epochs):
             lr = schedule.lr * schedule.lr_decay ** epoch
             for seq, asm in zip(corpus, assemblers):
@@ -458,15 +469,15 @@ def train(model: ContextModel, corpus, schedule: TrainSchedule = TrainSchedule()
                     tape = model.params.tape(group)
                     ce, mse = model.batch_losses(tape, block,
                                                  seq.occupancy[start:stop], lead)
-                    loss = mse if stage == 1 else ce
-                    if not np.isfinite(loss.data):
+                    loss, recorded = (mse, ce) if stage == 1 else (ce, mse)
+                    if not math.isfinite(float(recorded)):  # backward checks loss
                         raise NumericalError("non-finite training loss")
                     loss.backward()
                     grads = {name: tape[name].grad for name in group
                              if tape[name].grad is not None}
                     nn.adam_step(model.params, grads, lr)
-                    trace.append(TraceRecord(stage, len(trace),
-                                             float(ce.data), float(mse.data), lr))
+                    trace.append(TraceRecord(stage, len(trace), float(ce),
+                                             float(mse), lr))
     return trace
 
 

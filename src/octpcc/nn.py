@@ -1,11 +1,12 @@
 """Dense-tensor compute layer with reverse-mode gradients.
 
 Just enough machinery for the occupancy model: float64 numpy arrays on a
-tape (embeddings, matmul, masked softmax, sigmoid, relu, concat/slice/
-reshape), an Adam optimizer with per-parameter moments, and a versioned
-checkpoint container.  The functional ops (`embedding`, `concat`,
-`softmax`, `relu`, `sigmoid`) return a plain ndarray when given plain
-ndarrays, so one forward definition serves both inference and training.
+tape (embeddings, matmul, masked softmax, sigmoid, relu, log, mean,
+concat/slice/reshape), an Adam optimizer with per-parameter moments, and a
+versioned checkpoint container.  A `Tensor` is what learns: a trained
+parameter or an op on one.  Ops take plain ndarrays too, and the functional
+ones return a plain ndarray when given only plain ones, so one forward
+serves inference and training, and frozen weights run as plain arrays.
 
 Parameters are kept float32-representable at all times (initialization and
 every optimizer step round through float32) so that the float32 checkpoint
@@ -27,10 +28,9 @@ from .errors import InvalidInput, NumericalError, ParseError
 _NEG_INF = -1e30  # additive mask value; exp underflows to exactly 0
 
 
-def _check(data: np.ndarray, op: str) -> np.ndarray:
-    if not np.isfinite(data).all():
-        raise NumericalError(f"non-finite values produced by op {op!r}")
-    return data
+def _data(x):
+    """The array behind a Tensor or a plain operand."""
+    return x.data if isinstance(x, Tensor) else x
 
 
 def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
@@ -44,16 +44,14 @@ def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
 
 
 class Tensor:
-    """A float64 array plus the tape hooks for reverse-mode autodiff."""
+    """A float64 array that receives a gradient, plus its tape hooks."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "op")
+    __slots__ = ("data", "grad", "_parents", "_backward", "op")
+    __array_ufunc__ = None  # `ndarray @ Tensor` calls __rmatmul__, not numpy
 
-    def __init__(self, data, requires_grad=False, parents=(), backward=None,
-                 op="leaf"):
+    def __init__(self, data, parents=(), backward=None, op="leaf"):
         self.data = np.asarray(data, dtype=np.float64)
-        _check(self.data, op)
         self.grad = None
-        self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
         self._parents = parents
         self._backward = backward
         self.op = op
@@ -62,9 +60,8 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def ndim(self):
-        return self.data.ndim
+    def __float__(self):
+        return float(self.data)
 
     def _accum(self, g):
         if self.grad is None:
@@ -73,12 +70,14 @@ class Tensor:
             self.grad += g
 
     def backward(self):
+        """NumericalError if the loss is not finite, naming the first op in
+        tape order to go non-finite; else fill the grad of every Tensor."""
         if self.data.size != 1:
             raise InvalidInput("backward() needs a scalar loss")
         topo, seen = [], set()
 
         def visit(t):
-            if id(t) in seen:
+            if not isinstance(t, Tensor) or id(t) in seen:  # plain operand
                 return
             seen.add(id(t))
             for p in t._parents:
@@ -86,134 +85,108 @@ class Tensor:
             topo.append(t)
 
         visit(self)
+        if not np.isfinite(self.data).all():
+            bad = next(t for t in topo if not np.isfinite(t.data).all())
+            raise NumericalError(f"non-finite values produced by op {bad.op!r}")
         self.grad = np.ones_like(self.data)
         for t in reversed(topo):
-            if t._backward is not None and t.requires_grad and t.grad is not None:
+            if t._backward is not None and t.grad is not None:
                 t._backward(t.grad)
 
     # -- elementwise / structural ops -------------------------------------
 
     def __add__(self, other):
-        other = _as_tensor(other)
-
         def back(g):
-            if self.requires_grad:
-                self._accum(_unbroadcast(g, self.shape))
-            if other.requires_grad:
+            self._accum(_unbroadcast(g, self.shape))
+            if isinstance(other, Tensor):
                 other._accum(_unbroadcast(g, other.shape))
 
-        return Tensor(self.data + other.data, parents=(self, other),
+        return Tensor(self.data + _data(other), parents=(self, other),
                       backward=back, op="add")
 
     def __sub__(self, other):
-        other = _as_tensor(other)
-
         def back(g):
-            if self.requires_grad:
-                self._accum(_unbroadcast(g, self.shape))
-            if other.requires_grad:
+            self._accum(_unbroadcast(g, self.shape))
+            if isinstance(other, Tensor):
                 other._accum(_unbroadcast(-g, other.shape))
 
-        return Tensor(self.data - other.data, parents=(self, other),
+        return Tensor(self.data - _data(other), parents=(self, other),
                       backward=back, op="sub")
 
     def __mul__(self, other):
-        other = _as_tensor(other)
-
         def back(g):
-            if self.requires_grad:
-                self._accum(_unbroadcast(g * other.data, self.shape))
-            if other.requires_grad:
+            self._accum(_unbroadcast(g * _data(other), self.shape))
+            if isinstance(other, Tensor):
                 other._accum(_unbroadcast(g * self.data, other.shape))
 
-        return Tensor(self.data * other.data, parents=(self, other),
+        return Tensor(self.data * _data(other), parents=(self, other),
                       backward=back, op="mul")
 
     __rmul__ = __mul__
 
     def __matmul__(self, other):
-        other = _as_tensor(other)
-        if self.ndim < 2 or other.ndim < 2:
-            raise InvalidInput("matmul operands must be at least 2-D")
+        return _matmul(self, other)
 
-        def back(g):
-            if self.requires_grad:
-                da = np.matmul(g, other.data.swapaxes(-1, -2))
-                self._accum(_unbroadcast(da, self.shape))
-            if other.requires_grad:
-                db = np.matmul(self.data.swapaxes(-1, -2), g)
-                other._accum(_unbroadcast(db, other.shape))
-
-        return Tensor(np.matmul(self.data, other.data), parents=(self, other),
-                      backward=back, op="matmul")
-
-    def log(self):
-        def back(g):
-            if self.requires_grad:
-                self._accum(g / self.data)
-
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.log(self.data)
-        return Tensor(out, parents=(self,), backward=back, op="log")
+    def __rmatmul__(self, other):
+        return _matmul(other, self)
 
     def sum(self):
         def back(g):
-            if self.requires_grad:
-                self._accum(np.broadcast_to(g, self.shape).copy())
+            self._accum(np.broadcast_to(g, self.shape).copy())
 
         return Tensor(self.data.sum(), parents=(self,), backward=back, op="sum")
 
-    def mean(self):
-        return self.sum() * (1.0 / self.data.size)
-
     def reshape(self, *shape):
         def back(g):
-            if self.requires_grad:
-                self._accum(g.reshape(self.shape))
+            self._accum(g.reshape(self.shape))
 
         return Tensor(self.data.reshape(*shape), parents=(self,),
                       backward=back, op="reshape")
 
     def swapaxes(self, a, b):
         def back(g):
-            if self.requires_grad:
-                self._accum(g.swapaxes(a, b))
+            self._accum(g.swapaxes(a, b))
 
         return Tensor(self.data.swapaxes(a, b), parents=(self,),
                       backward=back, op="swapaxes")
 
     def __getitem__(self, key):
         def back(g):
-            if self.requires_grad:
-                if self.grad is None:
-                    self.grad = np.zeros_like(self.data)
-                np.add.at(self.grad, key, g)  # an index array may repeat an element
+            if self.grad is None:
+                self.grad = np.zeros_like(self.data)
+            np.add.at(self.grad, key, g)  # an index array may repeat an element
 
         return Tensor(self.data[key], parents=(self,), backward=back, op="slice")
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
+def _matmul(a, b) -> Tensor:
+    """a @ b with at least one Tensor operand."""
+    ad, bd = _data(a), _data(b)
+    if ad.ndim < 2 or bd.ndim < 2:
+        raise InvalidInput("matmul operands must be at least 2-D")
 
+    def back(g):
+        if isinstance(a, Tensor):
+            a._accum(_unbroadcast(np.matmul(g, bd.swapaxes(-1, -2)), a.shape))
+        if isinstance(b, Tensor):
+            b._accum(_unbroadcast(np.matmul(ad.swapaxes(-1, -2), g), b.shape))
 
-def constant(x) -> Tensor:
-    return Tensor(np.asarray(x, dtype=np.float64))
+    return Tensor(np.matmul(ad, bd), parents=(a, b), backward=back, op="matmul")
 
 
 def concat(tensors, axis: int):
     if not any(isinstance(t, Tensor) for t in tensors):
         return np.concatenate(tensors, axis=axis)
-    tensors = [_as_tensor(t) for t in tensors]
-    sizes = [t.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
+    data = [_data(t) for t in tensors]
+    splits = np.cumsum([d.shape[axis] for d in data])[:-1]
 
     def back(g):
         for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
-            if t.requires_grad:
+            if isinstance(t, Tensor):
                 t._accum(piece)
 
-    return Tensor(np.concatenate([t.data for t in tensors], axis=axis),
-                  parents=tuple(tensors), backward=back, op="concat")
+    return Tensor(np.concatenate(data, axis=axis), parents=tuple(tensors),
+                  backward=back, op="concat")
 
 
 def scatter_add(idx, values, shape) -> np.ndarray:
@@ -236,8 +209,7 @@ def embedding(table, idx: np.ndarray):
     idx = np.asarray(idx)
 
     def back(g):
-        if table.requires_grad:
-            table._accum(scatter_add(idx, g, table.shape))
+        table._accum(scatter_add(idx, g, table.shape))
 
     return Tensor(table.data[idx], parents=(table,), backward=back, op="embedding")
 
@@ -248,9 +220,8 @@ def softmax(x, axis: int = -1):
     out = softmax_np(x.data, axis=axis)
 
     def back(g):
-        if x.requires_grad:
-            inner = (g * out).sum(axis=axis, keepdims=True)
-            x._accum(out * (g - inner))
+        inner = (g * out).sum(axis=axis, keepdims=True)
+        x._accum(out * (g - inner))
 
     return Tensor(out, parents=(x,), backward=back, op="softmax")
 
@@ -261,8 +232,7 @@ def relu(x):
     keep = x.data > 0
 
     def back(g):
-        if x.requires_grad:
-            x._accum(g * keep)
+        x._accum(g * keep)
 
     return Tensor(np.maximum(x.data, 0.0), parents=(x,), backward=back,
                   op="relu")
@@ -274,22 +244,39 @@ def sigmoid(x):
     out = sigmoid_np(x.data)
 
     def back(g):
-        if x.requires_grad:
-            x._accum(g * out * (1.0 - out))
+        x._accum(g * out * (1.0 - out))
 
     return Tensor(out, parents=(x,), backward=back, op="sigmoid")
 
 
-def take_along_last(x: Tensor, idx: np.ndarray) -> Tensor:
-    """Pick one entry along the last axis per leading position."""
-    idx = np.asarray(idx, dtype=np.int64)
-    picked = np.take_along_axis(x.data, idx[..., None], axis=-1)[..., 0]
+def log(x):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.log(_data(x))
+    if not isinstance(x, Tensor):
+        return out
 
     def back(g):
-        if x.requires_grad:
-            full = np.zeros_like(x.data)
-            np.put_along_axis(full, idx[..., None], g[..., None], axis=-1)
-            x._accum(full)
+        x._accum(g / x.data)
+
+    return Tensor(out, parents=(x,), backward=back, op="log")
+
+
+def mean(x):
+    """sum() * (1 / size) on either path, so both give the same bits."""
+    return x.sum() * (1.0 / _data(x).size)
+
+
+def take_along_last(x, idx: np.ndarray):
+    """Pick one entry along the last axis per leading position."""
+    idx = np.asarray(idx, dtype=np.int64)[..., None]
+    picked = np.take_along_axis(_data(x), idx, axis=-1)[..., 0]
+    if not isinstance(x, Tensor):
+        return picked
+
+    def back(g):
+        full = np.zeros_like(x.data)
+        np.put_along_axis(full, idx, g[..., None], axis=-1)
+        x._accum(full)
 
     return Tensor(picked, parents=(x,), backward=back, op="take_along_last")
 
@@ -362,10 +349,11 @@ class ParamStore:
             out.add(name, value.copy())
         return out
 
-    def tape(self, learn=None) -> dict[str, Tensor]:
-        """Fresh views of every parameter.  Those named in `learn` (all of
-        them by default) are differentiable; backward skips the rest."""
-        return {name: Tensor(value, requires_grad=learn is None or name in learn)
+    def tape(self, learn=None) -> dict:
+        """Every parameter for one forward pass: a fresh Tensor for each
+        name in `learn` (all of them by default), the stored array for the
+        rest, which the forward then runs on plainly."""
+        return {name: Tensor(value) if learn is None or name in learn else value
                 for name, value in self._params.items()}
 
 

@@ -15,6 +15,7 @@ MALFORMED_CONFIGS = {
     "ill_typed_width": ((), {"d_model": 16.0}),
     "width_disagrees_with_tensors": ((), {"d_model": 32}),
     "heads_do_not_divide_width": ((), {"heads": 5}),
+    "negative_seed": ((), {"seed": -1}),
 }
 
 # Model configs on which the codec's cached step must reproduce the batched

@@ -43,6 +43,11 @@ class TestSynth:
                 "--out", str(out))
         assert a.read_bytes() == b.read_bytes()
 
+    def test_negative_seed_is_a_data_error(self, tmp_path, capsys):
+        assert run("synth", "--kind", "plane", "--n", "10", "--seed", "-1",
+                   "--out", str(tmp_path / "x.ply")) == 3
+        assert "seed" in capsys.readouterr().err
+
     def test_bogus_kind_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run("synth", "--kind", "bogus", "--n", "10", "--seed", "0",
@@ -76,6 +81,24 @@ class TestTrain:
                                           "--depth", "4", "--out", "m.ckpt"])
         assert _model_config(args) == ModelConfig()
         assert _schedule(args) == TrainSchedule()
+
+    @pytest.mark.parametrize("flag,value,field", [
+        ("--batch-size", "0", "batch_size"), ("--batch-size", "-1", "batch_size"),
+        ("--branch-epochs", "-1", "epoch"), ("--main-epochs", "-1", "epoch"),
+        ("--lr", "-1", "lr"), ("--lr", "nan", "lr"), ("--lr", "inf", "lr"),
+        ("--lr-decay", "-0.5", "lr_decay"), ("--lr-decay", "nan", "lr_decay"),
+        ("--seed", "-1", "seed")])
+    def test_value_that_cannot_train_is_a_data_error(self, tmp_path, capsys,
+                                                     flag, value, field):
+        ply = tmp_path / "c.ply"
+        run("synth", "--kind", "plane", "--n", "300", "--seed", "1",
+            "--out", str(ply))
+        ckpt = tmp_path / "m.ckpt"
+        capsys.readouterr()
+        assert run("train", "--corpus", str(ply), "--depth", "4", "--out",
+                   str(ckpt), *MODEL_FLAGS, flag, value) == 3
+        assert field in capsys.readouterr().err
+        assert not ckpt.exists()
 
     def test_missing_corpus(self, tmp_path):
         assert run("train", "--corpus", str(tmp_path / "nope.ply"), "--depth",

@@ -1,4 +1,5 @@
-"""Every module-level import in the package is used by its module."""
+"""Every module-level import and private name in the package is used by
+its module."""
 
 import ast
 from pathlib import Path
@@ -50,3 +51,37 @@ def test_guard_sees_an_unused_import():
     source = ("import os\nfrom x import a, b as c, d\n"
               "def f(v: 'd') -> None:\n    print(a)\n")
     assert unused_imports(source) == ["c (line 2)", "os (line 1)"]
+
+
+def unused_private_names(source: str) -> list:
+    """Module-level `_name` functions, classes and constants that the module
+    itself never reads."""
+    tree = ast.parse(source)
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            defined[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    defined[target.id] = node.lineno
+    loaded = {n.id for n in ast.walk(tree)
+              if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return sorted(f"{name} (line {line})" for name, line in defined.items()
+                  if name.startswith("_") and not name.startswith("__")
+                  and name not in loaded)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_private_names(path):
+    assert unused_private_names(path.read_text()) == []
+
+
+def test_guard_sees_an_unused_private_name():
+    source = ("_A = 1\n_B: int = 2\n__all__ = []\nC = _A\n"
+              "def _f():\n    return _g\n"
+              "def _g():\n    pass\nclass _K:\n    pass\n")
+    assert unused_private_names(source) == ["_B (line 2)", "_K (line 9)",
+                                            "_f (line 5)"]

@@ -8,7 +8,7 @@ from conftest import FORWARD_CONFIGS, MALFORMED_CONFIGS, write_malformed_checkpo
 from octpcc import nn
 from octpcc.coder import quantize_dist
 from octpcc.context import ContextAssembler, GrowingContext
-from octpcc.errors import ConfigError, InvalidInput, ParseError
+from octpcc.errors import ConfigError, InvalidInput, NumericalError, ParseError
 from octpcc.geometry import quantize, synth
 from octpcc.model import (ANALYSIS_CHUNK, ContextModel, KVCache, ModelConfig,
                           TraceRecord, TrainSchedule, branch_param_names,
@@ -245,17 +245,20 @@ def train_on_full_tape(model, corpus, schedule):
 
 class TestTrain:
     def test_stage_one_tape_leaves_non_branch_gradients_unformed(self):
+        """On a stage-1 tape the frozen prefix runs on plain arrays: the
+        weighted contexts are an ndarray and only branch.* get gradients."""
         model = tiny_model(seed=6)
         seq = tiny_corpus()[0]
         block = ContextAssembler(seq, model.cfg.ctx).window_block(0, 8)
         tape = model.params.tape(branch_param_names(model.params))
+        assert type(model._attend_block(block, tape)) is np.ndarray
         _, mse = model.batch_losses(tape, block, seq.occupancy[:8], False)
         mse.backward()
         for name, t in tape.items():
             if name.startswith("branch."):
                 assert t.grad is not None, name
             else:
-                assert t.grad is None, name
+                assert t is model.params[name], name
 
     @pytest.mark.parametrize("case", list(FORWARD_CONFIGS))
     def test_stage_scoped_tape_matches_full_tape(self, case):
@@ -275,6 +278,33 @@ class TestTrain:
             np.testing.assert_array_equal(scoped.params._v[name],
                                           full.params._v[name])
             assert scoped.params.step_of(name) == full.params.step_of(name)
+
+    @pytest.mark.parametrize("name,branch_epochs", [
+        ("main.w1", 1), ("branch.w2", 1), ("main.w2", 0)],
+        ids=["frozen", "learned_stage1", "learned_stage2"])
+    def test_nan_weight_stops_training_before_adam(self, name, branch_epochs):
+        """A NaN in a weight the stage freezes (it reaches only the recorded
+        CE) or learns (it reaches the backpropagated loss) raises before any
+        parameter, moment or step count changes."""
+        model = tiny_model(seed=7)
+        corpus = tiny_corpus()
+        train(model, corpus, TrainSchedule(branch_epochs=1, main_epochs=1,
+                                           lr=0.01, batch_size=8))
+        w = model.params[name].copy()
+        w[0, 0] = np.nan
+        model.params[name] = w
+        P = model.params
+        before = {n: (P[n].copy(), P._m[n].copy(), P._v[n].copy(), P.step_of(n))
+                  for n in P.names()}
+        with pytest.raises(NumericalError):
+            train(model, corpus, TrainSchedule(branch_epochs=branch_epochs,
+                                               main_epochs=1, lr=0.01,
+                                               batch_size=8))
+        for n, (p, m, v, steps) in before.items():
+            np.testing.assert_array_equal(P[n], p)
+            np.testing.assert_array_equal(P._m[n], m)
+            np.testing.assert_array_equal(P._v[n], v)
+            assert P.step_of(n) == steps, n
 
     def test_zero_lr_leaves_params_and_losses_flat(self):
         model = tiny_model(seed=1)
