@@ -11,7 +11,7 @@ from .metrics import (ClassFeatureBank, InterClassStats, bpip, chamfer,
 from .model import (ContextModel, ModelConfig, TrainSchedule, train,
                     zero_head_layers)
 from .octree import NodeSequence, build, occupancy_code, reconstruct
-from .coder import Bitstream, FreqTable, quantize_dist
+from .coder import Bitstream, quantize_dist
 from .pipeline import EncodeReport, decode, encode
 
 __version__ = "0.1.0"
@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Bitstream", "ClassFeatureBank", "ConfigError", "ContextConfig",
     "ContextModel", "CorruptStream", "EncodeReport",
-    "FreqTable", "InsufficientClasses", "InterClassStats", "InvalidInput",
+    "InsufficientClasses", "InterClassStats", "InvalidInput",
     "ModelConfig", "ModelMismatch", "NodeSequence", "NumericalError",
     "OctpccError", "ParseError", "QuantizedPointCloud",
     "RawPointCloud", "TrainSchedule", "bpip", "build", "chamfer",

@@ -128,6 +128,8 @@ def synth(kind: str, n: int, seed: int, jitter: float = 0.0) -> RawPointCloud:
         raise InvalidInput("n must be >= 1")
     if seed < 0:
         raise InvalidInput("seed must be >= 0")
+    if not (np.isfinite(jitter) and jitter >= 0):
+        raise InvalidInput(f"jitter {jitter!r} must be finite and >= 0")
     rng = np.random.default_rng(seed)
     if kind == "uniform":
         pts = rng.uniform(-1.0, 1.0, size=(n, 3))

@@ -82,15 +82,8 @@ class ModelConfig:
         return names[(self.enable_residual, self.enable_branch)]
 
     def to_dict(self) -> dict:
-        return {
-            "n_window": self.ctx.n_window, "k_ancestors": self.ctx.k_ancestors,
-            "strict_level": self.ctx.strict_level, "d_embed": self.d_embed,
-            "d_model": self.d_model, "d_hidden_main": self.d_hidden_main,
-            "d_hidden_branch": self.d_hidden_branch, "heads": self.heads,
-            "enable_residual": self.enable_residual,
-            "enable_branch": self.enable_branch, "seed": self.seed,
-            **_FIXED_KEYS,
-        }
+        return {**{k: getattr(self.ctx, k) for k in _CTX_KEYS},
+                **{k: getattr(self, k) for k in _MODEL_KEYS}, **_FIXED_KEYS}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
@@ -470,9 +463,9 @@ def train(model: ContextModel, corpus, schedule: TrainSchedule = TrainSchedule()
                     ce, mse = model.batch_losses(tape, block,
                                                  seq.occupancy[start:stop], lead)
                     loss, recorded = (mse, ce) if stage == 1 else (ce, mse)
-                    if not math.isfinite(float(recorded)):  # backward checks loss
+                    loss.backward()  # NumericalError naming the first bad op
+                    if not math.isfinite(float(recorded)):
                         raise NumericalError("non-finite training loss")
-                    loss.backward()
                     grads = {name: tape[name].grad for name in group
                              if tape[name].grad is not None}
                     nn.adam_step(model.params, grads, lr)

@@ -350,10 +350,11 @@ class ParamStore:
         return out
 
     def tape(self, learn=None) -> dict:
-        """Every parameter for one forward pass: a fresh Tensor for each
-        name in `learn` (all of them by default), the stored array for the
-        rest, which the forward then runs on plainly."""
-        return {name: Tensor(value) if learn is None or name in learn else value
+        """Every parameter for one forward pass: a fresh Tensor named after
+        it for each name in `learn` (all of them by default), the stored
+        array for the rest, which the forward then runs on plainly."""
+        return {name: Tensor(value, op=name)
+                if learn is None or name in learn else value
                 for name, value in self._params.items()}
 
 

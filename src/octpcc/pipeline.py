@@ -92,7 +92,7 @@ def _walk(model: ContextModel, depth: int, coded_levels: int, node_limit: int,
             _, q, _ = model.predict(cache, i)
             table = quantize_dist(q)
             if table_log is not None:
-                table_log.append(table.freq.copy())
+                table_log.append(table)
             occ[i - first] = sym = code(lvl, i, q, table)
             ctx.set_occupancy(i, sym)
         levels.append((occ, parent, octant))
@@ -164,7 +164,7 @@ def decode(bs: Bitstream, model: ContextModel,
 
     def code(level, i, q, table):
         sym = dec.decode(table) + 1
-        if dec.reader.bits_past_end > MAX_BITS_PAST_END:
+        if dec.bits_past_end > MAX_BITS_PAST_END:
             raise CorruptStream(f"level {level}, node {i}: decoding read past the "
                                 f"end of the {len(bs.payload)}-byte payload")
         return sym

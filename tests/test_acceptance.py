@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from octpcc import nn
-from octpcc.coder import decode_symbols, encode_symbols, quantize_dist
+from octpcc.coder import (ArithmeticDecoder, ArithmeticEncoder, FREQ_TOTAL,
+                          quantize_dist)
 from octpcc.context import ContextAssembler, ContextConfig
 from octpcc.geometry import (QuantizedPointCloud, SYNTH_KINDS, quantize,
                              synth)
@@ -103,13 +104,17 @@ def test_c02_coder_near_optimality():
     worst = -np.inf
     for trial in range(50):
         conc = float(rng.uniform(0.05, 2.0))
-        table = quantize_dist(rng.dirichlet(np.full(255, conc)))
+        cum = quantize_dist(rng.dirichlet(np.full(255, conc)))
         n = int(rng.integers(1000, 2000))
-        probs = table.freq / table.total
+        probs = np.diff(cum) / FREQ_TOTAL
         symbols = (rng.choice(255, size=n, p=probs) + 1).tolist()
-        payload = encode_symbols(symbols, [table] * n)
-        ideal = sum(-np.log2(table.freq[s - 1] / table.total) for s in symbols)
-        assert decode_symbols(payload, [table] * n) == symbols
+        enc = ArithmeticEncoder()
+        for s in symbols:
+            enc.encode(cum, s - 1)
+        payload = enc.finish()
+        ideal = sum(-np.log2(probs[s - 1]) for s in symbols)
+        dec = ArithmeticDecoder(payload)
+        assert [dec.decode(cum) + 1 for _ in range(n)] == symbols
         excess = len(payload) * 8 - (1.01 * ideal + 64)
         worst = max(worst, excess)
     report("coder near-optimality", worst <= 0,

@@ -48,6 +48,15 @@ class TestSynth:
                    "--out", str(tmp_path / "x.ply")) == 3
         assert "seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("jitter", ["inf", "nan", "-0.5"])
+    def test_jitter_that_is_not_a_distance_is_a_data_error(self, tmp_path,
+                                                           capsys, jitter):
+        out = tmp_path / "x.ply"
+        assert run("synth", "--kind", "plane", "--n", "50", "--seed", "0",
+                   "--jitter", jitter, "--out", str(out)) == 3
+        assert "jitter" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bogus_kind_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run("synth", "--kind", "bogus", "--n", "10", "--seed", "0",

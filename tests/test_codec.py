@@ -1,9 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from octpcc.coder import (ArithmeticEncoder, Bitstream,
-                          BitstreamHeader, FREQ_TOTAL, FreqTable,
-                          decode_symbols, encode_symbols, quantize_dist)
+from octpcc.coder import (ArithmeticDecoder, ArithmeticEncoder, Bitstream,
+                          BitstreamHeader, FREQ_TOTAL, quantize_dist)
 from octpcc.errors import CorruptStream, InvalidInput, ParseError
 
 
@@ -16,49 +17,58 @@ def random_table(rng):
     return quantize_dist(random_dist(rng))
 
 
+def encode_stream(symbols, tables) -> bytes:
+    """Occupancy symbols (1..255), each coded against its table."""
+    enc = ArithmeticEncoder()
+    for sym, cum in zip(symbols, tables, strict=True):
+        enc.encode(cum, sym - 1)
+    return enc.finish()
+
+
+def decode_stream(payload, tables) -> list:
+    dec = ArithmeticDecoder(payload)
+    return [dec.decode(cum) + 1 for cum in tables]
+
+
 class TestQuantizeDist:
     def test_uniform_within_one(self):
-        table = quantize_dist(np.full(255, 1.0 / 255.0))
-        assert table.total == FREQ_TOTAL
-        assert int(table.freq.sum()) == FREQ_TOTAL
-        assert table.freq.max() - table.freq.min() <= 1
+        freq = np.diff(quantize_dist(np.full(255, 1.0 / 255.0)))
+        assert int(freq.sum()) == FREQ_TOTAL
+        assert freq.max() - freq.min() <= 1
 
     def test_peaked_floor_behavior(self):
         q = np.full(255, 1e-12)
         q[123] = 1.0 - 254e-12
-        table = quantize_dist(q)
-        assert table.freq[123] == FREQ_TOTAL - 254
-        others = np.delete(table.freq, 123)
+        freq = np.diff(quantize_dist(q))
+        assert freq[123] == FREQ_TOTAL - 254
+        others = np.delete(freq, 123)
         assert (others == 1).all()
 
     def test_random_dists_total_and_kl(self, rng):
         """Quantization keeps the full 2**16 mass and loses < 1e-3 bits."""
         for _ in range(1000):
             q = random_dist(rng)
-            table = quantize_dist(q)
-            assert int(table.freq.sum()) == FREQ_TOTAL
-            assert table.freq.min() >= 1
-            p_hat = table.freq / table.total
+            freq = np.diff(quantize_dist(q))
+            assert int(freq.sum()) == FREQ_TOTAL
+            assert freq.min() >= 1
+            p_hat = freq / FREQ_TOTAL
             kl = float((q * np.log2(q / p_hat)).sum())
             assert kl < 1e-3
 
     def test_deterministic(self, rng):
         q = random_dist(rng)
-        a = quantize_dist(q)
-        b = quantize_dist(q.copy())
-        np.testing.assert_array_equal(a.freq, b.freq)
+        np.testing.assert_array_equal(quantize_dist(q), quantize_dist(q.copy()))
 
     def test_cumulative_consistency(self, rng):
-        table = random_table(rng)
-        assert table.cum[0] == 0
-        assert (np.diff(table.cum) >= 1).all()
-        assert table.cum[255] == table.total
+        cum = random_table(rng)
+        assert cum.shape == (256,) and cum.dtype == np.int64
+        assert cum[0] == 0
+        assert (np.diff(cum) >= 1).all()
+        assert cum[255] == FREQ_TOTAL
 
     def test_bad_shapes(self):
         with pytest.raises(InvalidInput):
             quantize_dist(np.ones(10) / 10)
-        with pytest.raises(InvalidInput):
-            FreqTable.from_freq(np.zeros(255))
 
     @pytest.mark.parametrize("case", ["nan", "negative", "entry_over_one",
                                       "sum_over_one", "sum_zero"])
@@ -81,35 +91,56 @@ class TestRoundTrip:
         tables = [random_table(rng) for _ in range(20)]
         for table in tables:
             symbols = list(range(1, 256))
-            payload = encode_symbols(symbols, [table] * 255)
-            assert decode_symbols(payload, [table] * 255) == symbols
+            payload = encode_stream(symbols, [table] * 255)
+            assert decode_stream(payload, [table] * 255) == symbols
 
     def test_alternating_tables_long_stream(self, rng):
         ta, tb = random_table(rng), random_table(rng)
         symbols = rng.integers(1, 256, size=10000).tolist()
         tables = [ta if i % 2 == 0 else tb for i in range(len(symbols))]
-        payload = encode_symbols(symbols, tables)
-        assert decode_symbols(payload, tables) == symbols
+        payload = encode_stream(symbols, tables)
+        assert decode_stream(payload, tables) == symbols
 
     def test_empty_stream_small_flush(self):
-        payload = encode_symbols([], [])
+        payload = encode_stream([], [])
         assert len(payload) < 8
 
     def test_single_confident_symbol_tiny_payload(self):
-        freq = np.ones(255, dtype=np.int64)
-        freq[77] = FREQ_TOTAL - 254
-        table = FreqTable.from_freq(freq)
-        payload = encode_symbols([78], [table])
+        q = np.zeros(255)
+        q[77] = 1.0
+        table = quantize_dist(q)
+        assert table[78] - table[77] == FREQ_TOTAL - 254
+        payload = encode_stream([78], [table])
         assert len(payload) <= 2
+
+    # SHA-256 of each payload as the bit-at-a-time writer produced it: the
+    # tables are closed-form, so the bytes depend on integer arithmetic alone.
+    PINNED = {
+        "uniform": "3633da5e52c8217c47090f50fc6a7c83de8fef6411f5e108674267f82530902b",
+        "one_hot": "a6767cad525af6dda74f7331da20441acc755c48a41457fbdf45074b45d1db0b",
+        "ramp": "b3b50afccb2103a8fdce07496eb26e06b408ae5ceb709562eafaf39723fde847",
+    }
+
+    @pytest.mark.parametrize("case", list(PINNED))
+    def test_payload_bytes_pinned(self, case):
+        q = {"uniform": np.full(255, 1.0 / 255.0),
+             "one_hot": np.arange(255) == 100,
+             "ramp": np.arange(1, 256) / 32640}[case]
+        table = quantize_dist(q)
+        symbols = [(7 * i) % 255 + 1 for i in range(3000)]
+        payload = encode_stream(symbols, [table] * len(symbols))
+        assert hashlib.sha256(payload).hexdigest() == self.PINNED[case]
+        assert decode_stream(payload, [table] * len(symbols)) == symbols
 
 
 class TestOptimality:
     def test_uniform_tables_near_ideal(self, rng):
         table = quantize_dist(np.full(255, 1.0 / 255.0))
+        freq = np.diff(table)
         n = 1000
         symbols = rng.integers(1, 256, size=n).tolist()
-        payload = encode_symbols(symbols, [table] * n)
-        ideal = sum(-np.log2(table.freq[s - 1] / table.total) for s in symbols)
+        payload = encode_stream(symbols, [table] * n)
+        ideal = sum(-np.log2(freq[s - 1] / FREQ_TOTAL) for s in symbols)
         assert len(payload) * 8 <= 1.01 * ideal + 64
         assert abs(ideal / n - np.log2(255)) < 0.01
 
@@ -119,15 +150,11 @@ class TestOptimality:
             tables = [random_table(rng) for _ in range(5)]
             use = [tables[int(i)] for i in rng.integers(0, 5, size=n)]
             symbols = [int(rng.integers(1, 256)) for _ in range(n)]
-            payload = encode_symbols(symbols, use)
-            ideal = sum(-np.log2(t.freq[s - 1] / t.total)
+            payload = encode_stream(symbols, use)
+            ideal = sum(-np.log2((t[s] - t[s - 1]) / FREQ_TOTAL)
                         for s, t in zip(symbols, use))
             assert len(payload) * 8 <= 1.01 * ideal + 64
-            assert decode_symbols(payload, use) == symbols
-
-    def test_length_mismatch(self):
-        with pytest.raises(InvalidInput):
-            encode_symbols([1, 2], [])
+            assert decode_stream(payload, use) == symbols
 
 
 class TestEncoderState:
@@ -140,8 +167,27 @@ class TestEncoderState:
             assert enc.bits_emitted >= last
             last = enc.bits_emitted
         enc.finish()
-        with pytest.raises(InvalidInput):
+        with pytest.raises(InvalidInput, match="already finished"):
             enc.encode(table, 0)
+
+    def test_zero_frequency_symbol_rejected(self):
+        table = np.zeros(256, dtype=np.int64)
+        table[2:] = FREQ_TOTAL
+        enc = ArithmeticEncoder()
+        enc.encode(table, 1)
+        with pytest.raises(InvalidInput, match="zero frequency"):
+            enc.encode(table, 0)
+
+    @pytest.mark.parametrize("symbol", [-1, 255])
+    def test_symbol_outside_the_table_rejected(self, rng, symbol):
+        with pytest.raises(InvalidInput, match="outside"):
+            ArithmeticEncoder().encode(random_table(rng), symbol)
+
+    def test_decoder_counts_bits_read_past_the_payload(self):
+        dec = ArithmeticDecoder(b"\x80")
+        assert dec.bits_past_end == 24  # the first 32-bit read
+        while dec.bits_past_end <= 40:
+            dec.decode(quantize_dist(np.full(255, 1.0 / 255.0)))
 
 
 class TestBitstreamContainer:
@@ -165,8 +211,8 @@ class TestBitstreamContainer:
 
     def test_header_parses_without_payload(self):
         blob = self.make().to_bytes()
-        header = BitstreamHeader.unpack(blob[:len(blob) - 2])
-        assert header.depth == 6
+        header, payload_len = BitstreamHeader.unpack(blob[:len(blob) - 2])
+        assert (header.depth, payload_len) == (6, 2)
 
     def test_truncated_payload_rejected(self):
         blob = self.make().to_bytes()
