@@ -15,11 +15,12 @@ function of nodes decoded strictly before i (plus the target's ancestors,
 which are decoded before any node of the target's level), so the decoder
 rebuilds the identical window.
 
-A window is not copied slot by slot: its slots index per-node rows (each
+A window is not copied slot by slot: it is a run of per-node rows (each
 node's chain, or the target's with occupancy PAD).  The codec's cached step
 (`model.KVCache`) asks `window` only for the rows it has not embedded yet,
 usually the previous node's (now coded) and the target's; `window_block`
-gives training and analysis a block's rows once and its windows as indices.
+gives training and analysis a block's rows once and its windows as a band
+mask over them.
 """
 
 from __future__ import annotations
@@ -110,12 +111,12 @@ class GrowingContext:
         return rows, np.ones(len(rows), dtype=bool)
 
     def window_block(self, start: int, stop: int):
-        """(rows, valid, index) for targets [start, stop), order preserved.
+        """(rows, band) for targets [start, stop), order preserved.
 
         rows: the chains of nodes [window_start(start), stop - 1), then each
-        target's with its occupancy PAD.  Slot s of window b holds row
-        index[b, s] if valid[b, s]: the last slot the target's row, the ones
-        before it the history nodes [window_start(t), t), right-aligned.
+        target's with its occupancy PAD.  band[b, j] holds if row j is in
+        target b's window: a history node in [window_start(t), t), or b's
+        own row.
         """
         if not (0 <= start < stop <= self.count):
             raise InvalidInput("empty or out-of-range window batch")
@@ -125,11 +126,10 @@ class GrowingContext:
         own = self.chains[start:stop].copy()
         own[:, 0, 0] = PAD  # target occupancy is the unknown
         rows = np.concatenate((self.chains[first:stop - 1], own))
-        nodes = targets[:, None] + np.arange(1 - self.cfg.n_window, 1)
-        valid = nodes >= lo[:, None]
-        index = np.where(valid, nodes - first, 0)
-        index[:, -1] = (stop - 1 - first) + np.arange(len(targets))
-        return rows, valid, index
+        nodes = np.arange(first, stop - 1)
+        history = (nodes >= lo[:, None]) & (nodes < targets[:, None])
+        band = np.concatenate((history, np.eye(len(targets), dtype=bool)), axis=1)
+        return rows, band
 
 
 class ContextAssembler(GrowingContext):

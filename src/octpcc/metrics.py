@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import nn
 from .errors import InsufficientClasses, InvalidInput
@@ -87,14 +86,18 @@ def _check_same_frame(a: QuantizedPointCloud, b: QuantizedPointCloud):
         raise InvalidInput("clouds are not in the same coordinate frame")
 
 
+def _symmetric_mse(pa: np.ndarray, pb: np.ndarray) -> float:
+    """Squared nearest-neighbor distance, mean of each direction's mean."""
+    from scipy.spatial import cKDTree  # loaded by the metrics alone, not the codec
+    d_ab = cKDTree(pb).query(pa)[0]
+    d_ba = cKDTree(pa).query(pb)[0]
+    return ((d_ab ** 2).mean() + (d_ba ** 2).mean()) / 2.0
+
+
 def chamfer(a: QuantizedPointCloud, b: QuantizedPointCloud) -> float:
     """Symmetric mean squared nearest-neighbor distance, dequantized units."""
     _check_same_frame(a, b)
-    pa = dequantize(a).points
-    pb = dequantize(b).points
-    d_ab = cKDTree(pb).query(pa)[0]
-    d_ba = cKDTree(pa).query(pb)[0]
-    return float(((d_ab ** 2).mean() + (d_ba ** 2).mean()) / 2.0)
+    return float(_symmetric_mse(dequantize(a).points, dequantize(b).points))
 
 
 def d1_psnr(a: QuantizedPointCloud, b: QuantizedPointCloud) -> float:
@@ -103,11 +106,7 @@ def d1_psnr(a: QuantizedPointCloud, b: QuantizedPointCloud) -> float:
     Identical clouds return the +inf sentinel.
     """
     _check_same_frame(a, b)
-    va = a.voxels.astype(np.float64)
-    vb = b.voxels.astype(np.float64)
-    d_ab = cKDTree(vb).query(va)[0]
-    d_ba = cKDTree(va).query(vb)[0]
-    mse = ((d_ab ** 2).mean() + (d_ba ** 2).mean()) / 2.0
+    mse = _symmetric_mse(a.voxels.astype(np.float64), b.voxels.astype(np.float64))
     if mse == 0.0:
         return float("inf")
     peak = 3.0 * ((1 << a.depth) - 1) ** 2

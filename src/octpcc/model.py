@@ -13,7 +13,8 @@ The slot embedding has no positional term and the target is the only
 query, so each history slot's keys and values depend on its node alone,
 and every path embeds and projects each node's row once: the codec
 (`predict`) keeps coded nodes' K/V rows in a `KVCache`, and training and
-analysis gather a window block's K/V rows into its windows by index.
+analysis attend each target of a window block to the block's rows through
+a band mask that keeps its own window's rows.
 
 Ablation toggles: enable_residual feeds a zero vector instead of r_i;
 enable_branch feeds zeros into the fusion slot.  All four combinations
@@ -195,9 +196,10 @@ def zero_head_layers(model: "ContextModel") -> "ContextModel":
     return model
 
 
-# Targets per window block in `distributions`: bounds the gathered
-# (chunk, N, d) keys and values.
-ANALYSIS_CHUNK = 512
+# Targets per window block in `distributions`.  Every target scores all of
+# the block's chunk + N - 1 rows, so the band's cost grows with the chunk;
+# 64-128 targets ran fastest at both N=64 and N=1024.
+ANALYSIS_CHUNK = 128
 
 
 class ContextModel:
@@ -258,40 +260,37 @@ class ContextModel:
         return (x @ P["attn0.wk"] + P["attn0.bk"],
                 x @ P["attn0.wv"] + P["attn0.bv"])
 
-    def _attend_core(self, x_t, k, v, valid, params=None):
-        """Target rows x_t (..., 1, d) over key/value rows k, v (..., n, d)
-        -> weighted context (..., d).
+    def _attend_core(self, x_t, k, v, band, params=None):
+        """Target rows x_t (B, d) over key/value rows k, v (R, d) ->
+        weighted contexts (B, d).
 
         One multi-head attention layer whose only query is the target row.
-        valid (..., n) masks rows out; None attends over every row.
+        Target b attends to row j where band[b, j]; None attends to every row.
         """
         P = self.params if params is None else params
         heads = self.cfg.heads
-        n, d = k.shape[-2], k.shape[-1]
+        d = k.shape[-1]
         dh = d // heads
-        lead = k.shape[:-2]
 
-        def split(t, rows):  # (..., rows, d) -> (..., H, rows, dh)
-            return t.reshape(*lead, rows, heads, dh).swapaxes(-3, -2)
+        def split(t):  # (rows, d) -> (H, rows, dh)
+            return t.reshape(t.shape[0], heads, dh).swapaxes(0, 1)
 
-        q = split(x_t @ P["attn0.wq"] + P["attn0.bq"], 1)
-        scores = (q @ split(k, n).swapaxes(-1, -2)) * (1.0 / math.sqrt(dh))
-        if valid is not None:
-            scores = scores + nn.mask_bias(valid).reshape(*lead, 1, 1, n)
+        q = split(x_t @ P["attn0.wq"] + P["attn0.bq"])
+        scores = (q @ split(k).swapaxes(-1, -2)) * (1.0 / math.sqrt(dh))
+        if band is not None:
+            scores = scores + nn.mask_bias(band)
         weights = nn.softmax(scores, axis=-1)
-        ctx = (weights @ split(v, n)).swapaxes(-3, -2).reshape(*lead, 1, d)
-        out = ctx @ P["attn0.wo"] + P["attn0.bo"]
-        return out[..., -1, :]
+        ctx = (weights @ split(v)).swapaxes(0, 1).reshape(x_t.shape[0], d)
+        return ctx @ P["attn0.wo"] + P["attn0.bo"]
 
     def _attend_block(self, block, params=None):
         """Weighted contexts (B, d) of a `GrowingContext.window_block`: each
-        row is embedded and projected once, then gathered into the windows."""
-        rows, valid, index = block
+        row is embedded and projected once, the targets' own rows (the last
+        B) give the queries, and the band keeps each target's window."""
+        rows, band = block
         x = self._embed(rows, params)
         k, v = self._project_kv(x, params)
-        return self._attend_core(nn.embedding(x, index[:, -1:]),
-                                 nn.embedding(k, index), nn.embedding(v, index),
-                                 valid, params)
+        return self._attend_core(x[-len(band):], k, v, band, params)
 
     def _heads(self, wc, r, params=None):
         """(q, o, a1): floored 255-way distribution, 8 branch sigmoids and
@@ -346,7 +345,7 @@ class ContextModel:
         x = self._embed(slots)
         k, v = self._project_kv(x)
         rows = cache.rows(lo, k, v)
-        wc = self._attend_core(x[-1:], cache.k[rows], cache.v[rows], None)
+        wc = self._attend_core(x[-1:], cache.k[rows], cache.v[rows], None)[0]
         if self.cfg.enable_residual and cache.wc_prev is not None:
             r = wc - cache.wc_prev
         else:

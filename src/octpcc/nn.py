@@ -358,19 +358,6 @@ class ParamStore:
                 for name, value in self._params.items()}
 
 
-def grad(loss_fn, params: ParamStore, inputs) -> dict[str, np.ndarray]:
-    """Reverse-mode gradients of loss_fn(tape, inputs) for every parameter.
-
-    loss_fn receives a dict of name -> Tensor and must return a scalar
-    Tensor built from the ops in this module.
-    """
-    tape = params.tape()
-    loss = loss_fn(tape, inputs)
-    loss.backward()
-    return {name: (t.grad if t.grad is not None else np.zeros_like(t.data))
-            for name, t in tape.items()}
-
-
 def adam_step(params: ParamStore, grads: dict, lr: float,
               betas=(0.9, 0.999), eps: float = 1e-8) -> None:
     """One Adam update (with bias correction) for every named gradient.

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import octpcc
 from octpcc import nn
 from octpcc.context import ContextConfig
 from octpcc.geometry import RawPointCloud
@@ -66,6 +72,28 @@ def brute_force_level_occupancies(voxels, depth, lvl):
         octant = ((child[0] & 1) << 2) | ((child[1] & 1) << 1) | (child[2] & 1)
         table[cell] = table.get(cell, 0) | (1 << octant)
     return table
+
+
+def run_python(args, cwd, timeout=120) -> subprocess.CompletedProcess:
+    """A fresh interpreter running `args`, with this octpcc importable."""
+    src = str(Path(octpcc.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, *args], cwd=cwd, capture_output=True,
+                          text=True, timeout=timeout,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
+def grad(loss_fn, params: nn.ParamStore, inputs) -> dict:
+    """Reverse-mode gradients of loss_fn(tape, inputs) for every parameter.
+
+    loss_fn receives a dict of name -> Tensor and must return a scalar
+    Tensor built from the ops in `octpcc.nn`.
+    """
+    tape = params.tape()
+    loss = loss_fn(tape, inputs)
+    loss.backward()
+    return {name: (t.grad if t.grad is not None else np.zeros_like(t.data))
+            for name, t in tape.items()}
 
 
 def write_malformed_checkpoint(path, case):

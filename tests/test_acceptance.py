@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from octpcc import nn
+from conftest import grad
 from octpcc.coder import (ArithmeticDecoder, ArithmeticEncoder, FREQ_TOTAL,
                           quantize_dist)
 from octpcc.context import ContextAssembler, ContextConfig
@@ -146,7 +146,7 @@ def test_c04_gradient_correctness():
         ce, mse = model.batch_losses(tape, block, labels, False)
         return ce + mse
 
-    analytic = nn.grad(loss, model.params, None)
+    analytic = grad(loss, model.params, None)
     eps = 1e-4
     worst = 0.0
     checked = 0

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import FORWARD_CONFIGS
 from octpcc.context import ContextAssembler, ContextConfig, GrowingContext
 from octpcc.errors import InvalidInput
 from octpcc.geometry import QuantizedPointCloud, quantize, synth
@@ -21,10 +22,19 @@ def tiny_tree():
                                      origin=np.zeros(3), scale=1.0))
 
 
+def right_aligned(chains, n):
+    """n slots holding chains in the last len(chains), zero before; and
+    the mask of the filled slots."""
+    slots = np.zeros((n,) + chains.shape[1:], dtype=chains.dtype)
+    slots[n - len(chains):] = chains
+    return slots, np.arange(n) >= n - len(chains)
+
+
 def window(ctx, i):
-    """Target i's N slots (the rows its slots index) and their mask."""
-    rows, valid, index = ctx.window_block(i, i + 1)
-    return rows[index[0]], valid[0]
+    """Target i's N slots (the rows its band keeps, right-aligned) and
+    their mask."""
+    rows, band = ctx.window_block(i, i + 1)
+    return right_aligned(rows[band[0]], ctx.cfg.n_window)
 
 
 class TestWindowFor:
@@ -45,10 +55,12 @@ class TestWindowFor:
     def test_root_window_fully_padded(self):
         seq = tiny_tree()
         cfg = ContextConfig(n_window=4, k_ancestors=1)
-        rows, valid, _ = ContextAssembler(seq, cfg).window_block(0, 1)
-        assert valid[0].tolist() == [False, False, False, True]
+        asm = ContextAssembler(seq, cfg)
+        rows, band = asm.window_block(0, 1)
+        assert band.tolist() == [[True]]
         assert len(rows) == 1  # no history row: the pad slots hold nothing
         np.testing.assert_array_equal(rows[0], [[0, 1, 0], [0, 0, 0]])
+        assert window(asm, 0)[1].tolist() == [False, False, False, True]
 
     def test_sliding_property(self):
         """Adjacent windows share all predecessor content shifted by one."""
@@ -115,13 +127,11 @@ class TestWindowBatch:
         seq = build(qpc)
         cfg = ContextConfig(n_window=8, k_ancestors=2)
         asm = ContextAssembler(seq, cfg)
-        rows, valid, index = asm.window_block(5, 8)
-        assert index.shape == valid.shape == (3, cfg.n_window)
+        rows, band = asm.window_block(5, 8)
+        assert band.shape == (3, len(rows))
         for b, i in enumerate(range(5, 8)):
             slots, single_valid = window(asm, i)
-            np.testing.assert_array_equal(valid[b], single_valid)
-            np.testing.assert_array_equal(rows[index[b]][valid[b]],
-                                          slots[single_valid])
+            np.testing.assert_array_equal(rows[band[b]], slots[single_valid])
 
     @pytest.mark.parametrize("cfg", [
         ContextConfig(n_window=8, k_ancestors=2),
@@ -132,7 +142,7 @@ class TestWindowBatch:
         """Each window vs a padded slot array built one target at a time."""
         seq = build(quantize(synth("uniform", 300, seed=3), 4))
         asm = ContextAssembler(seq, cfg)
-        rows, valid, index = asm.window_block(3, len(seq))
+        rows, band = asm.window_block(3, len(seq))
         n = cfg.n_window
         for b, i in enumerate(range(3, len(seq))):
             lo = max(0, i - (n - 1))
@@ -142,31 +152,67 @@ class TestWindowBatch:
             chains[-1, 0, 0] = 0
             want = np.zeros((n,) + chains.shape[1:], dtype=np.int32)
             want[n - len(chains):] = chains
-            np.testing.assert_array_equal(valid[b],
+            slots, valid = right_aligned(rows[band[b]], n)
+            np.testing.assert_array_equal(valid,
                                           np.arange(n) >= n - len(chains))
-            np.testing.assert_array_equal(
-                np.where(valid[b, :, None, None], rows[index[b]], 0), want)
+            np.testing.assert_array_equal(slots, want)
+
+    @pytest.mark.parametrize("case", list(FORWARD_CONFIGS))
+    def test_band_keeps_exactly_each_window(self, case):
+        """Brute force over blocks that start at 0, mid-level and at a
+        level boundary: the rows target t's band keeps are `window(t,
+        window_start(t))`'s, in order, for every target."""
+        cfg = FORWARD_CONFIGS[case].ctx
+        seq = build(quantize(synth("gaussian_clusters", 300, seed=8), 5))
+        asm = ContextAssembler(seq, cfg)
+        boundary = int(seq.level_offsets[3])
+        for start, stop in ((0, len(seq)), (7, 40), (boundary - 2, boundary + 5)):
+            rows, band = asm.window_block(start, stop)
+            for b, t in enumerate(range(start, stop)):
+                want, _ = asm.window(t, int(asm.window_start(t)))
+                np.testing.assert_array_equal(rows[band[b]], want)
+
+    @pytest.mark.parametrize("case", ["residual+branch", "strict_level",
+                                      "target_only", "default_size"])
+    def test_band_counts_match_slot_mask(self, case):
+        """band.sum() is the number of filled slots of the (B, N) slot mask
+        and band.shape[0] its number of windows: the benchmark harness's
+        window_block probe reads both."""
+        cfg = FORWARD_CONFIGS[case].ctx
+        seq = build(quantize(synth("gaussian_clusters", 300, seed=8), 5))
+        asm = ContextAssembler(seq, cfg)
+        for start, stop in ((0, 1), (0, 64), (30, 158), (len(seq) - 5, len(seq))):
+            targets = np.arange(start, stop)
+            _, band = asm.window_block(start, stop)
+            filled = (targets - asm.window_start(targets) + 1).sum()
+            assert band.sum() == filled
+            assert band.shape[0] == stop - start
 
     def test_chunked_equals_one_by_one(self):
         seq = tiny_tree()
         cfg = ContextConfig(n_window=4, k_ancestors=1)
         asm = ContextAssembler(seq, cfg)
-        rows, valid, index = asm.window_block(0, len(seq))
-        parts = [asm.window_block(0, 2), asm.window_block(2, 4)]
-        np.testing.assert_array_equal(
-            valid, np.concatenate([part[1] for part in parts]))
-        slots = [part[0][part[2]][part[1]] for part in parts]
-        np.testing.assert_array_equal(rows[index][valid], np.concatenate(slots))
+
+        def windows(start, stop):
+            rows, band = asm.window_block(start, stop)
+            return [rows[keep] for keep in band]
+
+        whole = windows(0, len(seq))
+        parts = windows(0, 2) + windows(2, 4)
+        assert len(whole) == len(parts) == len(seq)
+        for a, b in zip(whole, parts):
+            np.testing.assert_array_equal(a, b)
 
     def test_level_feature_tracks_level_boundary(self):
         qpc = quantize(synth("uniform", 300, seed=2), 4)
         seq = build(qpc)
         cfg = ContextConfig(n_window=4, k_ancestors=1)
         boundary = int(seq.level_offsets[2])  # first node of level 3
-        rows, _, index = ContextAssembler(seq, cfg).window_block(boundary - 1,
-                                                                 boundary + 1)
+        rows, band = ContextAssembler(seq, cfg).window_block(boundary - 1,
+                                                             boundary + 1)
         for b, i in enumerate(range(boundary - 1, boundary + 1)):
-            assert rows[index[b, -1], 0, 1] == seq.level[i]
+            assert rows[band[b]][-1, 0, 1] == seq.level[i]
+            assert rows[len(rows) - 2 + b, 0, 1] == seq.level[i]
 
     def test_empty_range_rejected(self):
         seq = tiny_tree()

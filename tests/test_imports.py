@@ -1,12 +1,15 @@
 """Every module-level import and private name in the package is used by
-its module."""
+its module, and the codec runs without importing scipy."""
 
 import ast
+import json
 from pathlib import Path
 
 import pytest
 
 import octpcc
+from conftest import run_python
+from octpcc import ContextModel, ModelConfig, synth, write_ply
 
 MODULES = sorted(p for p in Path(octpcc.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
@@ -85,3 +88,30 @@ def test_guard_sees_an_unused_private_name():
               "def _g():\n    pass\nclass _K:\n    pass\n")
     assert unused_private_names(source) == ["_B (line 2)", "_K (line 9)",
                                             "_f (line 5)"]
+
+
+SCIPY_PROBE = """
+import json, sys
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+import octpcc
+after_import = scipy_loaded()
+from octpcc.cli import main
+codes = [main(["encode", "--input", "cloud.ply", "--checkpoint", "m.ckpt",
+               "--depth", "4", "--out", "cloud.bin"]),
+         main(["decode", "--bitstream", "cloud.bin", "--checkpoint", "m.ckpt",
+               "--out", "back.ply"])]
+print(json.dumps([after_import, codes, scipy_loaded()]))
+"""
+
+
+def test_codec_leaves_scipy_unloaded(tmp_path):
+    """Only the distortion metrics need scipy; importing octpcc, encoding
+    and decoding never load it."""
+    write_ply(tmp_path / "cloud.ply", synth("plane", 300, seed=1))
+    ContextModel.create(ModelConfig.tiny(seed=1)).save(tmp_path / "m.ckpt")
+    proc = run_python(["-c", SCIPY_PROBE], cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    after_import, codes, after_codec = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0, 0]
+    assert after_import == after_codec == []

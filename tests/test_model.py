@@ -45,6 +45,35 @@ def assert_batched_matches_cached(model, seq):
                                       quantize_dist(q_batch[i]))
 
 
+def gather_attention(model, asm, start, stop):
+    """Weighted contexts of targets [start, stop) by the gather form the
+    band replaced, in plain numpy: each target's window rows copied into N
+    right-aligned slots, pad slots masked, and attention batched over
+    (target, head)."""
+    rows, _ = asm.window_block(start, stop)
+    P, cfg = model.params, model.cfg
+    n, heads, d = cfg.ctx.n_window, cfg.heads, cfg.d_model
+    dh = d // heads
+    targets = np.arange(start, stop)
+    lo = asm.window_start(targets)
+    nodes = targets[:, None] + np.arange(1 - n, 1)
+    valid = nodes >= lo[:, None]
+    index = np.where(valid, nodes - int(lo[0]), 0)
+    index[:, -1] = len(rows) - len(targets) + np.arange(len(targets))
+    x = model._embed(rows)
+    k = x @ P["attn0.wk"] + P["attn0.bk"]
+    v = x @ P["attn0.wv"] + P["attn0.bv"]
+
+    def split(t):  # (B, slots, d) -> (B, H, slots, dh)
+        return t.reshape(len(t), -1, heads, dh).swapaxes(1, 2)
+
+    q = split(x[index[:, -1:]] @ P["attn0.wq"] + P["attn0.bq"])
+    scores = q @ split(k[index]).swapaxes(-1, -2) / np.sqrt(dh)
+    weights = nn.softmax_np(np.where(valid[:, None, None], scores, -np.inf))
+    ctx = (weights @ split(v[index])).swapaxes(1, 2).reshape(len(targets), d)
+    return ctx @ P["attn0.wo"] + P["attn0.bo"]
+
+
 class TestForward:
     def test_identical_windows_give_zero_residual_and_same_dist(self):
         model = tiny_model()
@@ -109,6 +138,23 @@ class TestForward:
         seq = build(quantize(synth("plane", 20000, seed=1), 6))
         assert len(seq) > 2 * ANALYSIS_CHUNK
         assert_batched_matches_cached(model, seq)
+
+    @pytest.mark.parametrize("case", list(FORWARD_CONFIGS))
+    def test_band_attention_matches_gather_reference(self, case):
+        """Every block's wc, lead blocks (one extra window first) included,
+        against the gathered-window attention."""
+        model = ContextModel.create(replace(FORWARD_CONFIGS[case], seed=7))
+        seq = build(quantize(synth("gaussian_clusters", 300, seed=8), 5))
+        asm = ContextAssembler(seq, model.cfg.ctx)
+        leads = set()
+        for start, stop, block, lead in model.blocks(asm, 48):
+            np.testing.assert_allclose(
+                model._attend_block(block),
+                gather_attention(model, asm, start - lead, stop),
+                rtol=0, atol=1e-13)
+            leads.add(lead)
+        assert leads == ({False, True} if model.cfg.enable_residual
+                         else {False})
 
     def test_skipped_nodes_are_cached_in_one_batch(self):
         """Predicting every fifth node makes each step cache five history

@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
+from conftest import grad
 from octpcc import nn
 from octpcc.errors import InvalidInput, NumericalError
 from octpcc.model import ContextModel, ModelConfig
 
 
 def attend(model, x, valid, params=None):
-    """The attention layer over slot vectors x (n, d), target last."""
+    """The attention layer over slot vectors x (n, d), target last: one
+    target whose (1, n) band is valid."""
     k, v = model._project_kv(x, params)
-    return model._attend_core(x[-1:], k, v, valid, params)
+    return model._attend_core(x[-1:], k, v, valid[None], params)[0]
 
 
 def attention_model(rng, d, heads, identity_out=False):
@@ -103,7 +105,7 @@ class TestGrad:
             t = tape["p"]
             return (t * t).sum() * 0.5
 
-        g = nn.grad(loss, store, None)
+        g = grad(loss, store, None)
         np.testing.assert_allclose(g["p"], store["p"], atol=1e-12)
 
     def test_softmax_cross_entropy_closed_form(self, rng):
@@ -117,7 +119,7 @@ class TestGrad:
             p = nn.softmax(tape["z"].reshape(1, 6), axis=-1)
             return nn.log(nn.take_along_last(p, np.array([y]))).sum() * -1.0
 
-        g = nn.grad(loss, store, None)
+        g = grad(loss, store, None)
         want = nn.softmax_np(store["z"])
         want[y] -= 1.0
         np.testing.assert_allclose(g["z"], want, atol=1e-9)
@@ -135,8 +137,8 @@ class TestGrad:
         def by_embedding(tape, _):
             return (nn.embedding(tape["t"], np.array([0, 0, 2])) * w).sum()
 
-        g = nn.grad(by_index, store, None)["t"]
-        np.testing.assert_array_equal(g, nn.grad(by_embedding, store, None)["t"])
+        g = grad(by_index, store, None)["t"]
+        np.testing.assert_array_equal(g, grad(by_embedding, store, None)["t"])
         np.testing.assert_array_equal(g, [w[0] + w[1], [0, 0], w[2]])
 
     def test_gradient_shared_by_two_inputs_is_copied(self, rng):
@@ -150,7 +152,7 @@ class TestGrad:
         def loss(tape, _):
             return (tape["b"] * u).sum() + ((tape["a"] + tape["b"]) * w).sum()
 
-        g = nn.grad(loss, store, None)
+        g = grad(loss, store, None)
         np.testing.assert_array_equal(g["a"], w)
         np.testing.assert_array_equal(g["b"], w + u)
 
@@ -189,7 +191,7 @@ class TestGrad:
             ce, mse = model.batch_losses(tape, block, labels, False)
             return ce + mse
 
-        analytic = nn.grad(loss, model.params, None)
+        analytic = grad(loss, model.params, None)
         eps = 1e-4
         check_rng = np.random.default_rng(0)
         for name in model.params.names():
