@@ -36,29 +36,38 @@ MAX_BITS_PAST_END = 32
 
 
 def quantize_dist(q: np.ndarray) -> np.ndarray:
-    """Deterministic 2**16-total integer quantization of a 255-way distribution.
+    """Deterministic 2**16-total integer quantization of 255-way distributions.
 
     Every class is first granted frequency 1; the remaining mass is
     apportioned by floor with a largest-remainder correction (ties broken
-    toward lower class index), so the total is exactly 2**16.  Returns the
-    (256,) int64 cumulative table: cum[0] = 0, cum[255] = FREQ_TOTAL, every
-    step >= 1.  InvalidInput unless the entries lie in [0, 1] and sum to 1.
+    toward lower class index), so the total is exactly 2**16.  Maps q of
+    shape (..., 255) to int64 cumulative tables of shape (..., 256), row by
+    row: cum[0] = 0, cum[255] = FREQ_TOTAL, every step >= 1; a row's table
+    does not depend on the other rows.  InvalidInput unless every entry lies
+    in [0, 1] and every row sums to 1.
     """
     q = np.asarray(q, dtype=np.float64)
-    if q.shape != (255,):
+    if q.shape[-1:] != (255,) or q.size == 0:
         raise InvalidInput("distribution must have 255 entries")
     if not 0.0 <= q.min() <= q.max() <= 1.0:  # also false for NaN
         raise InvalidInput("distribution entries must lie in [0, 1]")
     scaled = q * (FREQ_TOTAL - 255)
-    base = np.floor(scaled)
-    freq = base.astype(np.int64) + 1
-    deficit = FREQ_TOTAL - int(freq.sum())
-    if not 0 <= deficit <= 255:
-        raise InvalidInput(f"distribution sums to {q.sum()!r}, not 1")
-    order = np.argsort(base - scaled, kind="stable")  # frac desc, index asc
-    freq[order[:deficit]] += 1
-    cum = np.zeros(256, dtype=np.int64)
-    np.cumsum(freq, out=cum[1:])
+    freq = np.floor(scaled)
+    order = (freq - scaled).argsort(axis=-1, kind="stable")  # frac desc, index asc
+    freq += 1.0
+    deficit = FREQ_TOTAL - np.add.reduce(freq, axis=-1, keepdims=True)
+    # One more to the first `deficit` classes in order.  A single row (the
+    # decoder's call) slices its order, which costs less than ranking it.
+    if q.ndim == 1:
+        freq[order[:int(deficit[0])]] += 1.0
+    else:
+        freq += order.argsort(axis=-1) < deficit
+    cum = np.zeros(q.shape[:-1] + (256,), dtype=np.int64)
+    np.add.accumulate(freq, axis=-1, dtype=np.int64, out=cum[..., 1:])
+    total = cum[..., -1]
+    if set(total.flat) != {FREQ_TOTAL}:  # a deficit outside [0, 255]
+        bad = q.sum(axis=-1)[total != FREQ_TOTAL]
+        raise InvalidInput(f"distribution sums to {float(bad.flat[0])!r}, not 1")
     return cum
 
 

@@ -92,20 +92,20 @@ class GrowingContext:
 
     def window_start(self, i):
         """First node of target i's window history: nodes [lo, i) fill its
-        slots.  Elementwise over an array of targets."""
-        lo = np.maximum(0, i - (self.cfg.n_window - 1))
+        slots.  Elementwise over an array of targets; the builtin max keeps
+        one target's call cheap."""
+        clip = np.maximum if isinstance(i, np.ndarray) else max
+        lo = clip(0, i - (self.cfg.n_window - 1))
         if self.cfg.strict_level:
-            lo = np.maximum(lo, self.level_start[i])
+            lo = clip(lo, self.level_start[i])
         return lo
 
     def window(self, i: int, start: int):
         """(rows, valid): the chains of history nodes [start, i), then the
-        target's with its occupancy PAD, for window_start(i) <= start <= i;
-        every row is valid."""
-        if not (0 <= i < self.count):
-            raise InvalidInput(f"node index {i} out of range")
-        if not (self.window_start(i) <= start <= i):
-            raise InvalidInput(f"slot start {start} outside node {i}'s window")
+        target's with its occupancy PAD; every row is valid.  The caller
+        passes start >= window_start(i), which it has already computed."""
+        if not (0 <= start <= i < self.count):
+            raise InvalidInput(f"node {i} with slot start {start} out of range")
         rows = self.chains[start:i + 1].copy()
         rows[-1, 0, 0] = PAD  # target occupancy is the unknown
         return rows, np.ones(len(rows), dtype=bool)

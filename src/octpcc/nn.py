@@ -151,10 +151,16 @@ class Tensor:
                       backward=back, op="swapaxes")
 
     def __getitem__(self, key):
+        basic = all(isinstance(k, (int, np.integer, slice))
+                    for k in (key if isinstance(key, tuple) else (key,)))
+
         def back(g):
             if self.grad is None:
                 self.grad = np.zeros_like(self.data)
-            np.add.at(self.grad, key, g)  # an index array may repeat an element
+            if basic:  # ints and slices name each element at most once
+                self.grad[key] += g
+            else:  # an index array may repeat an element
+                np.add.at(self.grad, key, g)
 
         return Tensor(self.data[key], parents=(self,), backward=back, op="slice")
 
@@ -294,12 +300,10 @@ def softmax_np(x: np.ndarray, axis: int = -1) -> np.ndarray:
 
 
 def sigmoid_np(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """1 / (1 + e^-x), with exp only of -|x| so that it never overflows."""
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def _f32_exact(a: np.ndarray) -> np.ndarray:

@@ -4,12 +4,15 @@ Both directions run one walk, `_walk`: it grows the tree from the root level
 by level, in breadth-first order, and for each node runs the model's cached
 step `ContextModel.predict` (which embeds and projects the target's row and
 attends over the K/V rows it keeps for the window's already-coded nodes),
-quantizes the distribution and codes one symbol.  The encoder codes the
-known occupancy and the decoder decodes it; everything else is shared, so
-the decoder sees bit-identical frequency tables.  Model weights travel out
-of band (checkpoint file); the bitstream carries a digest so a mismatched
-model is rejected, and a header the model cannot decode is refused as
-corrupt, before any symbol is read.
+then hands the distribution to the direction's callback.  The decoder
+quantizes each distribution and decodes one symbol at once, since the next
+node's window needs it.  The encoder knows every symbol in advance: it
+buffers ENCODE_BLOCK distributions, then quantizes the block in one call and
+codes its symbols in node order.  `quantize_dist` treats each row on its
+own, so the decoder sees bit-identical frequency tables.  Model weights
+travel out of band (checkpoint file); the bitstream carries a digest so a
+mismatched model is rejected, and a header the model cannot decode is
+refused as corrupt, before any symbol is read.
 """
 
 from __future__ import annotations
@@ -28,6 +31,10 @@ from .geometry import MAX_DEPTH, QuantizedPointCloud, RawPointCloud, quantize
 from .model import ContextModel, KVCache
 from .octree import ROOT_PARENT, NodeSequence, build, children, reconstruct
 
+# Nodes the encoder quantizes and codes together.  A fixed block bounds the
+# (block, 255) temporaries: a whole cloud's would reach megabytes each.
+ENCODE_BLOCK = 256
+
 
 @dataclass
 class EncodeReport:
@@ -36,6 +43,7 @@ class EncodeReport:
     payload_bits: int
     bpip: float                  # total bits / raw input point count
     per_level_bits: list         # payload bits attributed to each coded level
+    per_level_ideal_bits: list   # ideal bits of each coded level's nodes
     ideal_bits: float            # sum of -log2 q(x_i | c_i) over coded nodes
     wall_time: float
     node_count: int
@@ -50,6 +58,8 @@ class EncodeReport:
             f"payload_bits = {self.payload_bits}",
             f"bpip = {self.bpip:.6f}",
             f"per_level_bits = {','.join(str(b) for b in self.per_level_bits)}",
+            "per_level_ideal_bits = "
+            f"{','.join(f'{b:.3f}' for b in self.per_level_ideal_bits)}",
             f"ideal_bits = {self.ideal_bits:.3f}",
             f"node_count = {self.node_count}",
             f"raw_point_count = {self.raw_point_count}",
@@ -66,14 +76,14 @@ def _model_flags(model: ContextModel) -> int:
 
 
 def _walk(model: ContextModel, depth: int, coded_levels: int, node_limit: int,
-          code, table_log) -> NodeSequence:
-    """Grow the tree from the root through `coded_levels` levels, coding each
-    node in stream order; both directions run this.
+          code) -> NodeSequence:
+    """Grow the tree from the root through `coded_levels` levels, predicting
+    each node in stream order; both directions run this.
 
     A level's nodes enter the window table together, once the level above is
-    coded.  Each node's distribution is predicted and quantized, and
-    `code(level, i, q, table)` codes node i and returns its occupancy.  A
-    level that would take the tree past `node_limit` nodes is refused.
+    coded.  `code(level, i, q)` takes node i's distribution and returns its
+    occupancy.  A level that would take the tree past `node_limit` nodes is
+    refused.
     """
     ctx = GrowingContext(model.cfg.ctx)
     cache = KVCache(model.cfg, ctx)
@@ -90,10 +100,7 @@ def _walk(model: ContextModel, depth: int, coded_levels: int, node_limit: int,
         occ = np.empty(len(parent), dtype=np.int32)
         for i in range(first, ctx.count):
             _, q, _ = model.predict(cache, i)
-            table = quantize_dist(q)
-            if table_log is not None:
-                table_log.append(table)
-            occ[i - first] = sym = code(lvl, i, q, table)
+            occ[i - first] = sym = code(lvl, i, q)
             ctx.set_occupancy(i, sym)
         levels.append((occ, parent, octant))
         parent, octant = children(occ)
@@ -111,18 +118,40 @@ def encode(pc: RawPointCloud, depth: int, coded_levels: int,
     seq = build(qpc)
     enc = ArithmeticEncoder()
     ideal = 0.0
-    marks = []  # bits emitted before each coded level
+    marks = []        # bits emitted before each coded level
+    level_ideal = []  # ideal bits of each coded level
+    dists = np.empty((ENCODE_BLOCK, 255))  # q of the nodes from `coded` on
+    coded = 0         # nodes whose symbols are encoded
 
-    def code(level, i, q, table):
-        nonlocal ideal
-        if level > len(marks):
-            marks.append(enc.bits_emitted)
-        sym = int(seq.occupancy[i])
-        enc.encode(table, sym - 1)
-        ideal += -np.log2(q[sym - 1])
-        return sym
+    def flush(stop):
+        """Quantize the distributions of nodes coded, ..., stop - 1 and
+        encode their symbols in node order."""
+        nonlocal ideal, coded
+        n = stop - coded
+        tables = quantize_dist(dists[:n])
+        if table_log is not None:
+            table_log.extend(tables)
+        syms = seq.occupancy[coded:stop]
+        bits = -np.log2(dists[np.arange(n), syms - 1])
+        for level, sym, table, b in zip(seq.level[coded:stop].tolist(),
+                                        syms.tolist(), tables, bits.tolist()):
+            if level > len(marks):
+                marks.append(enc.bits_emitted)
+                level_ideal.append(0.0)
+            enc.encode(table, sym - 1)
+            ideal += b  # summed node by node, in stream order
+            level_ideal[-1] += b
+        coded = stop
 
-    n_coded = len(_walk(model, depth, coded_levels, len(seq), code, table_log))
+    def code(level, i, q):
+        dists[i - coded] = q
+        if i + 1 - coded == ENCODE_BLOCK:
+            flush(i + 1)
+        return int(seq.occupancy[i])
+
+    n_coded = len(_walk(model, depth, coded_levels, len(seq), code))
+    if n_coded > coded:
+        flush(n_coded)
     payload = enc.finish()
     header = BitstreamHeader(
         depth=depth, coded_levels=coded_levels, origin=qpc.origin,
@@ -135,8 +164,9 @@ def encode(pc: RawPointCloud, depth: int, coded_levels: int,
         total_bits=total_bits, header_bits=HEADER_BYTES * 8,
         payload_bits=len(payload) * 8, bpip=total_bits / len(pc),
         per_level_bits=np.diff(marks + [len(payload) * 8]).tolist(),
-        ideal_bits=float(ideal), wall_time=time.perf_counter() - t0,
-        node_count=n_coded, raw_point_count=len(pc), voxel_count=len(qpc))
+        per_level_ideal_bits=level_ideal, ideal_bits=float(ideal),
+        wall_time=time.perf_counter() - t0, node_count=n_coded,
+        raw_point_count=len(pc), voxel_count=len(qpc))
     return bs, report
 
 
@@ -162,15 +192,17 @@ def decode(bs: Bitstream, model: ContextModel,
     coded_levels = header.coded_levels
     dec = ArithmeticDecoder(bs.payload)
 
-    def code(level, i, q, table):
+    def code(level, i, q):
+        table = quantize_dist(q)
+        if table_log is not None:
+            table_log.append(table)
         sym = dec.decode(table) + 1
         if dec.bits_past_end > MAX_BITS_PAST_END:
             raise CorruptStream(f"level {level}, node {i}: decoding read past the "
                                 f"end of the {len(bs.payload)}-byte payload")
         return sym
 
-    seq = _walk(model, header.depth, coded_levels, header.node_count, code,
-                table_log)
+    seq = _walk(model, header.depth, coded_levels, header.node_count, code)
     n = len(seq)
     if n != header.node_count:
         raise CorruptStream(

@@ -13,6 +13,38 @@ def random_dist(rng, concentration=1.0):
     return q / q.sum()
 
 
+def quantize_row_reference(q) -> np.ndarray:
+    """One row at a time, as quantize_dist did before it took blocks: floor,
+    then one more to the `deficit` largest remainders in a stable order."""
+    scaled = q * (FREQ_TOTAL - 255)
+    base = np.floor(scaled)
+    freq = base.astype(np.int64) + 1
+    deficit = FREQ_TOTAL - int(freq.sum())
+    assert 0 <= deficit <= 255
+    order = np.argsort(base - scaled, kind="stable")  # frac desc, index asc
+    freq[order[:deficit]] += 1
+    return np.concatenate(([0], np.cumsum(freq)))
+
+
+def block_rows(rng) -> dict:
+    """(n, 255) blocks of the row kinds the codec meets."""
+    one_hot = np.zeros((4, 255))
+    one_hot[np.arange(4), [0, 17, 200, 254]] = 1.0
+    # the model's floor mixing over a softmax with underflowed classes:
+    # most entries of a row are exactly equal, so remainders tie, and rows
+    # with k equal classes tie at the cut
+    p = np.zeros((12, 255))
+    p[:4, :3] = rng.dirichlet(np.ones(3), size=4)
+    for row, k in enumerate((1, 2, 3, 5, 7, 64, 128, 255), start=4):
+        p[row, :k] = 1.0 / k
+    floored = p * (1.0 - 1e-6) + 1e-6 / 255.0
+    return {"random": rng.dirichlet(np.ones(255), size=300),
+            "peaked": rng.dirichlet(np.full(255, 0.01), size=50),
+            "uniform": np.full((3, 255), 1.0 / 255.0),
+            "floor_dominated": floored,
+            "one_hot": one_hot}
+
+
 def random_table(rng):
     return quantize_dist(random_dist(rng))
 
@@ -69,6 +101,36 @@ class TestQuantizeDist:
     def test_bad_shapes(self):
         with pytest.raises(InvalidInput):
             quantize_dist(np.ones(10) / 10)
+        with pytest.raises(InvalidInput):
+            quantize_dist(np.ones((3, 10)) / 10)
+        with pytest.raises(InvalidInput):
+            quantize_dist(np.empty((0, 255)))
+
+    @pytest.mark.parametrize("kind", ["random", "peaked", "uniform",
+                                      "floor_dominated", "one_hot"])
+    def test_block_equals_row_by_row(self, rng, kind):
+        """A block's tables are its rows' own tables, which are the per-row
+        reference's; ties among equal remainders go to the lower class."""
+        q = block_rows(rng)[kind]
+        block = quantize_dist(q)
+        assert block.shape == (len(q), 256) and block.dtype == np.int64
+        for row, table in zip(q, block):
+            np.testing.assert_array_equal(table, quantize_dist(row))
+            np.testing.assert_array_equal(table, quantize_row_reference(row))
+        mixed = np.stack([q[:2], q[-2:]])  # any leading shape
+        np.testing.assert_array_equal(
+            quantize_dist(mixed), np.stack([block[:2], block[-2:]]))
+
+    @pytest.mark.parametrize("case", ["nan", "negative", "sum_over_one",
+                                      "sum_zero"])
+    def test_one_bad_row_refuses_the_block(self, rng, case):
+        q = rng.dirichlet(np.ones(255), size=5)
+        q[3] = {"nan": np.where(np.arange(255) == 0, np.nan, q[3]),
+                "negative": np.where(np.arange(255) == 0, -0.01, q[3]),
+                "sum_over_one": q[3] * 1.01,
+                "sum_zero": q[3] * 0.0}[case]
+        with pytest.raises(InvalidInput):
+            quantize_dist(q)
 
     @pytest.mark.parametrize("case", ["nan", "negative", "entry_over_one",
                                       "sum_over_one", "sum_zero"])

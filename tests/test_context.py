@@ -172,6 +172,16 @@ class TestWindowBatch:
                 want, _ = asm.window(t, int(asm.window_start(t)))
                 np.testing.assert_array_equal(rows[band[b]], want)
 
+    @pytest.mark.parametrize("case", list(FORWARD_CONFIGS))
+    def test_window_start_one_target_equals_elementwise(self, case):
+        """One rule for a single node (the codec step) and for an array of
+        targets (window_block)."""
+        cfg = FORWARD_CONFIGS[case].ctx
+        seq = build(quantize(synth("gaussian_clusters", 300, seed=8), 5))
+        asm = ContextAssembler(seq, cfg)
+        every = asm.window_start(np.arange(len(seq)))
+        assert [asm.window_start(t) for t in range(len(seq))] == every.tolist()
+
     @pytest.mark.parametrize("case", ["residual+branch", "strict_level",
                                       "target_only", "default_size"])
     def test_band_counts_match_slot_mask(self, case):

@@ -95,6 +95,24 @@ class TestActivations:
         s = nn.sigmoid_np(x)
         assert (s > 0).all() and (s < 1).all()
 
+    def test_sigmoid_matches_masked_two_branch_form(self, rng):
+        """The one-pass form gives the bits of the form that evaluated each
+        sign's branch on its own entries only."""
+        def reference(x):
+            out = np.empty_like(x, dtype=np.float64)
+            pos = x >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+            ex = np.exp(x[~pos])
+            out[~pos] = ex / (1.0 + ex)
+            return out
+
+        x = np.concatenate(([0.0, -0.0, 800.0, -800.0, np.nan],
+                            rng.normal(scale=10, size=2000),
+                            rng.uniform(-40, 40, size=2000)))
+        np.testing.assert_array_equal(nn.sigmoid_np(x), reference(x))
+        grid = x[5:].reshape(40, 100)
+        np.testing.assert_array_equal(nn.sigmoid_np(grid), reference(grid))
+
 
 class TestGrad:
     def test_half_squared_norm(self, rng):
@@ -172,6 +190,24 @@ class TestGrad:
         scattered = np.zeros((5, 3))
         np.add.at(scattered, idx, w)
         np.testing.assert_array_equal(table.grad, before + scattered)
+
+    @pytest.mark.parametrize("key", [
+        2, -1, slice(1, None), slice(None, -1), slice(-3, None),
+        slice(0, 5, 2), (slice(1, 4), slice(None, 2)), (3, slice(1, None)),
+        np.int64(4), np.array([4, 0, 4, 2])],
+        ids=["int", "neg_int", "tail", "head", "last3", "step", "2d", "int_slice",
+             "np_int", "repeated_index_array"])
+    def test_getitem_backward_matches_add_at(self, rng, key):
+        """Indexing twice accumulates the gradient of each element as
+        np.add.at does, bit for bit."""
+        x = nn.Tensor(rng.normal(size=(6, 3)))
+        w1 = rng.normal(size=x.data[key].shape)
+        w2 = rng.normal(size=x.data[key].shape)
+        ((x[key] * w1).sum() + (x[key] * w2).sum()).backward()
+        want = np.zeros((6, 3))
+        np.add.at(want, key, w2)
+        np.add.at(want, key, w1)
+        np.testing.assert_array_equal(x.grad, want)
 
     def test_composite_matches_finite_differences(self, rng):
         """embedding -> attention -> mlp -> both heads, spot-checked by FD."""

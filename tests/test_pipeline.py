@@ -6,18 +6,41 @@ import pytest
 
 from conftest import FORWARD_CONFIGS
 import octpcc
-from octpcc.coder import Bitstream, HEADER_BYTES
+from octpcc.coder import (ArithmeticEncoder, Bitstream, HEADER_BYTES,
+                          quantize_dist)
+from octpcc.context import ContextAssembler
 from octpcc.errors import CorruptStream, InvalidInput, ModelMismatch
 from octpcc.geometry import RawPointCloud, quantize, synth
-from octpcc.model import ContextModel, ModelConfig, zero_head_layers
+from octpcc.model import ContextModel, KVCache, ModelConfig, zero_head_layers
 from octpcc.octree import build, reconstruct
-from octpcc.pipeline import decode, encode
+from octpcc.pipeline import ENCODE_BLOCK, decode, encode
 
 LOG2_255 = np.log2(255.0)
 
 
 def tiny_model(seed=3, **overrides):
     return ContextModel.create(ModelConfig.tiny(seed=seed, **overrides))
+
+
+def per_node_reference(pc, depth, model):
+    """(payload, tables, ideal bits, per-level bits) of an encoder that
+    codes each node as soon as it is predicted: predict, quantize_dist and
+    ArithmeticEncoder.encode, node by node."""
+    seq = build(quantize(pc, depth))
+    cache = KVCache(model.cfg, ContextAssembler(seq, model.cfg.ctx))
+    enc = ArithmeticEncoder()
+    tables, ideal, marks = [], 0.0, []
+    for i in range(len(seq)):
+        _, q, _ = model.predict(cache, i)
+        table = quantize_dist(q)
+        if seq.level[i] > len(marks):
+            marks.append(enc.bits_emitted)
+        sym = int(seq.occupancy[i])
+        enc.encode(table, sym - 1)
+        ideal += -np.log2(q[sym - 1])
+        tables.append(table)
+    payload = enc.finish()
+    return payload, tables, ideal, np.diff(marks + [len(payload) * 8]).tolist()
 
 
 class TestEncodeDecode:
@@ -101,6 +124,26 @@ class TestAgreement:
         for a, b in zip(enc_log, dec_log):
             np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("case", list(FORWARD_CONFIGS))
+    def test_block_encoder_matches_per_node_reference(self, case):
+        """Quantizing and coding in blocks changes nothing: same payload,
+        tables, ideal bits and per-level bits as coding node by node, on a
+        cloud of several blocks whose levels start inside a block."""
+        pc = synth("lidar_rings", 1500, seed=8)
+        model = ContextModel.create(replace(FORWARD_CONFIGS[case], seed=11))
+        seq = build(quantize(pc, 6))
+        assert len(seq) > 2 * ENCODE_BLOCK
+        assert (seq.level_offsets % ENCODE_BLOCK > 0).sum() >= 3
+        log = []
+        bs, report = encode(pc, 6, 6, model, table_log=log)
+        payload, tables, ideal, per_level = per_node_reference(pc, 6, model)
+        assert bs.payload == payload
+        assert len(log) == len(tables) == len(seq)
+        for a, b in zip(log, tables):
+            np.testing.assert_array_equal(a, b)
+        assert report.ideal_bits == ideal
+        assert report.per_level_bits == per_level
+
     def test_payload_within_ideal_bound(self):
         pc = synth("plane", 1000, seed=3)
         model = tiny_model(seed=2)
@@ -113,6 +156,14 @@ class TestAgreement:
         _, report = encode(pc, 5, 5, model)
         assert sum(report.per_level_bits) == report.payload_bits
         assert len(report.per_level_bits) == 5
+
+    def test_per_level_ideal_bits_sum_to_ideal(self):
+        pc = synth("lidar_rings", 1500, seed=8)
+        _, report = encode(pc, 6, 5, tiny_model())
+        assert len(report.per_level_ideal_bits) == 5
+        assert all(b > 0 for b in report.per_level_ideal_bits)
+        assert sum(report.per_level_ideal_bits) == pytest.approx(
+            report.ideal_bits, rel=1e-9)
 
 
 class TestFailureModes:
@@ -207,6 +258,8 @@ class TestFailureModes:
         text = report.to_text()
         for key in ("total_bits", "bpip", "per_level_bits", "ideal_bits"):
             assert f"{key} = " in text
+        keys = [line.split(" = ")[0] for line in text.splitlines()]
+        assert keys.index("per_level_ideal_bits") == keys.index("per_level_bits") + 1
 
 
 def test_every_export_resolves():
