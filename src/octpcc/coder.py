@@ -46,7 +46,7 @@ def quantize_dist(q: np.ndarray) -> np.ndarray:
     does not depend on the other rows.  InvalidInput unless every entry lies
     in [0, 1] and every row sums to 1.
     """
-    q = np.asarray(q, dtype=np.float64)
+    q = np.ascontiguousarray(q, dtype=np.float64)  # so that rows are views
     if q.shape[-1:] != (255,) or q.size == 0:
         raise InvalidInput("distribution must have 255 entries")
     if not 0.0 <= q.min() <= q.max() <= 1.0:  # also false for NaN
@@ -55,13 +55,11 @@ def quantize_dist(q: np.ndarray) -> np.ndarray:
     freq = np.floor(scaled)
     order = (freq - scaled).argsort(axis=-1, kind="stable")  # frac desc, index asc
     freq += 1.0
-    deficit = FREQ_TOTAL - np.add.reduce(freq, axis=-1, keepdims=True)
-    # One more to the first `deficit` classes in order.  A single row (the
-    # decoder's call) slices its order, which costs less than ranking it.
-    if q.ndim == 1:
-        freq[order[:int(deficit[0])]] += 1.0
-    else:
-        freq += order.argsort(axis=-1) < deficit
+    deficit = FREQ_TOTAL - np.add.reduce(freq, axis=-1)
+    # one more to each of the first `deficit` classes in each row's order
+    for row, row_order, d in zip(freq.reshape(-1, 255),
+                                 order.reshape(-1, 255), deficit.flat):
+        row[row_order[:int(d)]] += 1.0
     cum = np.zeros(q.shape[:-1] + (256,), dtype=np.int64)
     np.add.accumulate(freq, axis=-1, dtype=np.int64, out=cum[..., 1:])
     total = cum[..., -1]

@@ -151,16 +151,10 @@ class Tensor:
                       backward=back, op="swapaxes")
 
     def __getitem__(self, key):
-        basic = all(isinstance(k, (int, np.integer, slice))
-                    for k in (key if isinstance(key, tuple) else (key,)))
-
         def back(g):
             if self.grad is None:
                 self.grad = np.zeros_like(self.data)
-            if basic:  # ints and slices name each element at most once
-                self.grad[key] += g
-            else:  # an index array may repeat an element
-                np.add.at(self.grad, key, g)
+            np.add.at(self.grad, key, g)  # an index array may repeat an element
 
         return Tensor(self.data[key], parents=(self,), backward=back, op="slice")
 

@@ -117,7 +117,10 @@ class TestQuantizeDist:
         for row, table in zip(q, block):
             np.testing.assert_array_equal(table, quantize_dist(row))
             np.testing.assert_array_equal(table, quantize_row_reference(row))
-        mixed = np.stack([q[:2], q[-2:]])  # any leading shape
+        mixed = np.stack([q[:2], q[-2:]])  # any leading shape, any layout
+        for layout in (mixed, np.asfortranarray(mixed), mixed[::-1, ::-1]):
+            np.testing.assert_array_equal(
+                quantize_dist(layout), quantize_dist(layout.copy()))
         np.testing.assert_array_equal(
             quantize_dist(mixed), np.stack([block[:2], block[-2:]]))
 
