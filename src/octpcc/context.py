@@ -7,10 +7,11 @@ occupancy zeroed out (it is exactly what is being predicted, unknown at
 decode time).  Slots that would refer to nodes before the start of the
 stream are masked.
 
-GrowingContext is the one window table.  The codec walk fills it level by
-level as symbols are coded, on both sides; ContextAssembler fills it from a
-whole sequence through the same add_node/set_occupancy calls, in the same
-order, for the trainer and analysis.  Every feature visible in window i is a
+GrowingContext is the one window table; it grows a level at a time.  The
+codec walk adds a level once the level above is coded and sets each
+occupancy as its node is coded, on both sides; ContextAssembler adds a whole
+sequence's levels the same way, setting each level's occupancies at once,
+for the trainer and analysis.  Every feature visible in window i is a
 function of nodes decoded strictly before i (plus the target's ancestors,
 which are decoded before any node of the target's level), so the decoder
 rebuilds the identical window.
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput
-from .octree import ROOT_PARENT, NodeSequence
+from .octree import NodeSequence
 
 PAD = 0  # padding value for occupancy / level / octant
 
@@ -55,37 +56,30 @@ class ContextConfig:
 class GrowingContext:
     """Per-node ancestor chains, appended in breadth-first order.
 
-    Nodes are appended as soon as their level/octant/parent are known (when
-    the parent's occupancy is decoded); each node's own occupancy is filled
-    in once it is decoded.
+    A level's nodes are appended together once their parents' occupancies
+    are known (when the level above is coded); each node's own occupancy is
+    filled in once it is coded.
     """
 
     def __init__(self, cfg: ContextConfig):
         self.cfg = cfg
-        self._cap = 1024
-        k = cfg.k_ancestors
-        self.chains = np.zeros((self._cap, k + 1, 3), dtype=np.int32)
-        self.level_start = np.zeros(self._cap, dtype=np.int64)
+        self.chains = np.zeros((0, cfg.k_ancestors + 1, 3), dtype=np.int32)
+        self.level_start = np.zeros(0, dtype=np.int64)
         self.count = 0
-        self._cur_level = 0
-        self._cur_level_start = 0
 
-    def add_node(self, level: int, octant: int, parent: int) -> int:
-        if self.count == self._cap:
-            self._cap *= 2
-            self.chains = np.resize(self.chains, (self._cap,) + self.chains.shape[1:])
-            self.level_start = np.resize(self.level_start, self._cap)
-        i = self.count
-        if level != self._cur_level:
-            self._cur_level = level
-            self._cur_level_start = i
-        k = self.cfg.k_ancestors
-        if parent != ROOT_PARENT and k:
-            self.chains[i, 1:] = self.chains[parent, :k]
-        self.chains[i, 0] = (PAD, level, octant)
-        self.level_start[i] = self._cur_level_start
-        self.count += 1
-        return i
+    def add_node(self, level: int, parent, octant) -> None:
+        """Append one level's nodes, node j under stream node parent[j] at
+        octant[j]; its ancestors are the parent's chain but the last (PAD
+        on the root level)."""
+        rows = np.zeros((len(octant),) + self.chains.shape[1:], dtype=np.int32)
+        if level > 1:
+            rows[:, 1:] = self.chains[parent, :-1]
+        rows[:, 0, 1] = level
+        rows[:, 0, 2] = octant
+        self.level_start = np.concatenate(
+            (self.level_start, np.full(len(rows), self.count)))
+        self.chains = np.concatenate((self.chains, rows))
+        self.count = len(self.chains)
 
     def set_occupancy(self, i: int, occ: int) -> None:
         self.chains[i, 0, 0] = occ
@@ -137,7 +131,7 @@ class ContextAssembler(GrowingContext):
 
     def __init__(self, seq: NodeSequence, cfg: ContextConfig):
         super().__init__(cfg)
-        for level, octant, parent, occ in zip(
-                seq.level.tolist(), seq.octant.tolist(), seq.parent.tolist(),
-                seq.occupancy.tolist()):
-            self.set_occupancy(self.add_node(level, octant, parent), occ)
+        for level in range(1, seq.levels_present + 1):
+            nodes = seq.level_slice(level)
+            self.add_node(level, seq.parent[nodes], seq.octant[nodes])
+            self.chains[nodes, 0, 0] = seq.occupancy[nodes]

@@ -356,15 +356,18 @@ class ParamStore:
                 for name, value in self._params.items()}
 
 
-def adam_step(params: ParamStore, grads: dict, lr: float,
-              betas=(0.9, 0.999), eps: float = 1e-8) -> None:
+ADAM_BETAS = (0.9, 0.999)  # decay rates of the first and second moments
+ADAM_EPS = 1e-8
+
+
+def adam_step(params: ParamStore, grads: dict, lr: float) -> None:
     """One Adam update (with bias correction) for every named gradient.
 
     Every gradient is checked before any parameter or Adam state changes:
     InvalidInput for an unknown name or a wrong shape, NumericalError for a
     NaN or inf.
     """
-    b1, b2 = betas
+    b1, b2 = ADAM_BETAS
     grads = {name: np.asarray(g, dtype=np.float64) for name, g in grads.items()}
     for name, g in grads.items():
         if name not in params._params:
@@ -389,7 +392,7 @@ def adam_step(params: ParamStore, grads: dict, lr: float,
         v += (1 - b2) * g * g
         m_hat = m / (1 - b1 ** t)
         v_hat = v / (1 - b2 ** t)
-        params._params[name] = _f32_exact(p - lr * m_hat / (np.sqrt(v_hat) + eps))
+        params._params[name] = _f32_exact(p - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,9 @@ buffers ENCODE_BLOCK distributions, then quantizes the block in one call and
 codes its symbols in node order.  `quantize_dist` treats each row on its
 own, so the decoder sees bit-identical frequency tables.  Model weights
 travel out of band (checkpoint file); the bitstream carries a digest so a
-mismatched model is rejected, and a header the model cannot decode is
-refused as corrupt, before any symbol is read.
+mismatched model is rejected, and a header the model cannot decode, or
+whose node count the payload cannot hold, is refused as corrupt before any
+symbol is read.
 """
 
 from __future__ import annotations
@@ -22,14 +23,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coder import (MAX_BITS_PAST_END, ArithmeticDecoder, ArithmeticEncoder,
-                    Bitstream, BitstreamHeader, FLAG_BRANCH, FLAG_RESIDUAL,
-                    HEADER_BYTES, quantize_dist)
+from .coder import (FREQ_TOTAL, MAX_BITS_PAST_END, ArithmeticDecoder,
+                    ArithmeticEncoder, Bitstream, BitstreamHeader, FLAG_BRANCH,
+                    FLAG_RESIDUAL, HEADER_BYTES, quantize_dist)
 from .context import GrowingContext
 from .errors import CorruptStream, InvalidInput, ModelMismatch
 from .geometry import MAX_DEPTH, QuantizedPointCloud, RawPointCloud, quantize
 from .model import ContextModel, KVCache
 from .octree import ROOT_PARENT, NodeSequence, build, children, reconstruct
+
+# Each class keeps a frequency >= 1, so the likeliest gets at most
+# FREQ_TOTAL - 254 and a node costs >= 0.0056 bits: 178.5 nodes a payload bit.
+MAX_NODES_PER_BIT = 1 / np.log2(FREQ_TOTAL / (FREQ_TOTAL - 254))
 
 # Nodes the encoder quantizes and codes together.  A fixed block bounds the
 # (block, 255) temporaries: a whole cloud's would reach megabytes each.
@@ -95,8 +100,7 @@ def _walk(model: ContextModel, depth: int, coded_levels: int, node_limit: int,
             raise CorruptStream(
                 f"level {lvl - 1}, node {parent[node_limit - first]}: decoded "
                 f"tree exceeds the declared node count {node_limit}")
-        for p, o in zip(parent.tolist(), octant.tolist()):
-            ctx.add_node(level=lvl, octant=o, parent=p)
+        ctx.add_node(lvl, parent, octant)
         occ = np.empty(len(parent), dtype=np.int32)
         for i in range(first, ctx.count):
             _, q, _ = model.predict(cache, i)
@@ -183,9 +187,11 @@ def decode(bs: Bitstream, model: ContextModel,
             f"header declares depth {header.depth} with {header.coded_levels} "
             f"coded levels; the codec needs 1 <= coded levels <= depth <= "
             f"{MAX_DEPTH}")
-    if header.node_count < 1:
-        raise CorruptStream("header declares 0 nodes; a coded tree has at "
-                            "least its root")
+    most = int((8 * len(bs.payload) + MAX_BITS_PAST_END) * MAX_NODES_PER_BIT)
+    if not 1 <= header.node_count <= most:
+        raise CorruptStream(
+            f"header declares {header.node_count} nodes; a coded tree has at "
+            f"least its root, and a {len(bs.payload)}-byte payload at most {most}")
     if header.flags != _model_flags(model):
         raise CorruptStream(f"header flags {header.flags:#x} disagree with the "
                             f"model's {_model_flags(model):#x}")

@@ -231,24 +231,59 @@ class TestWindowBatch:
             asm.window_block(2, 2)
 
 
+def per_node_table(seq, k):
+    """(chains, level_start) of a builder that appends one node at a time:
+    a node's ancestors are its parent's first k chain rows (the root's stay
+    PAD), and a level starts at the first node whose level differs from the
+    node before it."""
+    chains = np.zeros((len(seq), k + 1, 3), dtype=np.int32)
+    level_start = np.zeros(len(seq), dtype=np.int64)
+    cur_level, cur_start = 0, 0
+    for i, (level, octant, parent, occ) in enumerate(zip(
+            seq.level.tolist(), seq.octant.tolist(), seq.parent.tolist(),
+            seq.occupancy.tolist())):
+        if level != cur_level:
+            cur_level, cur_start = level, i
+        if parent != ROOT_PARENT and k:
+            chains[i, 1:] = chains[parent, :k]
+        chains[i, 0] = (occ, level, octant)
+        level_start[i] = cur_start
+    return chains, level_start
+
+
 class TestGrowingContext:
     def test_matches_static_assembler(self):
-        """Decoder-side incremental windows are bit-identical to encode-side."""
+        """Decoder-side windows, with the table grown a level at a time and
+        each occupancy set once its node is coded, are bit-identical to
+        encode-side."""
         qpc = quantize(synth("lidar_rings", 500, seed=5), 5)
         seq = build(qpc)
         for cfg in (ContextConfig(n_window=6, k_ancestors=2),
                     ContextConfig(n_window=6, k_ancestors=2, strict_level=True)):
             asm = ContextAssembler(seq, cfg)
             grow = GrowingContext(cfg)
-            grow.add_node(1, 0, ROOT_PARENT)
-            next_node = 1
-            for i in range(len(seq)):
-                for a, g in zip(asm.window_block(i, i + 1),
-                                grow.window_block(i, i + 1)):
-                    np.testing.assert_array_equal(a, g)
-                grow.set_occupancy(i, int(seq.occupancy[i]))
-                # children become known once their parent's byte is decoded
-                while next_node < len(seq) and seq.parent[next_node] == i:
-                    grow.add_node(int(seq.level[next_node]),
-                                  int(seq.octant[next_node]), i)
-                    next_node += 1
+            for level in range(1, seq.levels_present + 1):
+                nodes = seq.level_slice(level)
+                grow.add_node(level, seq.parent[nodes], seq.octant[nodes])
+                assert grow.count == nodes.stop
+                for i in range(nodes.start, nodes.stop):
+                    for a, g in zip(asm.window_block(i, i + 1),
+                                    grow.window_block(i, i + 1)):
+                        np.testing.assert_array_equal(a, g)
+                    grow.set_occupancy(i, int(seq.occupancy[i]))
+
+    @pytest.mark.parametrize("strict_level", [False, True])
+    @pytest.mark.parametrize("k", [0, 2, 4])
+    def test_table_matches_per_node_builder(self, k, strict_level):
+        """The level-at-a-time table equals one built node by node, over
+        the 3,503 nodes of lidar_rings at depth 7."""
+        seq = build(quantize(synth("lidar_rings", 20000, seed=1), 7))
+        assert len(seq) == 3503
+        asm = ContextAssembler(seq, ContextConfig(
+            n_window=64, k_ancestors=k, strict_level=strict_level))
+        chains, level_start = per_node_table(seq, k)
+        assert asm.count == len(seq)
+        assert asm.chains.dtype == chains.dtype
+        assert asm.level_start.dtype == level_start.dtype
+        np.testing.assert_array_equal(asm.chains, chains)
+        np.testing.assert_array_equal(asm.level_start, level_start)

@@ -11,7 +11,8 @@ DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 
 @pytest.mark.parametrize("name", ["01_voxelize_and_octree.py",
-                                  "02_lossless_roundtrip.py"])
+                                  "02_lossless_roundtrip.py",
+                                  "03_train_and_compress.py"])
 def test_demo_runs(tmp_path, name):
     proc = run_python([str(DEMOS / name)], cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr

@@ -14,7 +14,7 @@ from octpcc.model import (ANALYSIS_CHUNK, ContextModel, KVCache, ModelConfig,
                           TraceRecord, TrainSchedule, branch_param_names,
                           main_param_names, train, write_trace,
                           zero_head_layers)
-from octpcc.octree import build
+from octpcc.octree import ROOT_PARENT, build
 
 LOG2_255 = np.log2(255.0)
 
@@ -170,8 +170,8 @@ class TestForward:
     def test_cached_step_needs_nodes_in_order(self):
         model = tiny_model()
         cache = KVCache(model.cfg, GrowingContext(model.cfg.ctx))
-        for level, octant, parent in ((1, 0, -1), (2, 0, 0), (2, 3, 0)):
-            cache.ctx.add_node(level, octant, parent)
+        cache.ctx.add_node(1, np.array([ROOT_PARENT]), np.array([0]))
+        cache.ctx.add_node(2, np.array([0, 0]), np.array([0, 3]))
         model.predict(cache, 0)
         with pytest.raises(InvalidInput, match="not coded"):
             model.predict(cache, 1)  # node 0's occupancy is still unknown

@@ -272,15 +272,14 @@ class TestAdam:
 
     def test_constant_gradient_matches_scalar_recurrence(self):
         """Adam with constant g vs an independently coded recurrence."""
-        lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+        lr, (b1, b2), eps = 0.01, nn.ADAM_BETAS, nn.ADAM_EPS
         g = 0.37
         store = nn.ParamStore()
         store.add("w", np.array([1.0]))
         # independent scalar re-implementation
         w, m, v = np.float64(np.float32(1.0)), 0.0, 0.0
         for t in range(1, 26):
-            nn.adam_step(store, {"w": np.array([g])}, lr=lr, betas=(b1, b2),
-                         eps=eps)
+            nn.adam_step(store, {"w": np.array([g])}, lr=lr)
             m = b1 * m + (1 - b1) * g
             v = b2 * v + (1 - b2) * g * g
             mh = m / (1 - b1 ** t)

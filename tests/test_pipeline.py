@@ -6,14 +6,14 @@ import pytest
 
 from conftest import FORWARD_CONFIGS
 import octpcc
-from octpcc.coder import (ArithmeticEncoder, Bitstream, HEADER_BYTES,
-                          quantize_dist)
+from octpcc.coder import (MAX_BITS_PAST_END, ArithmeticEncoder, Bitstream,
+                          HEADER_BYTES, quantize_dist)
 from octpcc.context import ContextAssembler
 from octpcc.errors import CorruptStream, InvalidInput, ModelMismatch
 from octpcc.geometry import RawPointCloud, quantize, synth
 from octpcc.model import ContextModel, KVCache, ModelConfig, zero_head_layers
 from octpcc.octree import build, reconstruct
-from octpcc.pipeline import ENCODE_BLOCK, decode, encode
+from octpcc.pipeline import ENCODE_BLOCK, MAX_NODES_PER_BIT, decode, encode
 
 LOG2_255 = np.log2(255.0)
 
@@ -192,13 +192,15 @@ class TestFailureModes:
         assert hits > 0  # the count checks catch garbage trees
 
     def test_short_payload_stops_decoding(self):
-        """A payload cut to 4 bytes under an inflated node count fails once
-        the decoder has read more than 32 bits past the payload's end."""
+        """A payload cut to 4 bytes under an inflated node count that 4
+        bytes could still hold fails once the decoder has read more than 32
+        bits past the payload's end."""
         pc = synth("uniform", 300, seed=7)
         model = tiny_model(seed=1)
         bs, _ = encode(pc, 5, 5, model)
         assert len(bs.payload) > 4
-        bs.header.node_count *= 100
+        bs.header.node_count *= 10
+        assert bs.header.node_count <= (4 * 8 + MAX_BITS_PAST_END) * MAX_NODES_PER_BIT
         short = Bitstream(header=bs.header, payload=bs.payload[:4])
         with pytest.raises(CorruptStream,
                            match=r"^level \d+, node \d+: .* past the end"):
@@ -213,14 +215,28 @@ class TestFailureModes:
         ("scale", np.nan), ("scale", 0.0), ("scale", -1.0), ("scale", np.inf),
         ("origin", np.array([np.nan, 0.0, 0.0])),
         ("origin", np.array([0.0, -np.inf, 0.0])),
+        ("node_count", 2**40),  # more nodes than the payload's bits can code
     ])
     def test_header_the_model_cannot_decode_rejected(self, field, value):
         pc = synth("uniform", 100, seed=1)
         model = tiny_model(seed=1)
         bs, _ = encode(pc, 5, 5, model)
         setattr(bs.header, field, value)
-        with pytest.raises(CorruptStream, match="header"):
+        with pytest.raises(CorruptStream, match="^header"):
             decode(Bitstream.from_bytes(bs.to_bytes()), model)
+
+    def test_most_compressible_stream_decodes(self):
+        """Every node of a full cube coded at the largest frequency a table
+        can give (FREQ_TOTAL - 254) fits the payload's node-count bound."""
+        side = np.arange(32)
+        pc = RawPointCloud(np.stack(np.meshgrid(side, side, side),
+                                    axis=-1).reshape(-1, 3).astype(float))
+        model = zero_head_layers(tiny_model())
+        model.params["main.b2"][254] = 60.0  # q(occupancy 255) ~ 1 - 1e-6
+        bs, report = encode(pc, 5, 5, model)
+        assert report.node_count == sum(8 ** lvl for lvl in range(5))
+        assert report.payload_bits < report.node_count / MAX_NODES_PER_BIT + 16
+        assert decode(bs.to_bytes(), model).same_voxels(quantize(pc, 5))
 
     @pytest.mark.parametrize("field,change", [
         ("node_count", "one"), ("node_count", "half"),
