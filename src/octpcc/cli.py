@@ -10,14 +10,11 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from . import metrics, pipeline
 from .context import ContextConfig
-from .errors import (ConfigError, CorruptStream, InvalidInput, ModelMismatch,
-                     OctpccError, ParseError)
-from .geometry import (QuantizedPointCloud, SYNTH_KINDS, dequantize, quantize,
-                       read_ply, synth, write_ply)
+from .errors import ConfigError, CorruptStream, ModelMismatch, OctpccError
+from .geometry import (SYNTH_KINDS, dequantize, quantize, read_ply, synth,
+                       voxelize, write_ply)
 from .coder import HEADER_BYTES, Bitstream
 from .model import (ContextModel, ModelConfig, TrainSchedule, train,
                     write_trace)
@@ -143,10 +140,7 @@ def cmd_eval(args) -> int:
         origin, scale = qa.origin, qa.scale
         total_bits = None
         points = len(original)
-    voxels = np.floor((decoded.points - origin) / scale + 0.5).astype(np.int64)
-    np.clip(voxels, 0, (1 << args.depth) - 1, out=voxels)
-    qd = QuantizedPointCloud(depth=args.depth, voxels=voxels, origin=origin,
-                             scale=scale)
+    qd = voxelize(decoded, args.depth, origin, scale)
     cd = metrics.chamfer(qa, qd)
     psnr = metrics.d1_psnr(qa, qd)
     if total_bits is not None:
@@ -241,7 +235,7 @@ def main(argv=None) -> int:
     except CorruptStream as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CORRUPT
-    except (InvalidInput, ParseError, FileNotFoundError, OctpccError) as exc:
+    except (OctpccError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -99,10 +99,16 @@ def quantize(pc: RawPointCloud, depth: int) -> QuantizedPointCloud:
     pts = pc.points
     origin = pts.min(axis=0)
     extent = float((pts.max(axis=0) - origin).max())
+    scale = extent / ((1 << depth) - 1) if extent > 0 else 1.0
+    return voxelize(pc, depth, origin, scale)
+
+
+def voxelize(pc: RawPointCloud, depth: int, origin, scale) -> QuantizedPointCloud:
+    """The voxels of `pc` on the grid [0, 2**depth)^3 of the frame (origin,
+    scale): each point rounds half away from zero on (p - origin) / scale and
+    is clipped into the grid; duplicates collapse."""
     side = (1 << depth) - 1
-    scale = extent / side if extent > 0 else 1.0
-    scaled = (pts - origin) / scale
-    voxels = np.floor(scaled + 0.5).astype(np.int64)  # half away from zero (coords >= 0)
+    voxels = np.floor((pc.points - origin) / scale + 0.5).astype(np.int64)
     np.clip(voxels, 0, side, out=voxels)
     return QuantizedPointCloud(depth=depth, voxels=voxels, origin=origin,
                                scale=scale, source_id=pc.source_id)
@@ -200,56 +206,42 @@ def read_ply(path) -> RawPointCloud:
     with open(path, "rb") as f:
         fmt, elements = _parse_ply_header(f)
         body = f.read()
-    vertex = next((e for e in elements if e["name"] == "vertex"), None)
-    if vertex is None:
+    at = next((i for i, e in enumerate(elements) if e["name"] == "vertex"), None)
+    if at is None:
         raise ParseError("PLY has no vertex element")
+    vertex, before = elements[at], elements[:at]
     names = [p[0] for p in vertex["props"]]
     if any(p[1] is None for p in vertex["props"]):
         raise ParseError("list property in vertex element is unsupported")
     for axis in ("x", "y", "z"):
         if axis not in names:
             raise ParseError(f"vertex element lacks property {axis!r}")
+    count = vertex["count"]
 
     if fmt == "ascii":
         tokens = body.split()
         pos = 0
-        pts = None
-        for elem in elements:
-            if elem["name"] == "vertex":
-                want = len(elem["props"])
-                count = elem["count"]
-                need = want * count
-                if pos + need > len(tokens):
-                    raise ParseError("ASCII PLY body shorter than declared")
-                try:
-                    block = np.array(tokens[pos:pos + need], dtype=np.float64)
-                except ValueError:
-                    raise ParseError("ASCII PLY vertex value is not a number") from None
-                block = block.reshape(count, want)
-                cols = [names.index(a) for a in ("x", "y", "z")]
-                pts = block[:, cols]
-                break
+        for elem in before:
             pos = _skip_ascii_element(tokens, pos, elem)
-        if pts is None:
-            raise ParseError("vertex element not found in body")
+        need = len(names) * count
+        if pos + need > len(tokens):
+            raise ParseError("ASCII PLY body shorter than declared")
+        try:
+            block = np.array(tokens[pos:pos + need], dtype=np.float64)
+        except ValueError:
+            raise ParseError("ASCII PLY vertex value is not a number") from None
+        pts = block.reshape(count, len(names))[:, [names.index(a) for a in "xyz"]]
     else:
-        offset = 0
-        pts = None
-        for elem in elements:
-            if elem["name"] == "vertex":
-                dt = np.dtype([(nm, "<" + code) for nm, code in elem["props"]])
-                need = dt.itemsize * elem["count"]
-                if offset + need > len(body):
-                    raise ParseError("binary PLY body shorter than declared")
-                rec = np.frombuffer(body, dtype=dt, count=elem["count"], offset=offset)
-                pts = np.column_stack([rec["x"], rec["y"], rec["z"]]).astype(np.float64)
-                break
-            if any(code is None for _, code in elem["props"]):
-                raise ParseError("cannot skip binary list properties before vertex element")
-            stride = sum(np.dtype(code).itemsize for _, code in elem["props"])
-            offset += stride * elem["count"]
-        if pts is None:
-            raise ParseError("vertex element not found in body")
+        if any(code is None for elem in before for _, code in elem["props"]):
+            raise ParseError("cannot skip binary list properties before vertex element")
+        offset = sum(elem["count"] * sum(np.dtype(code).itemsize
+                                         for _, code in elem["props"])
+                     for elem in before)
+        dt = np.dtype([(nm, "<" + code) for nm, code in vertex["props"]])
+        if offset + dt.itemsize * count > len(body):
+            raise ParseError("binary PLY body shorter than declared")
+        rec = np.frombuffer(body, dtype=dt, count=count, offset=offset)
+        pts = np.column_stack([rec["x"], rec["y"], rec["z"]]).astype(np.float64)
 
     return RawPointCloud(pts, source_id=str(path))
 

@@ -8,8 +8,10 @@ form "b7...b0" is MSB first, so '11111110' = 254 = octant 0 empty.
 
 Nodes are serialized level by level; within a level, children of earlier
 parents precede children of later parents and siblings appear in ascending
-octant order.  That ordering equals sorting by the interleaved (x, y, z)
-bit key built below, which is what lets construction stay vectorized.
+octant order.  `children` is the one statement of that order: `build` reads
+each level's occupancy bytes off the sorted interleaved (x, y, z) bit key
+and takes every parent and octant from `children`, as the codec walk does,
+and `reconstruct` grows the occupied cells through it.
 """
 
 from __future__ import annotations
@@ -94,22 +96,17 @@ def build(qpc: QuantizedPointCloud) -> NodeSequence:
     depth = qpc.depth
     keys = np.sort(_interleave(qpc.voxels, depth))
     levels = []
-    parent = np.full(1, ROOT_PARENT)
-    octant = np.zeros(1, dtype=np.int32)
-    above = 0  # stream index of the first node of the level above
+    parent, octant = np.full(1, ROOT_PARENT), np.zeros(1, dtype=np.int64)
+    first = 0  # stream index of the level's first node
     for lvl in range(1, depth + 1):
         prefix = keys >> np.uint64(3 * (depth - lvl + 1))
         digit = (keys >> np.uint64(3 * (depth - lvl))) & np.uint64(7)
         starts = np.flatnonzero(np.r_[True, prefix[1:] != prefix[:-1]])
-        node_prefix = prefix[starts]
-        if lvl > 1:
-            parent = above + np.searchsorted(prev_prefixes,
-                                             node_prefix >> np.uint64(3))
-            octant = (node_prefix & np.uint64(7)).astype(np.int32)
-            above += len(prev_prefixes)
-        occ = np.bitwise_or.reduceat(np.uint64(1) << digit, starts)
+        occ = np.bitwise_or.reduceat(np.uint64(1) << digit, starts).astype(np.int64)
         levels.append((occ, parent, octant))
-        prev_prefixes = node_prefix
+        parent, octant = children(occ)
+        parent += first
+        first += len(occ)
     return NodeSequence.from_levels(depth, levels)
 
 
@@ -117,21 +114,21 @@ _OCT_OFFSETS = np.array([[(j >> 2) & 1, (j >> 1) & 1, j & 1] for j in range(8)],
                         dtype=np.int64)
 
 
-def node_cells(seq: NodeSequence, levels: int) -> np.ndarray:
-    """Cube coordinates (at resolution 2**(levels-1)) of the level-`levels` nodes."""
-    cells = np.zeros((1, 3), dtype=np.int64)
-    for lvl in range(2, levels + 1):
-        sl = seq.level_slice(lvl)
-        offset = int(seq.level_offsets[lvl - 2])
-        cells = cells[seq.parent[sl] - offset] * 2 + _OCT_OFFSETS[seq.octant[sl]]
-    return cells
-
-
 def children(occ: np.ndarray):
     """(parent, octant) of the nodes that occupancy bytes `occ` imply on the
     next level, in stream order: parents in order, each one's octants
     ascending.  `parent` indexes `occ`."""
     return np.nonzero((occ[:, None] >> np.arange(8)) & 1)
+
+
+def occupied_cells(seq: NodeSequence, levels: int) -> np.ndarray:
+    """Cube coordinates (at resolution 2**levels) of the cells that the
+    occupancy bytes of levels 1..`levels` mark occupied, in stream order."""
+    cells = np.zeros((1, 3), dtype=np.int64)
+    for lvl in range(1, levels + 1):
+        parent, octant = children(seq.occupancy[seq.level_slice(lvl)])
+        cells = cells[parent] * 2 + _OCT_OFFSETS[octant]
+    return cells
 
 
 def reconstruct(seq: NodeSequence, levels: int) -> np.ndarray:
@@ -143,8 +140,5 @@ def reconstruct(seq: NodeSequence, levels: int) -> np.ndarray:
     """
     if not (1 <= levels <= seq.levels_present):
         raise InvalidInput(f"levels must be in [1, {seq.levels_present}]")
-    cells = node_cells(seq, levels)
-    sl = seq.level_slice(levels)
-    parent, octant = children(seq.occupancy[sl])
     side = 1 << (seq.depth - levels)
-    return (cells[parent] * 2 + _OCT_OFFSETS[octant]) * side + side // 2
+    return occupied_cells(seq, levels) * side + side // 2

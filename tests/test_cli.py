@@ -254,6 +254,39 @@ class TestCodecCommands:
         out = capsys.readouterr().out
         assert "lossless = False" in out
 
+    def test_eval_without_bitstream_uses_the_original_frame(self, workspace,
+                                                            capsys):
+        """Without --bitstream, eval voxelizes the decoded cloud in the
+        original's own frame, which is the frame the encoder wrote, so the
+        distortion lines equal those read with the header's frame."""
+        tmp_path, ply, ckpt = workspace
+        bs, dec = tmp_path / "trunc.bin", tmp_path / "trunc.ply"
+        run("encode", "--input", str(ply), "--checkpoint", str(ckpt),
+            "--depth", "4", "--levels", "3", "--out", str(bs))
+        run("decode", "--bitstream", str(bs), "--checkpoint", str(ckpt),
+            "--out", str(dec))
+        argv = ["eval", "--original", str(ply), "--decoded", str(dec),
+                "--depth", "4"]
+        capsys.readouterr()
+        assert run(*argv, "--bitstream", str(bs)) == 0
+        with_header = capsys.readouterr().out.splitlines()
+        assert run(*argv) == 0
+        without = capsys.readouterr().out.splitlines()
+        assert with_header[0].startswith("bpip = ")
+        assert without == with_header[1:]
+        assert "lossless = False" in without
+
+    @pytest.mark.parametrize("flag", ["--input", "--checkpoint", "--out"])
+    def test_path_that_is_a_directory_is_a_data_error(self, workspace, capsys,
+                                                      flag):
+        tmp_path, ply, ckpt = workspace
+        paths = {"--input": str(ply), "--checkpoint": str(ckpt),
+                 "--out": str(tmp_path / "x.bin"), flag: str(tmp_path)}
+        capsys.readouterr()
+        assert run("encode", "--depth", "4",
+                   *(item for pair in paths.items() for item in pair)) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestAnalyze:
     def test_prints_stats_for_multiple_checkpoints(self, workspace, capsys):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from octpcc.errors import InvalidInput, ParseError
+from octpcc.errors import InvalidInput, OctpccError, ParseError
 from octpcc.geometry import (QuantizedPointCloud, RawPointCloud, dequantize,
                              quantize, read_ply, synth, write_ply)
 
@@ -164,6 +165,37 @@ class TestPly:
         path.write_text(text)
         assert len(read_ply(path)) == 2
 
+    @pytest.mark.parametrize("blob", [
+        # a binary scalar element before the vertices, skipped by its stride
+        b"ply\nformat binary_little_endian 1.0\nelement camera 2\n"
+        b"property float f\nproperty uchar flag\nelement vertex 2\n"
+        b"property double x\nproperty double y\nproperty double z\n"
+        b"end_header\n"
+        + np.array([(9.5, 7), (8.5, 6)], dtype="<f4,u1").tobytes()
+        + np.array([1, 2, 3, 4, 5, 6], dtype="<f8").tobytes(),
+        # an ASCII scalar-only element before the vertices
+        b"ply\nformat ascii 1.0\nelement camera 2\nproperty float a\n"
+        b"property float b\nelement vertex 2\nproperty float x\n"
+        b"property float y\nproperty float z\nend_header\n"
+        b"9 9\n8 8\n1 2 3\n4 5 6\n",
+        # an ASCII list element before the vertices, one list empty
+        b"ply\nformat ascii 1.0\nelement face 2\n"
+        b"property list uchar int vertex_indices\nproperty uchar flag\n"
+        b"element vertex 2\nproperty float x\nproperty float y\n"
+        b"property float z\nend_header\n3 0 1 1 7\n0 5\n1 2 3\n4 5 6\n",
+        # comment and obj_info lines anywhere in the header
+        b"ply\nformat ascii 1.0\ncomment written by hand\n"
+        b"obj_info scanner 3\nelement vertex 2\ncomment between\n"
+        b"property float x\nproperty float y\nproperty float z\n"
+        b"end_header\n1 2 3\n4 5 6\n",
+    ], ids=["binary_scalar_element_first", "ascii_scalar_element_first",
+            "ascii_list_element_first", "comment_and_obj_info"])
+    def test_reads_vertices_after_other_elements(self, tmp_path, blob):
+        path = tmp_path / "mixed.ply"
+        path.write_bytes(blob)
+        np.testing.assert_array_equal(read_ply(path).points,
+                                      [[1, 2, 3], [4, 5, 6]])
+
     def test_malformed_header(self, tmp_path):
         path = tmp_path / "bad.ply"
         path.write_bytes(b"not a ply\n")
@@ -208,12 +240,136 @@ class TestPly:
         b"ply\nformat binary_little_endian 1.0\nelement vertex -1\n"
         b"property float x\nproperty float y\nproperty float z\n"
         b"end_header\n" + bytes(24),
+        # a binary list property before the vertices has no fixed stride
+        b"ply\nformat binary_little_endian 1.0\nelement face 1\n"
+        b"property list uchar int vertex_indices\nelement vertex 1\n"
+        b"property float x\nproperty float y\nproperty float z\n"
+        b"end_header\n" + bytes(1) + bytes(12),
+        # a binary body one byte short of its vertices
+        b"ply\nformat binary_little_endian 1.0\nelement vertex 2\n"
+        b"property float x\nproperty float y\nproperty float z\n"
+        b"end_header\n" + bytes(23),
     ], ids=["ascii_non_number", "list_count_not_integer", "list_count_negative",
             "property_without_name", "list_property_without_name",
             "binary_repeated_property", "ascii_repeated_property",
-            "negative_element_count"])
+            "negative_element_count", "binary_list_before_vertex",
+            "binary_body_short"])
     def test_malformed_body_or_header(self, tmp_path, blob):
         path = tmp_path / "bad.ply"
         path.write_bytes(blob)
         with pytest.raises(ParseError):
             read_ply(path)
+
+
+# PLY scalar type names and their little-endian numpy codes.
+PLY_TYPES = {"char": "i1", "int8": "i1", "uchar": "u1", "uint8": "u1",
+             "short": "i2", "int16": "i2", "ushort": "u2", "uint16": "u2",
+             "int": "i4", "int32": "i4", "uint": "u4", "uint32": "u4",
+             "float": "f4", "float32": "f4", "double": "f8", "float64": "f8"}
+# Header lines that no PLY reader accepts; none of them reshapes the body.
+JUNK_HEADER_LINES = ["foo bar", "element", "element vertex", "element v x",
+                     "element face 1 2", "property float", "property list uchar",
+                     "format", "format binary_big_endian 1.0", "end_header x"]
+# Tokens that neither parse as a number nor as a list count.
+JUNK_TOKENS = ["abc", "1e", "+-1", "..", "0x1f", "1,5"]
+
+
+@st.composite
+def ply_files(draw):
+    """(file bytes, written x/y/z, whether the file is left intact): a vertex
+    element between other elements of scalar and list properties, in either
+    encoding, then possibly cut short or given a junk token or header line."""
+    binary = draw(st.booleans())
+    small = st.integers(0, 100)
+
+    def value(code):  # None marks a list property
+        if code is None:
+            return draw(st.lists(small, max_size=3))
+        v = draw(small)
+        return v / 4 if code[0] == "f" else v  # exact in every float type
+
+    def element(name, count, props):
+        return name, props, [[value(code) for _, code in props]
+                             for _ in range(count)]
+
+    def other(name):
+        props = [(f"p{i}", PLY_TYPES.get(draw(st.sampled_from([None, *PLY_TYPES]))))
+                 for i in range(draw(st.integers(0, 3)))]
+        return element(name, draw(st.integers(0, 3)), props)
+
+    names = draw(st.permutations(["x", "y", "z", *draw(
+        st.lists(st.sampled_from(["red", "nx"]), unique=True))]))
+    vtypes = [draw(st.sampled_from(sorted(PLY_TYPES))) for _ in names]
+    vertex = element("vertex", draw(st.integers(1, 4)),
+                     [(n, PLY_TYPES[t]) for n, t in zip(names, vtypes)])
+    before = [other(f"e{i}") for i in range(draw(st.integers(0, 2)))]
+    after = [other(f"f{i}") for i in range(draw(st.integers(0, 2)))]
+    elements = before + [vertex] + after
+    type_of = {code: name for name, code in PLY_TYPES.items()}
+    header = ["ply", "format " + ("binary_little_endian" if binary else "ascii")
+              + " 1.0"]
+    for name, props, rows in elements:
+        header.append(f"element {name} {len(rows)}")
+        for pname, code in props:
+            header.append(f"property list uchar int {pname}" if code is None
+                          else f"property {type_of[code]} {pname}")
+    header.append("end_header")
+    chunks = []
+    for _, props, rows in elements:
+        for row in rows:
+            for (_, code), value in zip(props, row):
+                if code is None:
+                    chunks.append((np.array([len(value)], "u1"),
+                                   np.array(value, "<i4")) if binary
+                                  else [str(len(value)), *map(str, value)])
+                else:
+                    chunks.append((np.array([value], "<" + code),) if binary
+                                  else [str(value)])
+    if binary:
+        body = b"".join(a.tobytes() for chunk in chunks for a in chunk)
+    else:
+        tokens = [t for chunk in chunks for t in chunk]
+    _, _, rows = vertex
+    written = np.array([[row[names.index(a)] for a in "xyz"] for row in rows],
+                       dtype=np.float64)
+    mutation = draw(st.sampled_from(["none", "truncate", "junk_header"]
+                                    + ([] if binary else ["junk_token"])))
+    if mutation == "truncate":
+        if binary:
+            body = body[:draw(st.integers(0, len(body) - 1))]
+        else:
+            tokens = tokens[:draw(st.integers(0, len(tokens) - 1))]
+    elif mutation == "junk_token":
+        tokens[draw(st.integers(0, len(tokens) - 1))] = draw(
+            st.sampled_from(JUNK_TOKENS))
+    elif mutation == "junk_header":
+        header.insert(draw(st.integers(1, len(header) - 1)),
+                      draw(st.sampled_from(JUNK_HEADER_LINES)))
+    if not binary:
+        body = (" ".join(tokens) + "\n").encode("ascii")
+    stride_known = not binary or all(code is not None for _, props, _ in before
+                                     for _, code in props)
+    intact = mutation == "none" and stride_known
+    return ("\n".join(header) + "\n").encode("ascii") + body, written, intact
+
+
+@pytest.fixture(scope="module")
+def ply_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("generated_ply")
+
+
+@settings(max_examples=150, deadline=1000, derandomize=True, database=None)
+@given(case=ply_files())
+def test_generated_ply_reads_its_points_or_fails_typed(ply_dir, case):
+    """A generated PLY reads back as the x, y, z written into it, or fails
+    with an OctpccError; an intact file whose vertices can be reached always
+    reads back."""
+    blob, written, intact = case
+    path = ply_dir / "case.ply"
+    path.write_bytes(blob)
+    try:
+        points = read_ply(path).points
+    except OctpccError:
+        assert not intact
+        return
+    np.testing.assert_array_equal(points, written)

@@ -4,7 +4,7 @@ import pytest
 from octpcc.errors import InvalidInput
 from octpcc.geometry import QuantizedPointCloud, quantize, synth
 from octpcc.octree import (ROOT_PARENT, NodeSequence, build, children,
-                           occupancy_code, reconstruct)
+                           occupancy_code, occupied_cells, reconstruct)
 
 from conftest import brute_force_level_occupancies
 
@@ -64,9 +64,8 @@ class TestBuild:
     def test_occupancies_match_set_oracle(self, rng):
         qpc = quantize(synth("sphere", 1500, seed=6), 5)
         seq = build(qpc)
-        from octpcc.octree import node_cells
         for lvl in (2, 4, 5):
-            cells = node_cells(seq, lvl)
+            cells = occupied_cells(seq, lvl - 1)
             sl = seq.level_slice(lvl)
             want = brute_force_level_occupancies(qpc.voxels, 5, lvl)
             got = {tuple(c): int(o) for c, o in zip(cells, seq.occupancy[sl])}
@@ -83,7 +82,10 @@ class TestBuild:
     def test_children_and_from_levels_reproduce_build(self, rng, depth):
         """Growing the tree from the root with `children` visits build's
         nodes in build's order (the encoder indexes build's occupancy by the
-        codec walk's node index), and from_levels reassembles the stream."""
+        codec walk's node index), and from_levels reassembles the stream.
+        build takes its parents and octants from `children`, so the first
+        half holds by construction; test_occupancies_match_set_oracle guards
+        that `children`'s order agrees with build's sort key."""
         voxels = np.unique(rng.integers(0, 1 << depth, size=(300, 3)), axis=0)
         seq = build(qpc_from_voxels(voxels, depth))
         parent, octant = [ROOT_PARENT], [0]
