@@ -10,7 +10,7 @@ from .metrics import (ClassFeatureBank, InterClassStats, bpip, chamfer,
                       collect_features, d1_psnr, interclass_stats)
 from .model import (ContextModel, ModelConfig, TrainSchedule, train,
                     zero_head_layers)
-from .octree import NodeSequence, build, occupancy_code, reconstruct
+from .octree import NodeSequence, build, reconstruct
 from .coder import Bitstream, quantize_dist
 from .pipeline import EncodeReport, decode, encode
 
@@ -24,7 +24,6 @@ __all__ = [
     "OctpccError", "ParseError", "QuantizedPointCloud",
     "RawPointCloud", "TrainSchedule", "bpip", "build", "chamfer",
     "collect_features", "d1_psnr", "decode", "dequantize", "encode",
-    "interclass_stats", "occupancy_code", "quantize", "quantize_dist",
-    "read_ply", "reconstruct", "synth", "train", "write_ply",
-    "zero_head_layers",
+    "interclass_stats", "quantize", "quantize_dist", "read_ply",
+    "reconstruct", "synth", "train", "write_ply", "zero_head_layers",
 ]

@@ -21,7 +21,6 @@ from .model import (ContextModel, ModelConfig, TrainSchedule, train,
 from .octree import build
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_MODEL = 4
 EXIT_CORRUPT = 5

@@ -31,9 +31,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput
+from .geometry import MAX_DEPTH
 from .octree import NodeSequence
 
 PAD = 0  # padding value for occupancy / level / octant
+# The nodes of a full depth-MAX_DEPTH octree: a wider window sees no more, and
+# every window bound fits in int64.
+_TREE_NODES = (8 ** MAX_DEPTH - 1) // 7
 
 
 @dataclass(frozen=True)
@@ -49,8 +53,9 @@ class ContextConfig:
     strict_level: bool = False
 
     def __post_init__(self):
-        if self.n_window < 1 or self.k_ancestors < 0:
-            raise InvalidInput("need n_window >= 1 and k_ancestors >= 0")
+        if not 1 <= self.n_window <= _TREE_NODES or self.k_ancestors < 0:
+            raise InvalidInput(f"need 1 <= n_window <= {_TREE_NODES} and "
+                               "k_ancestors >= 0")
 
 
 class GrowingContext:

@@ -241,7 +241,8 @@ def read_ply(path) -> RawPointCloud:
         if offset + dt.itemsize * count > len(body):
             raise ParseError("binary PLY body shorter than declared")
         rec = np.frombuffer(body, dtype=dt, count=count, offset=offset)
-        pts = np.column_stack([rec["x"], rec["y"], rec["z"]]).astype(np.float64)
+        with np.errstate(invalid="ignore"):  # a NaN axis: RawPointCloud refuses it
+            pts = np.column_stack([rec["x"], rec["y"], rec["z"]]).astype(np.float64)
 
     return RawPointCloud(pts, source_id=str(path))
 

@@ -333,18 +333,20 @@ class ContextModel:
         history nodes.  Each call embeds and projects, as one batch, the
         target's row and the history rows of the nodes coded since the last
         call (normally node i-1 alone, whose occupancy must be set by then),
-        so each node's history row is computed once.
+        so each node's history row is computed once.  Rows of nodes before
+        the window (strict_level drops earlier levels) are never computed.
         """
         ctx = cache.ctx
         if not (cache.next_node <= i < ctx.count):
             raise InvalidInput(f"node {i} is not the next node to predict")
         lo = ctx.window_start(i)
-        slots, _ = ctx.window(i, cache.advance(lo))
+        start = max(lo, cache.next_node)
+        slots, _ = ctx.window(i, start)
         if not slots[:-1, 0, 0].all():
             raise InvalidInput(f"a history node of node {i} is not coded yet")
         x = self._embed(slots)
         k, v = self._project_kv(x)
-        rows = cache.rows(lo, k, v)
+        rows = cache.rows(lo, start, k, v)
         wc = self._attend_core(x[-1:], cache.k[rows], cache.v[rows], None)[0]
         if self.cfg.enable_residual and cache.wc_prev is not None:
             r = wc - cache.wc_prev
@@ -390,48 +392,38 @@ class ContextModel:
 class KVCache:
     """Attention keys and values of coded nodes, for `ContextModel.predict`.
 
-    Rows are kept in node order, oldest first, in one contiguous slice, and
-    masked pad slots get no row.  The buffer holds 2N-1 rows; when a step's
-    rows would not fit, the rows of the target's history nodes move to the
-    front first, so memory is O(N d) however many nodes are coded.  (A ring
-    that wraps would reorder the softmax sums.)
+    Buffer row j holds node base + j, so a window's rows are one contiguous
+    slice in node order, and masked pad slots get no row.  The buffer holds
+    min(2N-1, nodes) rows for a stream of `nodes` nodes: one that holds the
+    whole stream never compacts, and otherwise, when a step's rows would not
+    fit, the rows of the target's history nodes move to the front first, so
+    memory is O(N d) however many nodes are coded.  (A ring that wraps would
+    reorder the softmax sums.)
     """
 
-    def __init__(self, cfg: ModelConfig, ctx: GrowingContext):
+    def __init__(self, cfg: ModelConfig, ctx: GrowingContext, nodes: int):
         self.ctx = ctx
-        self.k = np.empty((2 * cfg.ctx.n_window - 1, cfg.d_model))
+        self.k = np.empty((min(2 * cfg.ctx.n_window - 1, nodes), cfg.d_model))
         self.v = np.empty_like(self.k)
-        self.base = 0    # node index of buffer row 0
-        self.count = 0   # history rows held, for nodes [base, base + count)
+        self.base = 0       # node held by buffer row 0
+        self.next_node = 0  # the first node whose history row is not cached
         self.wc_prev = None
 
-    @property
-    def next_node(self) -> int:
-        """The first node whose history row is not cached."""
-        return self.base + self.count
-
-    def advance(self, lo: int) -> int:
-        """Forget every node before lo, which no later window holds
-        (strict_level drops earlier levels); returns next_node."""
-        if lo > self.next_node:
-            self.base, self.count = lo, 0
-        return self.next_node
-
-    def rows(self, lo: int, k, v) -> slice:
-        """Append the history rows k[:-1], v[:-1] of nodes next_node, ...,
-        place the target's row k[-1], v[-1] after them, and return the
-        buffer rows of history nodes [lo, target) and the target."""
-        if self.count + len(k) > len(self.k):
-            held = slice(lo - self.base, self.count)
-            self.count -= held.start
-            self.k[:self.count] = self.k[held]
-            self.v[:self.count] = self.v[held]
+    def rows(self, lo: int, start: int, k, v) -> slice:
+        """Store the rows k, v of nodes start, ..., i (the target's last)
+        and return the buffer rows of nodes lo, ..., i.  If node i would
+        fall past the buffer's end, the rows of nodes [lo, start) move to
+        the front first."""
+        i = start + len(k) - 1
+        if i - self.base >= len(self.k):
+            held = slice(lo - self.base, start - self.base)
+            self.k[:start - lo] = self.k[held]
+            self.v[:start - lo] = self.v[held]
             self.base = lo
-        start, stop = lo - self.base, self.count + len(k)
-        self.k[self.count:stop] = k
-        self.v[self.count:stop] = v
-        self.count = stop - 1
-        return slice(start, stop)
+        new = slice(start - self.base, i + 1 - self.base)
+        self.k[new], self.v[new] = k, v
+        self.next_node = i
+        return slice(lo - self.base, i + 1 - self.base)
 
 
 def train(model: ContextModel, corpus, schedule: TrainSchedule = TrainSchedule()):

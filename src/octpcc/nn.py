@@ -338,9 +338,6 @@ class ParamStore:
     def items(self):
         return self._params.items()
 
-    def step_of(self, name: str) -> int:
-        return self._steps.get(name, 0)
-
     def copy(self) -> "ParamStore":
         out = ParamStore()
         for name, value in self._params.items():

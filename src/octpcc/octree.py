@@ -70,16 +70,6 @@ class NodeSequence:
         return slice(start, end)
 
 
-def occupancy_code(child_mask) -> int:
-    """Pack 8 child-occupied booleans into the occupancy byte (LSB = octant 0)."""
-    mask = np.asarray(child_mask, dtype=bool)
-    if mask.shape != (8,):
-        raise InvalidInput("child mask must have exactly 8 entries")
-    if not mask.any():
-        raise InvalidInput("all-empty child mask has no occupancy code")
-    return int((mask * (1 << np.arange(8))).sum())
-
-
 def _interleave(voxels: np.ndarray, depth: int) -> np.ndarray:
     """Bit-interleaved sort key: per level a 3-bit octant digit, x highest."""
     key = np.zeros(voxels.shape[0], dtype=np.uint64)

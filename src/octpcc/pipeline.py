@@ -88,10 +88,10 @@ def _walk(model: ContextModel, depth: int, coded_levels: int, node_limit: int,
     A level's nodes enter the window table together, once the level above is
     coded.  `code(level, i, q)` takes node i's distribution and returns its
     occupancy.  A level that would take the tree past `node_limit` nodes is
-    refused.
+    refused, so the K/V cache holds at most `node_limit` rows.
     """
     ctx = GrowingContext(model.cfg.ctx)
-    cache = KVCache(model.cfg, ctx)
+    cache = KVCache(model.cfg, ctx, node_limit)
     levels = []
     parent, octant = np.full(1, ROOT_PARENT), np.zeros(1, dtype=np.int64)
     for lvl in range(1, coded_levels + 1):

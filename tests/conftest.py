@@ -22,13 +22,14 @@ MALFORMED_CONFIGS = {
     "width_disagrees_with_tensors": ((), {"d_model": 32}),
     "heads_do_not_divide_width": ((), {"heads": 5}),
     "negative_seed": ((), {"seed": -1}),
+    "window_past_int64": ((), {"n_window": 10**30}),
 }
 
 # Model configs on which the codec's cached step must reproduce the batched
 # forward and the decoder the encoder's tables: every residual/branch
 # variant, strict_level, a window of the target alone (no history slot, no
 # ancestor), and the default N=64 window, which the test clouds (at least 3N
-# nodes) make the K/V cache compact at least twice.
+# nodes) make a K/V cache of 2N-1 rows compact at least twice.
 FORWARD_CONFIGS = {
     "residual+branch": ModelConfig.tiny(),
     "residual": ModelConfig.tiny(enable_branch=False),

@@ -3,6 +3,7 @@ import pytest
 from conftest import write_malformed_checkpoint
 from octpcc.cli import _model_config, _schedule, build_parser, main
 from octpcc.coder import Bitstream
+from octpcc.context import ContextConfig
 from octpcc.geometry import read_ply
 from octpcc.model import ContextModel, ModelConfig, TrainSchedule
 
@@ -96,7 +97,7 @@ class TestTrain:
         ("--branch-epochs", "-1", "epoch"), ("--main-epochs", "-1", "epoch"),
         ("--lr", "-1", "lr"), ("--lr", "nan", "lr"), ("--lr", "inf", "lr"),
         ("--lr-decay", "-0.5", "lr_decay"), ("--lr-decay", "nan", "lr_decay"),
-        ("--seed", "-1", "seed")])
+        ("--seed", "-1", "seed"), ("--window", str(10**30), "n_window")])
     def test_value_that_cannot_train_is_a_data_error(self, tmp_path, capsys,
                                                      flag, value, field):
         ply = tmp_path / "c.ply"
@@ -134,7 +135,8 @@ class TestCodecCommands:
         assert "bpip = " in out
 
     @pytest.mark.parametrize("case", ["missing_heads", "two_attention_layers",
-                                      "width_disagrees_with_tensors"])
+                                      "width_disagrees_with_tensors",
+                                      "window_past_int64"])
     def test_malformed_checkpoint_exit_code(self, tmp_path, capsys, case):
         ply = tmp_path / "cloud.ply"
         run("synth", "--kind", "plane", "--n", "200", "--seed", "1",
@@ -145,6 +147,25 @@ class TestCodecCommands:
         assert run("encode", "--input", str(ply), "--checkpoint", str(ckpt),
                    "--depth", "3", "--out", str(tmp_path / "x.bin")) == 4
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_window_wider_than_the_stream_codes_losslessly(self, tmp_path,
+                                                           capsys):
+        """The K/V cache holds a row per node of the stream, so a window of
+        2**26 slots costs no more than the cloud's nodes."""
+        ply, ckpt = tmp_path / "cloud.ply", tmp_path / "wide.ckpt"
+        run("synth", "--kind", "plane", "--n", "300", "--seed", "1",
+            "--out", str(ply))
+        ContextModel.create(ModelConfig.tiny(
+            seed=1, ctx=ContextConfig(n_window=2**26))).save(ckpt)
+        bs, dec = tmp_path / "cloud.bin", tmp_path / "decoded.ply"
+        assert run("encode", "--input", str(ply), "--checkpoint", str(ckpt),
+                   "--depth", "4", "--out", str(bs)) == 0
+        assert run("decode", "--bitstream", str(bs), "--checkpoint", str(ckpt),
+                   "--out", str(dec)) == 0
+        capsys.readouterr()
+        assert run("eval", "--original", str(ply), "--decoded", str(dec),
+                   "--depth", "4") == 0
+        assert "lossless = True" in capsys.readouterr().out
 
     @pytest.mark.parametrize("keep", [5, 12, 200, -3])
     def test_truncated_checkpoint_exit_code(self, tmp_path, capsys, keep):

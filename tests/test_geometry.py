@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -153,6 +155,19 @@ class TestPly:
         write_ply(pa, pc, binary=False)
         write_ply(pb, pc, binary=True)
         np.testing.assert_array_equal(read_ply(pa).points, read_ply(pb).points)
+
+    def test_signalling_nan_is_refused_without_a_warning(self, tmp_path):
+        """A float32 signalling NaN cast with integer axes raises numpy's
+        invalid-cast flag; the reader refuses the point and warns nothing."""
+        path = tmp_path / "snan.ply"
+        path.write_bytes(b"ply\nformat binary_little_endian 1.0\n"
+                         b"element vertex 1\nproperty float x\n"
+                         b"property uchar y\nproperty uint z\nend_header\n"
+                         + bytes.fromhex("b300807f") + bytes(1) + bytes(4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInput):
+                read_ply(path)
 
     def test_ascii_with_face_element(self, tmp_path):
         text = ("ply\nformat ascii 1.0\n"

@@ -1,8 +1,10 @@
 """Every module-level import and private name in the package is used by
-its module, and the codec runs without importing scipy."""
+its module, every public name is read outside the tests, and the codec runs
+without importing scipy."""
 
 import ast
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -13,6 +15,7 @@ from octpcc import ContextModel, ModelConfig, synth, write_ply
 
 MODULES = sorted(p for p in Path(octpcc.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
+REPO = Path(__file__).resolve().parents[1]
 
 
 def _annotations(tree):
@@ -88,6 +91,68 @@ def test_guard_sees_an_unused_private_name():
               "def _g():\n    pass\nclass _K:\n    pass\n")
     assert unused_private_names(source) == ["_B (line 2)", "_K (line 9)",
                                             "_f (line 5)"]
+
+
+def public_definitions(tree):
+    """(name, node) of each public module-level function, class and
+    constant, and of each public method of a public class."""
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                               ast.ClassDef)):
+            names = [node.name]
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                yield from ((m.name, m) for m in node.body
+                            if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+                            and not m.name.startswith("_"))
+        else:
+            continue
+        yield from ((name, node) for name in names if not name.startswith("_"))
+
+
+def read_names(tree) -> Counter:
+    """Reads of each name in a tree: loaded names, attributes and import
+    aliases."""
+    reads = Counter()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            reads[n.id] += 1
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            reads[n.attr] += 1
+        elif isinstance(n, ast.alias):
+            reads[n.name.split(".")[-1]] += 1
+    return reads
+
+
+def unread_public_names(modules: dict, readers: list) -> list:
+    """Public definitions of `modules` (name -> source) that no source of
+    `readers` reads outside the definition itself."""
+    reads = sum((read_names(ast.parse(source)) for source in readers), Counter())
+    return sorted(f"{module}.{name} (line {node.lineno})"
+                  for module, source in modules.items()
+                  for name, node in public_definitions(ast.parse(source))
+                  if reads[name] <= read_names(node)[name])
+
+
+def test_every_public_name_is_read_outside_the_tests():
+    """A public name that only tests reach is a production path that exists
+    for a test."""
+    readers = (MODULES + sorted(REPO.glob("perfbench/*.py"))
+               + sorted(REPO.glob("demos/*.py")))
+    assert unread_public_names({p.stem: p.read_text() for p in MODULES},
+                               [p.read_text() for p in readers]) == []
+
+
+def test_guard_sees_an_unread_public_name():
+    module = ("A = 1\nB: int = A\n_C = 3\ndef f():\n    return f()\n"
+              "class K:\n    N = 2\n    def run(self):\n        pass\n"
+              "    def _p(self):\n        pass\n    def used(self):\n"
+              "        pass\n")
+    reader = "from m import B as b\nK().used()\n"
+    assert unread_public_names({"m": module}, [module, reader]) == [
+        "m.f (line 4)", "m.run (line 8)"]
 
 
 SCIPY_PROBE = """

@@ -26,10 +26,11 @@ def tiny_corpus(n=60, seed=2, depth=3):
     return [build(quantize(synth("gaussian_clusters", n, seed=seed), depth))]
 
 
-def predict_all(model, seq, upto=None, step=1):
+def predict_all(model, seq, upto=None, step=1, nodes=None):
     """The codec's cached step over nodes range(0, upto, step): (wc, q, o)
-    per node."""
-    cache = KVCache(model.cfg, ContextAssembler(seq, model.cfg.ctx))
+    per node, through a cache sized for `nodes` nodes (default: all of seq)."""
+    cache = KVCache(model.cfg, ContextAssembler(seq, model.cfg.ctx),
+                    len(seq) if nodes is None else nodes)
     nodes = range(0, len(seq) if upto is None else upto, step)
     return [model.predict(cache, i) for i in nodes]
 
@@ -78,7 +79,7 @@ class TestForward:
     def test_identical_windows_give_zero_residual_and_same_dist(self):
         model = tiny_model()
         seq = tiny_corpus()[0]
-        cache = KVCache(model.cfg, ContextAssembler(seq, model.cfg.ctx))
+        cache = KVCache(model.cfg, ContextAssembler(seq, model.cfg.ctx), len(seq))
         for i in range(3):
             model.predict(cache, i)
         # node 2 twice more, its row embedded alone both times: the same wc,
@@ -158,18 +159,44 @@ class TestForward:
 
     def test_skipped_nodes_are_cached_in_one_batch(self):
         """Predicting every fifth node makes each step cache five history
-        rows at once, across the buffer's compactions (N=8).  Without
-        residuals q depends on the window alone, so it still matches."""
+        rows at once, across the compactions of a 2N-1 row buffer (N=8).
+        Without residuals q depends on the window alone, so it still
+        matches."""
         model = tiny_model(seed=7, enable_residual=False)
         seq = build(quantize(synth("gaussian_clusters", 300, seed=8), 5))
         q_batch = model.distributions(seq)[0]
+        n = model.cfg.ctx.n_window
         for i, (_, q, _) in zip(range(0, len(seq), 5),
-                                predict_all(model, seq, step=5)):
+                                predict_all(model, seq, step=5, nodes=2 * n - 1)):
             np.testing.assert_allclose(q, q_batch[i], rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("case", list(FORWARD_CONFIGS))
+    def test_cache_size_does_not_change_predictions(self, case):
+        """A cache that holds the whole stream and one of 2N-1 rows, which
+        compacts, attend over the same rows: wc and q agree bit for bit."""
+        model = ContextModel.create(replace(FORWARD_CONFIGS[case], seed=7))
+        seq = build(quantize(synth("gaussian_clusters", 300, seed=8), 5))
+        n = model.cfg.ctx.n_window
+        assert len(seq) >= 3 * n
+        whole = predict_all(model, seq)
+        compacting = predict_all(model, seq, nodes=2 * n - 1)
+        for (wc_a, q_a, _), (wc_b, q_b, _) in zip(whole, compacting, strict=True):
+            np.testing.assert_array_equal(wc_a, wc_b)
+            np.testing.assert_array_equal(q_a, q_b)
+            np.testing.assert_array_equal(quantize_dist(q_a), quantize_dist(q_b))
+
+    def test_cache_holds_no_more_rows_than_the_stream(self):
+        """A full-scale window (N=1024) over a lidar cloud at depth 5 (about
+        270 nodes) keeps one row a node, not 2N-1."""
+        cfg = ModelConfig.full_scale()
+        seq = build(quantize(synth("lidar_rings", 20000, seed=1), 5))
+        cache = KVCache(cfg, ContextAssembler(seq, cfg.ctx), len(seq))
+        assert cache.k.shape == cache.v.shape == (len(seq), cfg.d_model)
+        assert len(seq) < 2 * cfg.ctx.n_window - 1
 
     def test_cached_step_needs_nodes_in_order(self):
         model = tiny_model()
-        cache = KVCache(model.cfg, GrowingContext(model.cfg.ctx))
+        cache = KVCache(model.cfg, GrowingContext(model.cfg.ctx), 3)
         cache.ctx.add_node(1, np.array([ROOT_PARENT]), np.array([0]))
         cache.ctx.add_node(2, np.array([0, 0]), np.array([0, 3]))
         model.predict(cache, 0)
@@ -323,7 +350,7 @@ class TestTrain:
                                           full.params._m[name])
             np.testing.assert_array_equal(scoped.params._v[name],
                                           full.params._v[name])
-            assert scoped.params.step_of(name) == full.params.step_of(name)
+            assert scoped.params._steps.get(name) == full.params._steps.get(name)
 
     @pytest.mark.parametrize("name,branch_epochs,match", [
         ("main.w1", 1, "non-finite"), ("branch.w2", 1, "branch.w2"),
@@ -343,7 +370,7 @@ class TestTrain:
         w[0, 0] = np.nan
         model.params[name] = w
         P = model.params
-        before = {n: (P[n].copy(), P._m[n].copy(), P._v[n].copy(), P.step_of(n))
+        before = {n: (P[n].copy(), P._m[n].copy(), P._v[n].copy(), P._steps.get(n))
                   for n in P.names()}
         with pytest.raises(NumericalError, match=match):
             train(model, corpus, TrainSchedule(branch_epochs=branch_epochs,
@@ -353,7 +380,7 @@ class TestTrain:
             np.testing.assert_array_equal(P[n], p)
             np.testing.assert_array_equal(P._m[n], m)
             np.testing.assert_array_equal(P._v[n], v)
-            assert P.step_of(n) == steps, n
+            assert P._steps.get(n) == steps, n
 
     def test_zero_lr_leaves_params_and_losses_flat(self):
         model = tiny_model(seed=1)

@@ -261,7 +261,7 @@ class TestAdam:
         store.add("w", np.array([1.0, -2.0, 3.0]))
         nn.adam_step(store, {"w": np.zeros(3)}, lr=0.1)
         np.testing.assert_array_equal(store["w"], [1.0, -2.0, 3.0])
-        assert store.step_of("w") == 1
+        assert store._steps["w"] == 1
 
     def test_zero_lr(self, rng):
         store = nn.ParamStore()
@@ -301,7 +301,7 @@ class TestAdam:
         nn.adam_step(store, {"a": rng.normal(size=3), "b": rng.normal(size=2)},
                      lr=0.1)
         state = {name: (store[name].copy(), store._m[name].copy(),
-                        store._v[name].copy(), store.step_of(name))
+                        store._v[name].copy(), store._steps[name])
                  for name in store.names()}
         with pytest.raises(NumericalError, match="'b'"):
             nn.adam_step(store, {"a": rng.normal(size=3),
@@ -310,7 +310,7 @@ class TestAdam:
             np.testing.assert_array_equal(store[name], p)
             np.testing.assert_array_equal(store._m[name], m)
             np.testing.assert_array_equal(store._v[name], v)
-            assert store.step_of(name) == steps
+            assert store._steps[name] == steps
 
 
 class TestCheckpoint:

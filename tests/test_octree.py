@@ -4,7 +4,7 @@ import pytest
 from octpcc.errors import InvalidInput
 from octpcc.geometry import QuantizedPointCloud, quantize, synth
 from octpcc.octree import (ROOT_PARENT, NodeSequence, build, children,
-                           occupancy_code, occupied_cells, reconstruct)
+                           occupied_cells, reconstruct)
 
 from conftest import brute_force_level_occupancies
 
@@ -109,24 +109,14 @@ class TestBuild:
 class TestOccupancyCode:
     def test_msb_first_string_convention(self):
         # '11111110' -> octant 0 empty, octants 1..7 occupied
-        mask = [bit == "1" for bit in reversed("11111110")]
-        assert occupancy_code(mask) == 254
+        parent, octant = children(np.array([254]))
+        np.testing.assert_array_equal(parent, 0)
+        np.testing.assert_array_equal(octant, np.arange(1, 8))
 
     def test_octant_zero_only(self):
-        assert occupancy_code([1, 0, 0, 0, 0, 0, 0, 0]) == 1
-
-    def test_bijection_exhaustive(self):
-        seen = set()
-        for code in range(1, 256):
-            mask = [(code >> j) & 1 == 1 for j in range(8)]
-            back = occupancy_code(mask)
-            assert back == code
-            seen.add(back)
-        assert seen == set(range(1, 256))
-
-    def test_empty_mask_rejected(self):
-        with pytest.raises(InvalidInput):
-            occupancy_code([0] * 8)
+        parent, octant = children(np.array([1]))
+        np.testing.assert_array_equal(parent, [0])
+        np.testing.assert_array_equal(octant, [0])
 
 
 class TestReconstruct:

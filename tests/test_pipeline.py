@@ -27,7 +27,7 @@ def per_node_reference(pc, depth, model):
     codes each node as soon as it is predicted: predict, quantize_dist and
     ArithmeticEncoder.encode, node by node."""
     seq = build(quantize(pc, depth))
-    cache = KVCache(model.cfg, ContextAssembler(seq, model.cfg.ctx))
+    cache = KVCache(model.cfg, ContextAssembler(seq, model.cfg.ctx), len(seq))
     enc = ArithmeticEncoder()
     tables, ideal, marks = [], 0.0, []
     for i in range(len(seq)):
