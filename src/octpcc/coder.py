@@ -13,6 +13,7 @@ encoder and decoder synchronized.
 from __future__ import annotations
 
 import struct
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,35 +39,31 @@ MAX_BITS_PAST_END = 32
 def quantize_dist(q: np.ndarray) -> np.ndarray:
     """Deterministic 2**16-total integer quantization of 255-way distributions.
 
-    Every class is first granted frequency 1; the remaining mass is
-    apportioned by floor with a largest-remainder correction (ties broken
-    toward lower class index), so the total is exactly 2**16.  Maps q of
-    shape (..., 255) to int64 cumulative tables of shape (..., 256), row by
-    row: cum[0] = 0, cum[255] = FREQ_TOTAL, every step >= 1; a row's table
-    does not depend on the other rows.  InvalidInput unless every entry lies
-    in [0, 1] and every row sums to 1.
+    Each class gets frequency 1 + rint(q * (2**16 - 255)); the deficit
+    2**16 minus their sum goes to the likeliest class, the first argmax(q).
+    Maps q of shape (..., 255) to int64 cumulative tables of shape
+    (..., 256), row by row: cum[0] = 0, cum[255] = FREQ_TOTAL, every step
+    >= 1; a row's table does not depend on the other rows.  InvalidInput
+    unless every entry lies in [0, 1] and every row's deficit lies within
+    +-127, which a row summing to 1 always meets: each of its 255 roundings
+    is off by at most 1/2.  The likeliest class then holds >= 129.
     """
-    q = np.ascontiguousarray(q, dtype=np.float64)  # so that rows are views
+    q = np.asarray(q, dtype=np.float64)
     if q.shape[-1:] != (255,) or q.size == 0:
         raise InvalidInput("distribution must have 255 entries")
     if not 0.0 <= q.min() <= q.max() <= 1.0:  # also false for NaN
         raise InvalidInput("distribution entries must lie in [0, 1]")
-    scaled = q * (FREQ_TOTAL - 255)
-    freq = np.floor(scaled)
-    order = (freq - scaled).argsort(axis=-1, kind="stable")  # frac desc, index asc
-    freq += 1.0
-    deficit = FREQ_TOTAL - np.add.reduce(freq, axis=-1)
-    # one more to each of the first `deficit` classes in each row's order
-    for row, row_order, d in zip(freq.reshape(-1, 255),
-                                 order.reshape(-1, 255), deficit.flat):
-        row[row_order[:int(d)]] += 1.0
-    cum = np.zeros(q.shape[:-1] + (256,), dtype=np.int64)
-    np.add.accumulate(freq, axis=-1, dtype=np.int64, out=cum[..., 1:])
-    total = cum[..., -1]
-    if set(total.flat) != {FREQ_TOTAL}:  # a deficit outside [0, 255]
-        bad = q.sum(axis=-1)[total != FREQ_TOTAL]
-        raise InvalidInput(f"distribution sums to {float(bad.flat[0])!r}, not 1")
-    return cum
+    rows = q.reshape(-1, 255)
+    freq = np.rint(rows * (FREQ_TOTAL - 255)).astype(np.int64) + 1
+    deficit = FREQ_TOTAL - freq.sum(axis=1)
+    bad = np.abs(deficit) > 127
+    if bad.any():
+        raise InvalidInput(f"distribution sums to {float(rows[bad][0].sum())!r}, "
+                           "not 1")
+    freq[np.arange(len(freq)), rows.argmax(axis=1)] += deficit
+    cum = np.zeros((len(freq), 256), dtype=np.int64)
+    np.cumsum(freq, axis=1, out=cum[:, 1:])
+    return cum.reshape(q.shape[:-1] + (256,))
 
 
 class ArithmeticEncoder:
@@ -169,11 +166,11 @@ class ArithmeticDecoder:
 # ---------------------------------------------------------------------------
 
 BITSTREAM_MAGIC = b"OPCB"
-BITSTREAM_VERSION = 1
+BITSTREAM_VERSION = 2
 FLAG_RESIDUAL = 1
 FLAG_BRANCH = 2
 
-_HEADER_FMT = "<4sHBBddddQQQ32sBQ"
+_HEADER_FMT = "<4sHBBddddQQQ32sBQI"
 HEADER_BYTES = struct.calcsize(_HEADER_FMT)
 
 
@@ -188,6 +185,7 @@ class BitstreamHeader:
     node_count: int          # nodes in the coded levels
     model_digest: bytes      # 32 bytes
     flags: int               # bit 0: residual enabled, bit 1: branch enabled
+    checksum: int            # u32, see crc()
 
     def pack(self, payload_len: int) -> bytes:
         return struct.pack(
@@ -195,25 +193,34 @@ class BitstreamHeader:
             self.coded_levels, float(self.origin[0]), float(self.origin[1]),
             float(self.origin[2]), float(self.scale), self.raw_point_count,
             self.voxel_count, self.node_count, self.model_digest, self.flags,
-            payload_len)
+            payload_len, self.checksum)
+
+    def crc(self, payload_len: int, occupancy: np.ndarray) -> int:
+        """CRC32 of the packed fields before the checksum, then of the coded
+        occupancy bytes in stream order."""
+        fields = zlib.crc32(self.pack(payload_len)[:-4])
+        return zlib.crc32(occupancy.astype(np.uint8), fields)
 
     @classmethod
     def unpack(cls, blob: bytes) -> tuple["BitstreamHeader", int]:
         """The header and the payload length it declares."""
+        if blob[:4] != BITSTREAM_MAGIC:
+            raise ParseError("not an octpcc bitstream (bad magic)")
+        if len(blob) >= 6:  # another version is refused even if shorter
+            (version,) = struct.unpack_from("<H", blob, 4)
+            if version != BITSTREAM_VERSION:
+                raise CorruptStream(f"bitstream version {version}; this decoder "
+                                    f"reads version {BITSTREAM_VERSION} only")
         if len(blob) < HEADER_BYTES:
             raise ParseError("bitstream shorter than its header")
-        (magic, version, depth, coded_levels, ox, oy, oz, scale, raw_count,
-         voxel_count, node_count, digest, flags, payload_len) = \
+        (_, _, depth, coded_levels, ox, oy, oz, scale, raw_count, voxel_count,
+         node_count, digest, flags, payload_len, checksum) = \
             struct.unpack_from(_HEADER_FMT, blob)
-        if magic != BITSTREAM_MAGIC:
-            raise ParseError("not an octpcc bitstream (bad magic)")
-        if version != BITSTREAM_VERSION:
-            raise ParseError(f"unsupported bitstream version {version}")
         return cls(depth=depth, coded_levels=coded_levels,
                    origin=np.array([ox, oy, oz]), scale=scale,
                    raw_point_count=raw_count, voxel_count=voxel_count,
                    node_count=node_count, model_digest=digest,
-                   flags=flags), payload_len
+                   flags=flags, checksum=checksum), payload_len
 
 
 @dataclass

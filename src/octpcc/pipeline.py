@@ -8,12 +8,16 @@ then hands the distribution to the direction's callback.  The decoder
 quantizes each distribution and decodes one symbol at once, since the next
 node's window needs it.  The encoder knows every symbol in advance: it
 buffers ENCODE_BLOCK distributions, then quantizes the block in one call and
-codes its symbols in node order.  `quantize_dist` treats each row on its
-own, so the decoder sees bit-identical frequency tables.  Model weights
-travel out of band (checkpoint file); the bitstream carries a digest so a
-mismatched model is rejected, and a header the model cannot decode, or
-whose node count the payload cannot hold, is refused as corrupt before any
-symbol is read.
+codes its symbols in node order.  `quantize_dist` rounds each row on its
+own, elementwise, and puts the row's deficit on its likeliest class, so the
+decoder sees bit-identical frequency tables.  Model weights travel out of
+band (checkpoint file); the bitstream carries a digest so a mismatched
+model is rejected, and a header the model cannot decode, or whose node
+count the payload cannot hold, is refused as corrupt before any symbol is
+read.  The header's CRC32 covers its other fields and the coded occupancy
+bytes; the decoder checks it once the tree is decoded, after the node and
+voxel counts, so a flipped frame or a payload that decodes to another tree
+fails as corrupt instead of returning a wrong cloud.
 """
 
 from __future__ import annotations
@@ -161,7 +165,8 @@ def encode(pc: RawPointCloud, depth: int, coded_levels: int,
         depth=depth, coded_levels=coded_levels, origin=qpc.origin,
         scale=qpc.scale, raw_point_count=len(pc), voxel_count=len(qpc),
         node_count=n_coded, model_digest=model.digest(),
-        flags=_model_flags(model))
+        flags=_model_flags(model), checksum=0)
+    header.checksum = header.crc(len(payload), seq.occupancy[:n_coded])
     bs = Bitstream(header=header, payload=payload)
     total_bits = HEADER_BYTES * 8 + len(payload) * 8
     report = EncodeReport(
@@ -219,5 +224,11 @@ def decode(bs: Bitstream, model: ContextModel,
         raise CorruptStream(
             f"level {coded_levels}, node {n - 1}: decoded {voxels.shape[0]} "
             f"voxels; the header declares {header.voxel_count}")
+    crc = header.crc(len(bs.payload), seq.occupancy)
+    if crc != header.checksum:
+        raise CorruptStream(
+            f"level {coded_levels}, node {n - 1}: checksum {crc:#010x} of the "
+            f"header and decoded occupancy disagrees with the header's "
+            f"{header.checksum:#010x}")
     return QuantizedPointCloud(depth=header.depth, voxels=voxels,
                                origin=header.origin, scale=header.scale)

@@ -1,4 +1,5 @@
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -104,3 +105,10 @@ def write_malformed_checkpoint(path, case):
     config = {k: v for k, v in model.cfg.to_dict().items() if k not in drop}
     config.update(changes)
     nn.save_checkpoint(path, model.params, config)
+
+
+def v1_layout_stream(version=1, payload=b"\x5a") -> bytes:
+    """A stream in the version-1 layout: the header without its checksum."""
+    header = struct.pack("<4sHBBddddQQQ32sBQ", b"OPCB", version, 4, 4, 0.0,
+                         0.0, 0.0, 0.5, 10, 10, 20, bytes(32), 3, len(payload))
+    return header + payload

@@ -1,6 +1,7 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import write_malformed_checkpoint
+from conftest import v1_layout_stream, write_malformed_checkpoint
 from octpcc.cli import _model_config, _schedule, build_parser, main
 from octpcc.coder import Bitstream
 from octpcc.context import ContextConfig
@@ -223,6 +224,18 @@ class TestCodecCommands:
                    "--checkpoint", str(ckpt),
                    "--out", str(tmp_path / "y.ply")) == 5
 
+    def test_version_1_stream_exit_code(self, tmp_path, capsys):
+        """Version 1 is refused as a corrupt stream naming both versions."""
+        ckpt = tmp_path / "model.ckpt"
+        ContextModel.create(ModelConfig.tiny(seed=1)).save(ckpt)
+        bs = tmp_path / "v1.bin"
+        bs.write_bytes(v1_layout_stream(1, payload=bytes(40)))
+        capsys.readouterr()
+        assert run("decode", "--bitstream", str(bs), "--checkpoint",
+                   str(ckpt), "--out", str(tmp_path / "x.ply")) == 5
+        assert capsys.readouterr().err == (
+            "error: bitstream version 1; this decoder reads version 2 only\n")
+
     def test_eval_refuses_a_forged_frame(self, workspace, capsys):
         """A header scale that is not a finite positive number fails as a
         corrupt stream before eval reads the decoded cloud against it."""
@@ -324,3 +337,58 @@ class TestAnalyze:
         assert out.count("acos = ") == 2
         assert "variant = residual+branch" in out
         assert "variant = plain" in out
+
+
+@pytest.fixture(scope="module")
+def coded(tmp_path_factory):
+    """A checkpoint, a stream coded with it, and the PLY it decodes to."""
+    d = tmp_path_factory.mktemp("mutated_streams")
+    ckpt, ply, bs, dec = (d / "model.ckpt", d / "cloud.ply", d / "cloud.bin",
+                          d / "decoded.ply")
+    ContextModel.create(ModelConfig.tiny(seed=1)).save(ckpt)
+    assert run("synth", "--kind", "plane", "--n", "300", "--seed", "3",
+               "--out", str(ply)) == 0
+    assert run("encode", "--input", str(ply), "--checkpoint", str(ckpt),
+               "--depth", "5", "--out", str(bs)) == 0
+    assert run("decode", "--bitstream", str(bs), "--checkpoint", str(ckpt),
+               "--out", str(dec)) == 0
+    return d, ckpt, bs.read_bytes(), dec.read_bytes()
+
+
+POSITION = st.integers(0, 1 << 16)  # taken modulo the stream's length
+MUTATIONS = st.one_of(
+    st.tuples(st.just("flip"), POSITION, st.integers(0, 7)),
+    st.tuples(st.just("truncate"), POSITION),
+    st.tuples(st.just("append"), st.binary(min_size=1, max_size=64)),
+    st.tuples(st.just("overwrite"), POSITION,
+              st.binary(min_size=1, max_size=64)))
+
+
+def mutate(blob: bytes, mutation) -> bytes:
+    kind, *args = mutation
+    if kind == "append":
+        return blob + args[0]
+    pos = args[0] % len(blob)
+    if kind == "truncate":
+        return blob[:pos]
+    if kind == "flip":
+        return blob[:pos] + bytes([blob[pos] ^ 1 << args[1]]) + blob[pos + 1:]
+    return blob[:pos] + args[1] + blob[pos + len(args[1]):]
+
+
+@settings(max_examples=150, deadline=2000, derandomize=True, database=None)
+@given(mutation=MUTATIONS)
+def test_mutated_stream_exits_typed(coded, mutation):
+    """`octpcc decode` of a flipped, truncated, extended or overwritten
+    stream exits 3, 4 or 5, never with a traceback; it may exit 0 only when
+    the mutation leaves the decoded cloud as it was (a bit the decoder never
+    reads, or a span overwritten with its own bytes)."""
+    d, ckpt, blob, decoded = coded
+    bs, out = d / "mutated.bin", d / "mutated.ply"
+    bs.write_bytes(mutate(blob, mutation))
+    out.unlink(missing_ok=True)
+    code = run("decode", "--bitstream", str(bs), "--checkpoint", str(ckpt),
+               "--out", str(out))
+    assert code in (0, 3, 4, 5)
+    if code == 0:
+        assert out.read_bytes() == decoded

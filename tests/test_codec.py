@@ -1,11 +1,15 @@
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
 
-from octpcc.coder import (ArithmeticDecoder, ArithmeticEncoder, Bitstream,
-                          BitstreamHeader, FREQ_TOTAL, quantize_dist)
+from octpcc.coder import (BITSTREAM_VERSION, HEADER_BYTES, ArithmeticDecoder,
+                          ArithmeticEncoder, Bitstream, BitstreamHeader,
+                          FREQ_TOTAL, quantize_dist)
 from octpcc.errors import CorruptStream, InvalidInput, ParseError
+
+from conftest import v1_layout_stream
 
 
 def random_dist(rng, concentration=1.0):
@@ -14,16 +18,24 @@ def random_dist(rng, concentration=1.0):
 
 
 def quantize_row_reference(q) -> np.ndarray:
-    """One row at a time, as quantize_dist did before it took blocks: floor,
-    then one more to the `deficit` largest remainders in a stable order."""
-    scaled = q * (FREQ_TOTAL - 255)
-    base = np.floor(scaled)
-    freq = base.astype(np.int64) + 1
-    deficit = FREQ_TOTAL - int(freq.sum())
-    assert 0 <= deficit <= 255
-    order = np.argsort(base - scaled, kind="stable")  # frac desc, index asc
-    freq[order[:deficit]] += 1
-    return np.concatenate(([0], np.cumsum(freq)))
+    """The rule for one row in Python integers: 1 + the scaled entry rounded
+    half to even, then the deficit to the first of the likeliest classes."""
+    q = [float(x) for x in q]
+    freq = [1 + round(x * (FREQ_TOTAL - 255)) for x in q]
+    deficit = FREQ_TOTAL - sum(freq)
+    assert abs(deficit) <= 127
+    freq[q.index(max(q))] += deficit
+    assert min(freq) >= 1
+    return np.array([0, *itertools.accumulate(freq)], dtype=np.int64)
+
+
+def deficit_row(deficit) -> np.ndarray:
+    """A row whose scaled entries are whole numbers near 256, chosen so that
+    its table's deficit is `deficit`."""
+    counts = np.full(255, 256)  # sums to 2**16 - 256: a deficit of 1
+    change = 1 - deficit
+    counts[:abs(change)] += np.sign(change)
+    return counts / (FREQ_TOTAL - 255)
 
 
 def block_rows(rng) -> dict:
@@ -110,7 +122,7 @@ class TestQuantizeDist:
                                       "floor_dominated", "one_hot"])
     def test_block_equals_row_by_row(self, rng, kind):
         """A block's tables are its rows' own tables, which are the per-row
-        reference's; ties among equal remainders go to the lower class."""
+        reference's; a tie for the likeliest class goes to the lower one."""
         q = block_rows(rng)[kind]
         block = quantize_dist(q)
         assert block.shape == (len(q), 256) and block.dtype == np.int64
@@ -123,6 +135,32 @@ class TestQuantizeDist:
                 quantize_dist(layout), quantize_dist(layout.copy()))
         np.testing.assert_array_equal(
             quantize_dist(mixed), np.stack([block[:2], block[-2:]]))
+
+    def test_tie_for_likeliest_gives_deficit_to_lower_class(self):
+        q = np.full(255, 0.5 / 253)
+        q[[40, 90]] = 0.25
+        freq = np.diff(quantize_dist(q))
+        base = 1 + np.rint(q * (FREQ_TOTAL - 255)).astype(np.int64)
+        deficit = FREQ_TOTAL - int(base.sum())
+        assert deficit == 4  # every entry rounds down
+        assert freq[40] == base[40] + deficit and freq[90] == base[90]
+        np.testing.assert_array_equal(np.delete(freq, 40), np.delete(base, 40))
+
+    @pytest.mark.parametrize("deficit", [127, -127])
+    def test_deficit_at_the_bound_accepted(self, deficit):
+        q = deficit_row(deficit)
+        top = int(q.argmax())
+        freq = np.diff(quantize_dist(q))
+        want = np.rint(q * (FREQ_TOTAL - 255)) + 1
+        want[top] += deficit
+        np.testing.assert_array_equal(freq, want)
+        np.testing.assert_array_equal(quantize_dist(q),
+                                      quantize_row_reference(q))
+
+    @pytest.mark.parametrize("deficit", [128, -128])
+    def test_deficit_past_the_bound_refused(self, deficit):
+        with pytest.raises(InvalidInput, match="sums to"):
+            quantize_dist(deficit_row(deficit))
 
     @pytest.mark.parametrize("case", ["nan", "negative", "sum_over_one",
                                       "sum_zero"])
@@ -180,17 +218,21 @@ class TestRoundTrip:
 
     # SHA-256 of each payload as the bit-at-a-time writer produced it: the
     # tables are closed-form, so the bytes depend on integer arithmetic alone.
+    # The first three tables are the same under version 1's largest-remainder
+    # rule; "square" is not: its rounding leaves a deficit of 2 on class 254.
     PINNED = {
         "uniform": "3633da5e52c8217c47090f50fc6a7c83de8fef6411f5e108674267f82530902b",
         "one_hot": "a6767cad525af6dda74f7331da20441acc755c48a41457fbdf45074b45d1db0b",
         "ramp": "b3b50afccb2103a8fdce07496eb26e06b408ae5ceb709562eafaf39723fde847",
+        "square": "6bc3d8a30c182be907ee7923a7011e72049749473a293dc5b757713890d665ac",
     }
 
     @pytest.mark.parametrize("case", list(PINNED))
     def test_payload_bytes_pinned(self, case):
         q = {"uniform": np.full(255, 1.0 / 255.0),
              "one_hot": np.arange(255) == 100,
-             "ramp": np.arange(1, 256) / 32640}[case]
+             "ramp": np.arange(1, 256) / 32640,
+             "square": np.arange(255) ** 2 / 5494655}[case]
         table = quantize_dist(q)
         symbols = [(7 * i) % 255 + 1 for i in range(3000)]
         payload = encode_stream(symbols, [table] * len(symbols))
@@ -260,7 +302,8 @@ class TestBitstreamContainer:
         header = BitstreamHeader(
             depth=6, coded_levels=5, origin=np.array([0.1, -0.2, 0.3]),
             scale=0.015625, raw_point_count=1000, voxel_count=900,
-            node_count=1500, model_digest=bytes(range(32)), flags=3)
+            node_count=1500, model_digest=bytes(range(32)), flags=3,
+            checksum=0x89abcdef)
         return Bitstream(header=header, payload=payload)
 
     def test_roundtrip(self):
@@ -272,6 +315,7 @@ class TestBitstreamContainer:
         np.testing.assert_array_equal(h.origin, [0.1, -0.2, 0.3])
         assert h.scale == 0.015625
         assert h.model_digest == bytes(range(32))
+        assert h.checksum == 0x89abcdef
         assert back.payload == b"\xaa\xbb"
 
     def test_header_parses_without_payload(self):
@@ -289,6 +333,18 @@ class TestBitstreamContainer:
         blob[0] = ord("X")
         with pytest.raises(ParseError):
             Bitstream.from_bytes(bytes(blob))
+
+    @pytest.mark.parametrize("version", [0, 1, 3, 0xFFFF])
+    def test_other_versions_refused_as_corrupt(self, version):
+        """A stream of any version but 2 fails as CorruptStream naming both
+        versions, also a version-1 stream whose shorter header (no checksum)
+        and payload make fewer bytes than a version-2 header."""
+        blob = v1_layout_stream(version, payload=b"\x5a")
+        assert len(blob) < HEADER_BYTES
+        with pytest.raises(CorruptStream,
+                           match=f"^bitstream version {version}; this decoder "
+                                 f"reads version {BITSTREAM_VERSION} only$"):
+            Bitstream.from_bytes(blob)
 
     def test_file_roundtrip(self, tmp_path):
         path = tmp_path / "stream.bin"

@@ -9,7 +9,8 @@ import octpcc
 from octpcc.coder import (MAX_BITS_PAST_END, ArithmeticEncoder, Bitstream,
                           HEADER_BYTES, quantize_dist)
 from octpcc.context import ContextAssembler
-from octpcc.errors import CorruptStream, InvalidInput, ModelMismatch
+from octpcc.errors import (CorruptStream, InvalidInput, ModelMismatch,
+                           OctpccError)
 from octpcc.geometry import RawPointCloud, quantize, synth
 from octpcc.model import ContextModel, KVCache, ModelConfig, zero_head_layers
 from octpcc.octree import build, reconstruct
@@ -173,23 +174,40 @@ class TestFailureModes:
         with pytest.raises(ModelMismatch):
             decode(bs, tiny_model(seed=2))
 
-    def test_tampered_payload_detected(self):
-        pc = synth("uniform", 300, seed=7)
+    @pytest.mark.parametrize("kind,n,seed,depth,scan_header", [
+        ("uniform", 300, 7, 5, True),
+        # the top bit of its last payload byte decoded to a wrong voxel set
+        # in version 1, which had no checksum
+        ("plane", 3000, 3, 6, False),
+    ])
+    def test_flipped_bit_fails_or_decodes_identically(self, kind, n, seed,
+                                                      depth, scan_header):
+        """Bit 0 of every header byte, and a sample of payload bits: each
+        flip fails as an OctpccError or decodes to the identical cloud.  A
+        flipped frame (origin, scale) decodes to the same tree, so only the
+        checksum can catch it."""
         model = tiny_model(seed=1)
-        bs, _ = encode(pc, 5, 5, model)
-        qpc = quantize(pc, 5)
-        blob = bytearray(bs.to_bytes())
-        hits = 0
-        for offset in range(HEADER_BYTES + 2, HEADER_BYTES + 10):
+        bs, _ = encode(synth(kind, n, seed=seed), depth, depth, model)
+        want = decode(bs, model)
+        blob = bs.to_bytes()
+        last = len(blob) - 1
+        flips = [(byte, 0) for byte in range(HEADER_BYTES) if scan_header]
+        flips += [(int(byte), 7 - k % 8) for k, byte in
+                  enumerate(np.linspace(HEADER_BYTES, last, 12))]
+        flips.append((last, 7))
+        for byte, bit in flips:
             corrupt = bytearray(blob)
-            corrupt[offset] ^= 0xFF
+            corrupt[byte] ^= 1 << bit
             try:
-                out = decode(Bitstream.from_bytes(bytes(corrupt)), model)
-                assert not out.same_voxels(qpc)
-            except CorruptStream as exc:
-                assert re.match(r"level \d+, node \d+: ", str(exc)), exc
-                hits += 1
-        assert hits > 0  # the count checks catch garbage trees
+                got = decode(bytes(corrupt), model)
+            except OctpccError as exc:
+                if 8 <= byte < 40:
+                    assert re.match(rf"level {depth}, node \d+: checksum",
+                                    str(exc)), exc
+                continue
+            assert got.same_voxels(want), (byte, bit)
+            np.testing.assert_array_equal(got.origin, want.origin)
+            assert got.scale == want.scale, (byte, bit)
 
     def test_short_payload_stops_decoding(self):
         """A payload cut to 4 bytes under an inflated node count that 4
