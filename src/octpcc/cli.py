@@ -12,7 +12,8 @@ import sys
 
 from . import metrics, pipeline
 from .context import ContextConfig
-from .errors import ConfigError, CorruptStream, ModelMismatch, OctpccError
+from .errors import (ConfigError, CorruptStream, InvalidInput,
+                     ModelMismatch, OctpccError)
 from .geometry import (SYNTH_KINDS, dequantize, quantize, read_ply, synth,
                        voxelize, write_ply)
 from .coder import HEADER_BYTES, Bitstream
@@ -132,14 +133,25 @@ def cmd_eval(args) -> int:
     qa = quantize(original, args.depth)
     if args.bitstream:
         bs = Bitstream.read(args.bitstream)
-        origin, scale = bs.header.origin, bs.header.scale
+        header = bs.header
+        if header.depth != args.depth:
+            raise InvalidInput(f"--depth {args.depth} disagrees with the "
+                               f"stream's depth {header.depth}")
+        origin, scale = header.origin, header.scale
         total_bits = (HEADER_BYTES + len(bs.payload)) * 8
-        points = bs.header.raw_point_count
+        points = header.raw_point_count
     else:
         origin, scale = qa.origin, qa.scale
         total_bits = None
         points = len(original)
     qd = voxelize(decoded, args.depth, origin, scale)
+    if args.bitstream:
+        crc = header.crc(len(bs.payload),
+                         build(qd).occupancy[:header.node_count])
+        if crc != header.checksum:
+            raise CorruptStream(
+                f"checksum {crc:#010x} of the header and the decoded cloud's "
+                f"occupancy disagrees with the header's {header.checksum:#010x}")
     cd = metrics.chamfer(qa, qd)
     psnr = metrics.d1_psnr(qa, qd)
     if total_bits is not None:

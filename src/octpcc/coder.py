@@ -166,7 +166,7 @@ class ArithmeticDecoder:
 # ---------------------------------------------------------------------------
 
 BITSTREAM_MAGIC = b"OPCB"
-BITSTREAM_VERSION = 2
+BITSTREAM_VERSION = 3
 FLAG_RESIDUAL = 1
 FLAG_BRANCH = 2
 

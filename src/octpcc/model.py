@@ -16,6 +16,11 @@ and every path embeds and projects each node's row once: the codec
 analysis attend each target of a window block to the block's rows through
 a band mask that keeps its own window's rows.
 
+The codec's step runs on `CodecWeights`, the parameters lowered once per
+encode or decode (embeddings folded through the slot projection, K/V/Q and
+both heads' first layers joined): the same function as the unfolded
+forward of training and analysis, whose floats differ in the last bits.
+
 Ablation toggles: enable_residual feeds a zero vector instead of r_i;
 enable_branch feeds zeros into the fusion slot.  All four combinations
 share one checkpoint schema.
@@ -207,9 +212,10 @@ class ContextModel:
 
     The forward pass is written once, as `_embed`, `_project_kv`,
     `_attend_core` and `_heads`.  Each reads its weights from `params`: the
-    ParamStore by default (plain ndarrays, used by the codec and analysis)
-    or a training tape (used by `batch_losses`), on which only the learned
-    weights are Tensors.  Both runs perform the same ops in the same order.
+    ParamStore by default (plain ndarrays, used by analysis) or a training
+    tape (used by `batch_losses`), on which only the learned weights are
+    Tensors.  Both runs perform the same ops in the same order.  The codec's
+    `predict` runs on the lowered `CodecWeights` instead.
     """
 
     def __init__(self, cfg: ModelConfig, params: nn.ParamStore):
@@ -265,7 +271,7 @@ class ContextModel:
         weighted contexts (B, d).
 
         One multi-head attention layer whose only query is the target row.
-        Target b attends to row j where band[b, j]; None attends to every row.
+        Target b attends to row j where band[b, j].
         """
         P = self.params if params is None else params
         heads = self.cfg.heads
@@ -277,8 +283,7 @@ class ContextModel:
 
         q = split(x_t @ P["attn0.wq"] + P["attn0.bq"])
         scores = (q @ split(k).swapaxes(-1, -2)) * (1.0 / math.sqrt(dh))
-        if band is not None:
-            scores = scores + nn.mask_bias(band)
+        scores = scores + nn.mask_bias(band)
         weights = nn.softmax(scores, axis=-1)
         ctx = (weights @ split(v)).swapaxes(0, 1).reshape(x_t.shape[0], d)
         return ctx @ P["attn0.wo"] + P["attn0.bo"]
@@ -324,7 +329,8 @@ class ContextModel:
         return self._heads(wc, r, params)
 
     def predict(self, cache: "KVCache", i: int):
-        """The codec's per-node step: (wc, dist, branch) of node i as raw arrays.
+        """The codec's per-node step: (wc, dist, branch) of node i as raw
+        arrays; branch is None with the branch off, which it skips.
 
         Encoder and decoder call exactly this for nodes 0, 1, 2, ... in
         order, so the float sequence, and therefore every frequency table,
@@ -335,8 +341,9 @@ class ContextModel:
         call (normally node i-1 alone, whose occupancy must be set by then),
         so each node's history row is computed once.  Rows of nodes before
         the window (strict_level drops earlier levels) are never computed.
+        The step runs on the cache's `CodecWeights`, not on `params`.
         """
-        ctx = cache.ctx
+        ctx, w = cache.ctx, cache.weights
         if not (cache.next_node <= i < ctx.count):
             raise InvalidInput(f"node {i} is not the next node to predict")
         lo = ctx.window_start(i)
@@ -344,15 +351,26 @@ class ContextModel:
         slots, _ = ctx.window(i, start)
         if not slots[:-1, 0, 0].all():
             raise InvalidInput(f"a history node of node {i} is not coded yet")
-        x = self._embed(slots)
-        k, v = self._project_kv(x)
-        rows = cache.rows(lo, start, k, v)
-        wc = self._attend_core(x[-1:], cache.k[rows], cache.v[rows], None)[0]
-        if self.cfg.enable_residual and cache.wc_prev is not None:
-            r = wc - cache.wc_prev
-        else:
-            r = np.zeros_like(wc)
-        q, o, _ = self._heads(wc, r)
+        x = w.table[slots + w.offsets].reshape(len(slots), -1, w.d).sum(axis=1)
+        kvq = x @ w.kvq + w.kvq_b
+        rows = cache.rows(lo, start, kvq[:, :w.d], kvq[:, w.d:2 * w.d])
+        scores = (w.head_mask * kvq[-1, 2 * w.d:]) @ cache.k[rows].T
+        weights = nn.softmax_np(scores)
+        wc = (weights @ cache.v[rows]).ravel()[w.head_diag] @ w.wo + w.bo
+        h = wc
+        if self.cfg.enable_residual:
+            r = (wc - cache.wc_prev if cache.wc_prev is not None
+                 else np.zeros_like(wc))
+            h = np.concatenate((wc, r))
+        a = np.maximum(h @ w.w1 + w.b1, 0.0)
+        z = a[:w.hidden_main] @ w.w2_main + w.b2
+        o = None
+        if self.cfg.enable_branch:
+            hb = a[w.hidden_main:] @ w.branch_w2 + w.branch_b2
+            o = 0.5 * np.tanh(0.5 * hb) + 0.5  # the sigmoid, without overflow
+            z += o @ w.w2_branch
+        e = np.exp(z - z.max())
+        q = e * ((1.0 - PROB_FLOOR) / e.sum()) + PROB_FLOOR / 255.0
         cache.wc_prev = wc
         return wc, q, o
 
@@ -389,8 +407,58 @@ class ContextModel:
         return ce, mse
 
 
+class CodecWeights:
+    """A model's weights lowered once for the codec's per-node step.
+
+    table: each embedding table through its block of slot.w, one
+    ((K+1) * 286, d) array written in place, slot.b added to its first
+    block, so a row's slot vector is the sum of its 3(K+1) table rows at
+    chain + offsets.  kvq is [wk | wv | wq] with the query columns scaled by
+    1/sqrt(d/H); head_mask[h, j] is 1 where column j belongs to head h, and
+    head_diag picks each column's own head from an (H, d) product.  w1 is
+    [main.w1 | branch.w1] (the main columns alone with the branch off, and
+    only the wc rows with residuals off); main.w2 is split into its a1 rows
+    and its branch rows.
+    """
+
+    def __init__(self, model: ContextModel):
+        cfg, P = model.cfg, model.params
+        e, d, dh = cfg.d_embed, cfg.d_model, cfg.d_model // cfg.heads
+        self.d, self.hidden_main = d, cfg.d_hidden_main
+        embeds = [P[f"embed.{nm}"] for nm in ("occupancy", "level", "octant")]
+        first = np.cumsum([0] + [len(t) for t in embeds])
+        slots = cfg.ctx.k_ancestors + 1
+        self.offsets = (np.arange(slots)[:, None] * first[-1]
+                        + first[:-1]).astype(np.int32)
+        self.table = np.empty((slots * first[-1], d))
+        slot_w = P["slot.w"]
+        for block, lo in enumerate(self.offsets.ravel()):
+            table = embeds[block % 3]
+            np.matmul(table, slot_w[block * e:(block + 1) * e],
+                      out=self.table[lo:lo + len(table)])
+        self.table[:first[1]] += P["slot.b"]
+        scale = 1.0 / math.sqrt(dh)
+        self.kvq = np.concatenate((P["attn0.wk"], P["attn0.wv"],
+                                   P["attn0.wq"] * scale), axis=1)
+        self.kvq_b = np.concatenate((P["attn0.bk"], P["attn0.bv"],
+                                     P["attn0.bq"] * scale))
+        head = np.arange(d) // dh
+        self.head_mask = (head == np.arange(cfg.heads)[:, None]).astype(float)
+        self.head_diag = head * d + np.arange(d)
+        self.wo, self.bo = P["attn0.wo"], P["attn0.bo"]
+        heads = ("main", "branch") if cfg.enable_branch else ("main",)
+        rows = 2 * d if cfg.enable_residual else d
+        self.w1 = np.concatenate([P[f"{nm}.w1"][:rows] for nm in heads], axis=1)
+        self.b1 = np.concatenate([P[f"{nm}.b1"] for nm in heads])
+        self.w2_main = P["main.w2"][:self.hidden_main]
+        self.w2_branch = P["main.w2"][self.hidden_main:]
+        self.b2 = P["main.b2"]
+        self.branch_w2, self.branch_b2 = P["branch.w2"], P["branch.b2"]
+
+
 class KVCache:
-    """Attention keys and values of coded nodes, for `ContextModel.predict`.
+    """Attention keys and values of coded nodes, and the `CodecWeights`
+    lowered from the model when the cache is made, for `ContextModel.predict`.
 
     Buffer row j holds node base + j, so a window's rows are one contiguous
     slice in node order, and masked pad slots get no row.  The buffer holds
@@ -401,8 +469,10 @@ class KVCache:
     reorder the softmax sums.)
     """
 
-    def __init__(self, cfg: ModelConfig, ctx: GrowingContext, nodes: int):
+    def __init__(self, model: ContextModel, ctx: GrowingContext, nodes: int):
         self.ctx = ctx
+        self.weights = CodecWeights(model)
+        cfg = model.cfg
         self.k = np.empty((min(2 * cfg.ctx.n_window - 1, nodes), cfg.d_model))
         self.v = np.empty_like(self.k)
         self.base = 0       # node held by buffer row 0

@@ -1,23 +1,24 @@
 """End-to-end encode and decode drivers.
 
-Both directions run one walk, `_walk`: it grows the tree from the root level
-by level, in breadth-first order, and for each node runs the model's cached
-step `ContextModel.predict` (which embeds and projects the target's row and
-attends over the K/V rows it keeps for the window's already-coded nodes),
-then hands the distribution to the direction's callback.  The decoder
-quantizes each distribution and decodes one symbol at once, since the next
-node's window needs it.  The encoder knows every symbol in advance: it
-buffers ENCODE_BLOCK distributions, then quantizes the block in one call and
-codes its symbols in node order.  `quantize_dist` rounds each row on its
+Both directions run one walk, `_walk`: it lowers the model's parameters into
+codec weights once (a `KVCache` holds them), grows the tree from the root
+level by level, in breadth-first order, and for each node runs the model's
+fused step `ContextModel.predict` (which embeds and projects the target's
+row and attends over the K/V rows it keeps for the window's already-coded
+nodes), then hands the distribution to the direction's callback.  The
+decoder quantizes each distribution and decodes one symbol at once, since
+the next node's window needs it.  The encoder knows every symbol in advance:
+it buffers ENCODE_BLOCK distributions, then quantizes the block in one call
+and codes its symbols in node order.  `quantize_dist` rounds each row on its
 own, elementwise, and puts the row's deficit on its likeliest class, so the
 decoder sees bit-identical frequency tables.  Model weights travel out of
-band (checkpoint file); the bitstream carries a digest so a mismatched
-model is rejected, and a header the model cannot decode, or whose node
-count the payload cannot hold, is refused as corrupt before any symbol is
-read.  The header's CRC32 covers its other fields and the coded occupancy
-bytes; the decoder checks it once the tree is decoded, after the node and
-voxel counts, so a flipped frame or a payload that decodes to another tree
-fails as corrupt instead of returning a wrong cloud.
+band (checkpoint file); the bitstream carries a digest so a mismatched model
+is rejected, and a header the model cannot decode, or whose node count the
+payload cannot hold, is refused as corrupt before any symbol is read.  The
+header's CRC32 covers its other fields and the coded occupancy bytes; the
+decoder checks it once the tree is decoded, after the node and voxel counts,
+so a flipped frame or a payload that decodes to another tree fails as
+corrupt instead of returning a wrong cloud.
 """
 
 from __future__ import annotations
@@ -92,10 +93,12 @@ def _walk(model: ContextModel, depth: int, coded_levels: int, node_limit: int,
     A level's nodes enter the window table together, once the level above is
     coded.  `code(level, i, q)` takes node i's distribution and returns its
     occupancy.  A level that would take the tree past `node_limit` nodes is
-    refused, so the K/V cache holds at most `node_limit` rows.
+    refused, so the K/V cache holds at most `node_limit` rows.  The cache
+    lowers the model's parameters as they are now, so no walk runs stale
+    codec weights.
     """
     ctx = GrowingContext(model.cfg.ctx)
-    cache = KVCache(model.cfg, ctx, node_limit)
+    cache = KVCache(model, ctx, node_limit)
     levels = []
     parent, octant = np.full(1, ROOT_PARENT), np.zeros(1, dtype=np.int64)
     for lvl in range(1, coded_levels + 1):

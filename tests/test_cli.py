@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import v1_layout_stream, write_malformed_checkpoint
 from octpcc.cli import _model_config, _schedule, build_parser, main
@@ -234,7 +234,23 @@ class TestCodecCommands:
         assert run("decode", "--bitstream", str(bs), "--checkpoint",
                    str(ckpt), "--out", str(tmp_path / "x.ply")) == 5
         assert capsys.readouterr().err == (
-            "error: bitstream version 1; this decoder reads version 2 only\n")
+            "error: bitstream version 1; this decoder reads version 3 only\n")
+
+    def test_version_2_stream_exit_code(self, workspace, capsys):
+        """Version 2 has version 3's layout, but its tables came from the
+        unfolded model's floats, so it too is refused naming both versions."""
+        tmp_path, ply, ckpt = workspace
+        bs = tmp_path / "cloud.bin"
+        assert run("encode", "--input", str(ply), "--checkpoint", str(ckpt),
+                   "--depth", "4", "--out", str(bs)) == 0
+        blob = bytearray(bs.read_bytes())
+        blob[4:6] = (2).to_bytes(2, "little")
+        bs.write_bytes(bytes(blob))
+        capsys.readouterr()
+        assert run("decode", "--bitstream", str(bs), "--checkpoint",
+                   str(ckpt), "--out", str(tmp_path / "x.ply")) == 5
+        assert capsys.readouterr().err == (
+            "error: bitstream version 2; this decoder reads version 3 only\n")
 
     def test_eval_refuses_a_forged_frame(self, workspace, capsys):
         """A header scale that is not a finite positive number fails as a
@@ -391,4 +407,47 @@ def test_mutated_stream_exits_typed(coded, mutation):
                "--out", str(out))
     assert code in (0, 3, 4, 5)
     if code == 0:
+        assert out.read_bytes() == decoded
+
+
+def test_eval_checks_the_header_checksum(coded, capsys):
+    """eval reads its rate from the header, so it checks the header's CRC
+    against the decoded cloud first: a flipped raw point count (bit 4 of
+    byte 40) fails as a corrupt stream instead of printing a wrong bpip."""
+    d, _, blob, decoded = coded
+    ply, dec, bs = d / "cloud.ply", d / "crc_decoded.ply", d / "crc.bin"
+    dec.write_bytes(decoded)
+    argv = ["eval", "--original", str(ply), "--decoded", str(dec),
+            "--depth", "5", "--bitstream", str(bs)]
+    bs.write_bytes(blob)
+    capsys.readouterr()
+    assert run(*argv) == 0
+    assert "lossless = True" in capsys.readouterr().out
+    bs.write_bytes(mutate(blob, ("flip", 40, 4)))
+    assert run(*argv) == 5
+    assert "checksum" in capsys.readouterr().err
+    assert run(*argv[:-4], "--depth", "4", "--bitstream",
+               str(d / "cloud.bin")) == 3
+    assert "disagrees with the stream's depth 5" in capsys.readouterr().err
+
+
+# The example sets the last 32 bytes, branch.b2, to the float32 maximum.
+@settings(max_examples=150, deadline=4000, derandomize=True, database=None)
+@given(mutation=MUTATIONS)
+@example(mutation=("overwrite", -32, b"\xff\xff\x7f\x7f" * 8))
+def test_mutated_checkpoint_exits_typed(coded, mutation):
+    """`octpcc encode` then `decode` with a flipped, truncated, extended or
+    overwritten checkpoint exit 3, 4 or 5, never with a traceback; a
+    checkpoint that still loads, whatever its weights, codes the cloud
+    losslessly."""
+    d, ckpt, _, decoded = coded
+    bad, bs, out = d / "mutated.ckpt", d / "ckpt_mutated.bin", d / "ckpt.ply"
+    bad.write_bytes(mutate(ckpt.read_bytes(), mutation))
+    out.unlink(missing_ok=True)
+    code = run("encode", "--input", str(d / "cloud.ply"), "--checkpoint",
+               str(bad), "--depth", "5", "--out", str(bs))
+    assert code in (0, 3, 4, 5)
+    if code == 0:
+        assert run("decode", "--bitstream", str(bs), "--checkpoint", str(bad),
+                   "--out", str(out)) == 0
         assert out.read_bytes() == decoded

@@ -29,7 +29,7 @@ def tiny_corpus(n=60, seed=2, depth=3):
 def predict_all(model, seq, upto=None, step=1, nodes=None):
     """The codec's cached step over nodes range(0, upto, step): (wc, q, o)
     per node, through a cache sized for `nodes` nodes (default: all of seq)."""
-    cache = KVCache(model.cfg, ContextAssembler(seq, model.cfg.ctx),
+    cache = KVCache(model, ContextAssembler(seq, model.cfg.ctx),
                     len(seq) if nodes is None else nodes)
     nodes = range(0, len(seq) if upto is None else upto, step)
     return [model.predict(cache, i) for i in nodes]
@@ -79,15 +79,22 @@ class TestForward:
     def test_identical_windows_give_zero_residual_and_same_dist(self):
         model = tiny_model()
         seq = tiny_corpus()[0]
-        cache = KVCache(model.cfg, ContextAssembler(seq, model.cfg.ctx), len(seq))
-        for i in range(3):
-            model.predict(cache, i)
-        # node 2 twice more, its row embedded alone both times: the same wc,
-        # so wc - wc_prev is exactly zero the second time
-        wc1, _, _ = model.predict(cache, 2)
-        wc2, q2, _ = model.predict(cache, 2)
+        # the same weights with residuals off: r = 0 always
+        plain = ContextModel(replace(model.cfg, enable_residual=False),
+                             model.params)
+        steps = []
+        for m in (model, plain):
+            cache = KVCache(m, ContextAssembler(seq, m.cfg.ctx), len(seq))
+            for i in range(3):
+                m.predict(cache, i)
+            # node 2 twice more, its row embedded alone both times
+            steps.append([m.predict(cache, 2) for _ in range(2)])
+        (wc1, _, _), (wc2, q2, _) = steps[0]
+        # the same wc, so wc - wc_prev is exactly zero the second time, and
+        # q is the one residuals off give
         np.testing.assert_array_equal(wc1, wc2)
-        np.testing.assert_array_equal(q2, model._heads(wc1, 0 * wc1)[0])
+        np.testing.assert_array_equal(wc2, steps[1][1][0])
+        np.testing.assert_array_equal(q2, steps[1][1][1])
 
     def test_zeroed_output_layers_give_uniform(self):
         model = zero_head_layers(tiny_model())
@@ -188,15 +195,16 @@ class TestForward:
     def test_cache_holds_no_more_rows_than_the_stream(self):
         """A full-scale window (N=1024) over a lidar cloud at depth 5 (about
         270 nodes) keeps one row a node, not 2N-1."""
-        cfg = ModelConfig.full_scale()
+        model = ContextModel.create(ModelConfig.full_scale())
+        cfg = model.cfg
         seq = build(quantize(synth("lidar_rings", 20000, seed=1), 5))
-        cache = KVCache(cfg, ContextAssembler(seq, cfg.ctx), len(seq))
+        cache = KVCache(model, ContextAssembler(seq, cfg.ctx), len(seq))
         assert cache.k.shape == cache.v.shape == (len(seq), cfg.d_model)
         assert len(seq) < 2 * cfg.ctx.n_window - 1
 
     def test_cached_step_needs_nodes_in_order(self):
         model = tiny_model()
-        cache = KVCache(model.cfg, GrowingContext(model.cfg.ctx), 3)
+        cache = KVCache(model, GrowingContext(model.cfg.ctx), 3)
         cache.ctx.add_node(1, np.array([ROOT_PARENT]), np.array([0]))
         cache.ctx.add_node(2, np.array([0, 0]), np.array([0, 3]))
         model.predict(cache, 0)

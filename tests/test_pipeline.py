@@ -28,7 +28,7 @@ def per_node_reference(pc, depth, model):
     codes each node as soon as it is predicted: predict, quantize_dist and
     ArithmeticEncoder.encode, node by node."""
     seq = build(quantize(pc, depth))
-    cache = KVCache(model.cfg, ContextAssembler(seq, model.cfg.ctx), len(seq))
+    cache = KVCache(model, ContextAssembler(seq, model.cfg.ctx), len(seq))
     enc = ArithmeticEncoder()
     tables, ideal, marks = [], 0.0, []
     for i in range(len(seq)):
@@ -144,6 +144,40 @@ class TestAgreement:
             np.testing.assert_array_equal(a, b)
         assert report.ideal_bits == ideal
         assert report.per_level_bits == per_level
+
+    def test_codec_weights_follow_the_parameters(self, tmp_path):
+        """Each encode lowers the model's parameters afresh: after they
+        change in place, the stream is the one a freshly loaded copy of the
+        changed model writes, not the one before."""
+        pc = synth("plane", 300, seed=3)
+        model = tiny_model(seed=2)
+        before = encode(pc, 5, 5, model)[0].to_bytes()
+        zero_head_layers(model)
+        after = encode(pc, 5, 5, model)[0].to_bytes()
+        model.save(tmp_path / "changed.ckpt")
+        fresh = ContextModel.load(tmp_path / "changed.ckpt")
+        assert after == encode(pc, 5, 5, fresh)[0].to_bytes()
+        assert after[HEADER_BYTES:] != before[HEADER_BYTES:]
+
+    @pytest.mark.parametrize("case", ["residual+branch", "plain"])
+    def test_codec_runs_on_the_lowered_weights_alone(self, case, monkeypatch):
+        """Encode and decode call none of the unfolded forward's pieces, and
+        with the branch off the step returns no branch output."""
+        model = ContextModel.create(replace(FORWARD_CONFIGS[case], seed=11))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the codec ran the unfolded forward")
+
+        for name in ("_embed", "_project_kv", "_attend_core", "_heads"):
+            monkeypatch.setattr(ContextModel, name, refuse)
+        monkeypatch.setattr(octpcc.nn, "concat", refuse)
+        pc = synth("plane", 300, seed=3)
+        bs, _ = encode(pc, 5, 5, model)
+        assert decode(bs, model).same_voxels(quantize(pc, 5))
+        seq = build(quantize(pc, 5))
+        cache = KVCache(model, ContextAssembler(seq, model.cfg.ctx), len(seq))
+        o = model.predict(cache, 0)[2]
+        assert (o is None) == (not model.cfg.enable_branch)
 
     def test_payload_within_ideal_bound(self):
         pc = synth("plane", 1000, seed=3)
