@@ -36,6 +36,10 @@ assert FREQ_TOTAL <= _MIN_RANGE
 MAX_BITS_PAST_END = 32
 
 
+def _not_summing_to_one(row) -> InvalidInput:
+    return InvalidInput(f"distribution sums to {float(row.sum())!r}, not 1")
+
+
 def quantize_dist(q: np.ndarray) -> np.ndarray:
     """Deterministic 2**16-total integer quantization of 255-way distributions.
 
@@ -56,11 +60,15 @@ def quantize_dist(q: np.ndarray) -> np.ndarray:
     rows = q.reshape(-1, 255)
     freq = np.rint(rows * (FREQ_TOTAL - 255)).astype(np.int64) + 1
     deficit = FREQ_TOTAL - freq.sum(axis=1)
-    bad = np.abs(deficit) > 127
-    if bad.any():
-        raise InvalidInput(f"distribution sums to {float(rows[bad][0].sum())!r}, "
-                           "not 1")
-    freq[np.arange(len(freq)), rows.argmax(axis=1)] += deficit
+    if len(rows) == 1:  # the decoder's call, where scalar steps cost less
+        if abs(int(deficit[0])) > 127:
+            raise _not_summing_to_one(rows[0])
+        freq[0, rows[0].argmax()] += deficit[0]
+    else:
+        bad = np.abs(deficit) > 127
+        if bad.any():
+            raise _not_summing_to_one(rows[bad][0])
+        freq[np.arange(len(freq)), rows.argmax(axis=1)] += deficit
     cum = np.zeros((len(freq), 256), dtype=np.int64)
     np.cumsum(freq, axis=1, out=cum[:, 1:])
     return cum.reshape(q.shape[:-1] + (256,))
@@ -166,7 +174,7 @@ class ArithmeticDecoder:
 # ---------------------------------------------------------------------------
 
 BITSTREAM_MAGIC = b"OPCB"
-BITSTREAM_VERSION = 3
+BITSTREAM_VERSION = 4
 FLAG_RESIDUAL = 1
 FLAG_BRANCH = 2
 

@@ -17,11 +17,13 @@ which are decoded before any node of the target's level), so the decoder
 rebuilds the identical window.
 
 A window is not copied slot by slot: it is a run of per-node rows (each
-node's chain, or the target's with occupancy PAD).  The codec's cached step
-(`model.KVCache`) asks `window` only for the rows it has not embedded yet,
-usually the previous node's (now coded) and the target's; `window_block`
-gives training and analysis a block's rows once and its windows as a band
-mask over them.
+node's chain, or the target's with occupancy PAD).  The codec's step
+(`model.ContextModel.predict`) asks `window` once a step for the rows of the
+history nodes it has not cached yet (usually the previous node, or a run of
+targets but its last) and the step's last target; its K/V cache embeds the
+target rows straight from `chains`, a block of nodes at a time.
+`window_block` gives training and analysis a block's rows once and its
+windows as a band mask over them.
 """
 
 from __future__ import annotations
@@ -86,7 +88,8 @@ class GrowingContext:
         self.chains = np.concatenate((self.chains, rows))
         self.count = len(self.chains)
 
-    def set_occupancy(self, i: int, occ: int) -> None:
+    def set_occupancy(self, i, occ) -> None:
+        """Node i's occupancy; or, with i a slice, its nodes'."""
         self.chains[i, 0, 0] = occ
 
     def window_start(self, i):

@@ -12,14 +12,19 @@ linear layer.
 The slot embedding has no positional term and the target is the only
 query, so each history slot's keys and values depend on its node alone,
 and every path embeds and projects each node's row once: the codec
-(`predict`) keeps coded nodes' K/V rows in a `KVCache`, and training and
-analysis attend each target of a window block to the block's rows through
-a band mask that keeps its own window's rows.
+(`predict`) keeps coded nodes' K/V rows in a `KVCache`, each its node's
+target row plus its occupancy's delta, and training and analysis attend
+each target of a window block to the block's rows through a band mask that
+keeps its own window's rows.
 
 The codec's step runs on `CodecWeights`, the parameters lowered once per
-encode or decode (embeddings folded through the slot projection, K/V/Q and
-both heads' first layers joined): the same function as the unfolded
-forward of training and analysis, whose floats differ in the last bits.
+encode or decode (embeddings folded through the slot projection, K/V/Q
+joined, the attention output projection folded into both heads' first
+layers, which are joined): the same function as the unfolded forward of
+training and analysis, whose floats differ in the last bits.  It steps one
+target (the decoder) or a run of targets with full windows (the encoder)
+through row-invariant ops alone, so a target's floats do not depend on the
+run it is in.
 
 Ablation toggles: enable_residual feeds a zero vector instead of r_i;
 enable_branch feeds zeros into the fusion slot.  All four combinations
@@ -41,7 +46,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import nn
-from .context import ContextAssembler, ContextConfig, GrowingContext
+from .context import PAD, ContextAssembler, ContextConfig, GrowingContext
 from .errors import ConfigError, InvalidInput, NumericalError
 from .geometry import MAX_DEPTH
 from .octree import NodeSequence
@@ -201,6 +206,31 @@ def zero_head_layers(model: "ContextModel") -> "ContextModel":
     return model
 
 
+def _windows(buffer, first: int, targets: int, n: int):
+    """The n history rows of each of `targets` targets, target b's from
+    buffer row first + b on, as one zero-copy (targets, width, n) view whose
+    blocks have the strides of one target's rows."""
+    row, col = buffer.strides
+    return np.ndarray((targets, buffer.shape[1], n), buffer.dtype, buffer,
+                      first * row, (row, col, row))
+
+
+def _attend_step(query, own_score, own_v, history):
+    """Per-head attention contexts (targets, H, d) of the codec's step.
+
+    Each target's head-masked queries (H, d) score its n history keys, the
+    first half of history (targets, 2d, n), and own_score (targets, H, 1)
+    holds their scores against its own key; the weights then mix the
+    history values and its own values own_v (targets, d).  Every product is
+    one target's, stacked.
+    """
+    d, n = own_v.shape[1], history.shape[2]
+    weights = nn.softmax_np(np.concatenate((query @ history[:, :d], own_score),
+                                           axis=2))
+    return (weights[..., :n] @ history[:, d:].swapaxes(1, 2)
+            + weights[..., n:] * own_v[:, None])
+
+
 # Targets per window block in `distributions`.  Every target scores all of
 # the block's chunk + N - 1 rows, so the band's cost grows with the chunk;
 # 64-128 targets ran fastest at both N=64 and N=1024.
@@ -328,51 +358,66 @@ class ContextModel:
             r = nn.concat((np.zeros((1, wc.shape[1])), wc[1:] - wc[:-1]), axis=0)
         return self._heads(wc, r, params)
 
-    def predict(self, cache: "KVCache", i: int):
-        """The codec's per-node step: (wc, dist, branch) of node i as raw
-        arrays; branch is None with the branch off, which it skips.
+    def predict(self, cache: "KVCache", i: int, j: int):
+        """The codec's step for targets i, ..., j - 1: (c, q, o), one row
+        a target, c the attention output before wo (`CodecWeights` folds wo
+        into the heads); o is None with the branch off, which it skips.
 
-        Encoder and decoder call exactly this for nodes 0, 1, 2, ... in
-        order, so the float sequence, and therefore every frequency table,
-        is identical on both sides.  Node i's row (its chain with the
-        occupancy PAD) attends over the cached K/V rows of its window's
-        history nodes.  Each call embeds and projects, as one batch, the
-        target's row and the history rows of the nodes coded since the last
-        call (normally node i-1 alone, whose occupancy must be set by then),
-        so each node's history row is computed once.  Rows of nodes before
-        the window (strict_level drops earlier levels) are never computed.
-        The step runs on the cache's `CodecWeights`, not on `params`.
+        Encoder and decoder step through nodes 0, 1, 2, ... in order, the
+        decoder one target a call and the encoder in runs whose windows
+        have equal length.  The step uses row-invariant ops alone (stacked
+        matmuls whose per-target shape is the one-target call's, reductions
+        within a row, elementwise ops), never a GEMM across targets, so a
+        target's floats, and therefore its frequency table, do not depend
+        on the run it is in.  Each target's query scores the history rows of
+        its window, read as a strided view of the cache, and its own row
+        (its chain with the occupancy PAD).  A history row is a node's own
+        row plus its occupancy's delta, stored once the node's occupancy is
+        set, so no row is embedded twice.  The step runs on the cache's
+        `CodecWeights`, not on `params`.
         """
         ctx, w = cache.ctx, cache.weights
-        if not (cache.next_node <= i < ctx.count):
-            raise InvalidInput(f"node {i} is not the next node to predict")
+        if not (cache.next_node <= i < j <= ctx.count):
+            raise InvalidInput(f"nodes {i}..{j - 1} are not the next nodes "
+                               "to predict")
         lo = ctx.window_start(i)
+        n = i - lo  # history rows of each target
+        if j - i > 1:
+            targets = np.arange(i, j)
+            if j - i > cache.batch or (
+                    targets - ctx.window_start(targets) != n).any():
+                raise InvalidInput(f"targets {i}..{j - 1} are more than "
+                                   f"{cache.batch} or their windows differ "
+                                   "in length")
         start = max(lo, cache.next_node)
-        slots, _ = ctx.window(i, start)
-        if not slots[:-1, 0, 0].all():
-            raise InvalidInput(f"a history node of node {i} is not coded yet")
-        x = w.table[slots + w.offsets].reshape(len(slots), -1, w.d).sum(axis=1)
-        kvq = x @ w.kvq + w.kvq_b
-        rows = cache.rows(lo, start, kvq[:, :w.d], kvq[:, w.d:2 * w.d])
-        scores = (w.head_mask * kvq[-1, 2 * w.d:]) @ cache.k[rows].T
-        weights = nn.softmax_np(scores)
-        wc = (weights @ cache.v[rows]).ravel()[w.head_diag] @ w.wo + w.bo
-        h = wc
-        if self.cfg.enable_residual:
-            r = (wc - cache.wc_prev if cache.wc_prev is not None
-                 else np.zeros_like(wc))
-            h = np.concatenate((wc, r))
+        occ = ctx.window(j - 1, start)[0][:-1, 0, 0]
+        if not occ.all():
+            raise InvalidInput(f"a history node of node {j - 1} is not "
+                               "coded yet")
+        kv, query, own_score = cache.targets(start, j)
+        history = cache.rows(lo, start, kv[:j - 1 - start], occ, n)
+        heads = _attend_step(query[i - start:], own_score[i - start:],
+                             kv[i - start:, w.d:], history)
+        c = heads.reshape(j - i, 1, -1)[..., w.head_diag]
+        h = c  # one (1, width) row a target from here on
+        if self.cfg.enable_residual:  # r_0 = 0 at the stream's start
+            prev = np.concatenate((
+                c[:1] if cache.c_prev is None else cache.c_prev, c[:-1]))
+            h = np.concatenate((c, c - prev), axis=2)
         a = np.maximum(h @ w.w1 + w.b1, 0.0)
-        z = a[:w.hidden_main] @ w.w2_main + w.b2
+        z = a[..., :w.hidden_main] @ w.w2_main + w.b2
         o = None
         if self.cfg.enable_branch:
-            hb = a[w.hidden_main:] @ w.branch_w2 + w.branch_b2
+            hb = a[..., w.hidden_main:] @ w.branch_w2 + w.branch_b2
             o = 0.5 * np.tanh(0.5 * hb) + 0.5  # the sigmoid, without overflow
             z += o @ w.w2_branch
-        e = np.exp(z - z.max())
-        q = e * ((1.0 - PROB_FLOOR) / e.sum()) + PROB_FLOOR / 255.0
-        cache.wc_prev = wc
-        return wc, q, o
+            o = o[:, 0]
+        z -= z.max(axis=2, keepdims=True)
+        q = np.exp(z, out=z)
+        q *= (1.0 - PROB_FLOOR) / q.sum(axis=2, keepdims=True)
+        q += PROB_FLOOR / 255.0
+        cache.c_prev = c[-1:]
+        return c[:, 0], q[:, 0], o
 
     def blocks(self, asm: ContextAssembler, size: int):
         """(start, stop, block, lead) for consecutive runs of `size` targets.
@@ -408,7 +453,7 @@ class ContextModel:
 
 
 class CodecWeights:
-    """A model's weights lowered once for the codec's per-node step.
+    """A model's weights lowered once for the codec's step.
 
     table: each embedding table through its block of slot.w, one
     ((K+1) * 286, d) array written in place, slot.b added to its first
@@ -417,8 +462,12 @@ class CodecWeights:
     1/sqrt(d/H); head_mask[h, j] is 1 where column j belongs to head h, and
     head_diag picks each column's own head from an (H, d) product.  w1 is
     [main.w1 | branch.w1] (the main columns alone with the branch off, and
-    only the wc rows with residuals off); main.w2 is split into its a1 rows
-    and its branch rows.
+    only the wc rows with residuals off) with wo folded into each d-row
+    block, and b1 takes bo through the wc rows: wc = c wo + bo for the
+    attention output c, and r = wc - wc_prev = (c - c_prev) wo.  main.w2
+    is split into its a1 rows and its branch rows.  occ_delta[o] is what
+    occupancy o adds to a row's keys and values over the occupancy PAD: a
+    history row is its node's target row plus occ_delta of its occupancy.
     """
 
     def __init__(self, model: ContextModel):
@@ -442,14 +491,18 @@ class CodecWeights:
                                    P["attn0.wq"] * scale), axis=1)
         self.kvq_b = np.concatenate((P["attn0.bk"], P["attn0.bv"],
                                      P["attn0.bq"] * scale))
+        occ = P["embed.occupancy"]
+        self.occ_delta = (occ - occ[PAD]) @ slot_w[:e] @ self.kvq[:, :2 * d]
         head = np.arange(d) // dh
         self.head_mask = (head == np.arange(cfg.heads)[:, None]).astype(float)
         self.head_diag = head * d + np.arange(d)
-        self.wo, self.bo = P["attn0.wo"], P["attn0.bo"]
         heads = ("main", "branch") if cfg.enable_branch else ("main",)
         rows = 2 * d if cfg.enable_residual else d
-        self.w1 = np.concatenate([P[f"{nm}.w1"][:rows] for nm in heads], axis=1)
-        self.b1 = np.concatenate([P[f"{nm}.b1"] for nm in heads])
+        w1 = np.concatenate([P[f"{nm}.w1"][:rows] for nm in heads], axis=1)
+        wo = P["attn0.wo"]
+        self.w1 = np.concatenate([wo @ w1[k:k + d] for k in range(0, rows, d)])
+        self.b1 = (np.concatenate([P[f"{nm}.b1"] for nm in heads])
+                   + P["attn0.bo"] @ w1[:d])
         self.w2_main = P["main.w2"][:self.hidden_main]
         self.w2_branch = P["main.w2"][self.hidden_main:]
         self.b2 = P["main.b2"]
@@ -457,43 +510,74 @@ class CodecWeights:
 
 
 class KVCache:
-    """Attention keys and values of coded nodes, and the `CodecWeights`
-    lowered from the model when the cache is made, for `ContextModel.predict`.
+    """Attention keys and values of coded nodes, the target rows of the
+    nodes to come, and the `CodecWeights` lowered from the model when the
+    cache is made, for `ContextModel.predict`.
 
-    Buffer row j holds node base + j, so a window's rows are one contiguous
-    slice in node order, and masked pad slots get no row.  The buffer holds
-    min(2N-1, nodes) rows for a stream of `nodes` nodes: one that holds the
-    whole stream never compacts, and otherwise, when a step's rows would not
-    fit, the rows of the target's history nodes move to the front first, so
-    memory is O(N d) however many nodes are coded.  (A ring that wraps would
-    reorder the softmax sums.)
+    Buffer row j of `kv` holds node base + j's history row [k | v], so the
+    history of a run of targets is one strided view in node order.  A step
+    takes at most `batch` targets, as many as keep its (targets, heads, N)
+    scores within 512 KB: 256 at the default size, 16 at full scale.  The
+    buffer holds min(2(N-1) + batch, nodes) rows for a stream of `nodes`
+    nodes: one that holds the whole stream never compacts, and otherwise,
+    when a step's rows would not fit, the rows of the first target's history
+    nodes move to the front first, so memory is O(N d) however many nodes
+    are coded.  (A ring that wraps would break the view.)  A target row
+    depends on its node's ancestors alone, so `targets` embeds and projects
+    the rows of `batch` nodes at a time, as far as the window table reaches
+    (larger blocks ran slower per row).
     """
 
     def __init__(self, model: ContextModel, ctx: GrowingContext, nodes: int):
         self.ctx = ctx
         self.weights = CodecWeights(model)
         cfg = model.cfg
-        self.k = np.empty((min(2 * cfg.ctx.n_window - 1, nodes), cfg.d_model))
-        self.v = np.empty_like(self.k)
+        n = cfg.ctx.n_window
+        self.batch = max(1, (1 << 19) // (8 * cfg.heads * n))
+        self.kv = np.empty((min(2 * (n - 1) + self.batch, nodes),
+                            2 * cfg.d_model))
         self.base = 0       # node held by buffer row 0
         self.next_node = 0  # the first node whose history row is not cached
-        self.wc_prev = None
+        self.c_prev = None  # the last target's attention output
+        self.held = (0, 0, None)  # nodes [first, stop) and their target rows
 
-    def rows(self, lo: int, start: int, k, v) -> slice:
-        """Store the rows k, v of nodes start, ..., i (the target's last)
-        and return the buffer rows of nodes lo, ..., i.  If node i would
-        fall past the buffer's end, the rows of nodes [lo, start) move to
-        the front first."""
-        i = start + len(k) - 1
-        if i - self.base >= len(self.k):
-            held = slice(lo - self.base, start - self.base)
-            self.k[:start - lo] = self.k[held]
-            self.v[:start - lo] = self.v[held]
+    def targets(self, start: int, stop: int):
+        """(kv, query, own_score) of nodes start, ..., stop - 1 as targets,
+        their occupancy PAD: the rows [k | v] (targets, 2d), the queries
+        through the head mask (targets, H, d) and each query's scores
+        against its own key (targets, H, 1)."""
+        first, end, rows = self.held
+        if not first <= start <= stop <= end:
+            w = self.weights
+            end = min(max(stop, start + self.batch), self.ctx.count)
+            index = self.ctx.chains[start:end] + w.offsets
+            index[:, 0, 0] = PAD  # the occupancy block starts the table
+            x = w.table[index].reshape(end - start, -1, w.d).sum(
+                axis=1, keepdims=True)
+            kvq = x @ w.kvq + w.kvq_b
+            query = w.head_mask * kvq[..., 2 * w.d:]
+            rows = (kvq[:, 0, :2 * w.d], query,
+                    (query * kvq[..., :w.d]).sum(axis=2, keepdims=True))
+            first, self.held = start, (start, end, rows)
+        kv, query, own_score = rows
+        a, b = start - first, stop - first
+        return kv[a:b], query[a:b], own_score[a:b]
+
+    def rows(self, lo: int, start: int, kv, occ, n: int):
+        """Store the history rows of nodes start, ..., stop - 1, their
+        target rows kv plus the deltas of their occupancies occ, and return
+        for each target t of lo + n, ..., stop its n history rows from node
+        t - n on, as one (targets, 2d, n) view of the buffer.  If node
+        stop - 1 would fall past the buffer's end, the rows of nodes
+        [lo, start) move to the front first."""
+        stop = start + len(kv)
+        if stop - self.base > len(self.kv):
+            self.kv[:start - lo] = self.kv[lo - self.base:start - self.base]
             self.base = lo
-        new = slice(start - self.base, i + 1 - self.base)
-        self.k[new], self.v[new] = k, v
-        self.next_node = i
-        return slice(lo - self.base, i + 1 - self.base)
+        np.add(kv, self.weights.occ_delta[occ],
+               out=self.kv[start - self.base:stop - self.base])
+        self.next_node = stop
+        return _windows(self.kv, lo - self.base, stop - lo - n + 1, n)
 
 
 def train(model: ContextModel, corpus, schedule: TrainSchedule = TrainSchedule()):

@@ -2,23 +2,25 @@
 
 Both directions run one walk, `_walk`: it lowers the model's parameters into
 codec weights once (a `KVCache` holds them), grows the tree from the root
-level by level, in breadth-first order, and for each node runs the model's
-fused step `ContextModel.predict` (which embeds and projects the target's
-row and attends over the K/V rows it keeps for the window's already-coded
-nodes), then hands the distribution to the direction's callback.  The
-decoder quantizes each distribution and decodes one symbol at once, since
-the next node's window needs it.  The encoder knows every symbol in advance:
-it buffers ENCODE_BLOCK distributions, then quantizes the block in one call
-and codes its symbols in node order.  `quantize_dist` rounds each row on its
-own, elementwise, and puts the row's deficit on its likeliest class, so the
-decoder sees bit-identical frequency tables.  Model weights travel out of
-band (checkpoint file); the bitstream carries a digest so a mismatched model
-is rejected, and a header the model cannot decode, or whose node count the
-payload cannot hold, is refused as corrupt before any symbol is read.  The
-header's CRC32 covers its other fields and the coded occupancy bytes; the
-decoder checks it once the tree is decoded, after the node and voxel counts,
-so a flipped frame or a payload that decodes to another tree fails as
-corrupt instead of returning a wrong cloud.
+level by level, in breadth-first order, and runs the model's step
+`ContextModel.predict` (which attends each target's row over the K/V rows
+the cache keeps for its window's already-coded nodes), then hands the
+distributions to the direction's callback.  The decoder steps one node at a
+time, quantizes its distribution and decodes its symbol at once, since the
+next node's window needs it.  The encoder knows every symbol in advance: it
+steps runs of a level's nodes whose windows are full, buffers up to
+ENCODE_BLOCK distributions, then quantizes them in one call and codes their
+symbols in node order.  The step uses row-invariant ops alone, so a node's
+distribution has the same bits in a run as alone, and `quantize_dist`
+rounds each row on its own, elementwise, and puts the row's deficit on its
+likeliest class, so the decoder sees bit-identical frequency tables.  Model
+weights travel out of band (checkpoint file); the bitstream carries a
+digest so a mismatched model is rejected, and a header the model cannot
+decode, or whose node count the payload cannot hold, is refused as corrupt
+before any symbol is read.  The header's CRC32 covers its other fields and
+the coded occupancy bytes; the decoder checks it once the tree is decoded,
+after the node and voxel counts, so a flipped frame or a payload that
+decodes to another tree fails as corrupt instead of returning a wrong cloud.
 """
 
 from __future__ import annotations
@@ -41,8 +43,9 @@ from .octree import ROOT_PARENT, NodeSequence, build, children, reconstruct
 # FREQ_TOTAL - 254 and a node costs >= 0.0056 bits: 178.5 nodes a payload bit.
 MAX_NODES_PER_BIT = 1 / np.log2(FREQ_TOTAL / (FREQ_TOTAL - 254))
 
-# Nodes the encoder quantizes and codes together.  A fixed block bounds the
-# (block, 255) temporaries: a whole cloud's would reach megabytes each.
+# Nodes the encoder steps, quantizes and codes together, at most.  A fixed
+# block bounds the (block, 255) temporaries: a whole cloud's would reach
+# megabytes each.
 ENCODE_BLOCK = 256
 
 
@@ -86,19 +89,28 @@ def _model_flags(model: ContextModel) -> int:
 
 
 def _walk(model: ContextModel, depth: int, coded_levels: int, node_limit: int,
-          code) -> NodeSequence:
+          code, known=None) -> NodeSequence:
     """Grow the tree from the root through `coded_levels` levels, predicting
-    each node in stream order; both directions run this.
+    the nodes in stream order; both directions run this.
 
     A level's nodes enter the window table together, once the level above is
-    coded.  `code(level, i, q)` takes node i's distribution and returns its
-    occupancy.  A level that would take the tree past `node_limit` nodes is
+    coded.  `code(level, i, q)` takes the distributions q of nodes i, i + 1,
+    ... (one row each) and returns their occupancies.  Without `known`, the
+    decoder's case, a step predicts one node, whose occupancy the next
+    window needs.  With `known`, every node's occupancy in stream order (the
+    encoder's), a level's occupancies are set as it enters the table, and a
+    step predicts a run of its nodes whose windows are full, up to
+    ENCODE_BLOCK and the cache's batch; a growing window (the stream's first
+    N - 1 nodes, or a level's under strict_level) is a step of its own.  A
+    level that would take the tree past `node_limit` nodes is
     refused, so the K/V cache holds at most `node_limit` rows.  The cache
     lowers the model's parameters as they are now, so no walk runs stale
     codec weights.
     """
     ctx = GrowingContext(model.cfg.ctx)
     cache = KVCache(model, ctx, node_limit)
+    run = 1 if known is None else min(ENCODE_BLOCK, cache.batch)
+    full = model.cfg.ctx.n_window - 1  # a full window's history nodes
     levels = []
     parent, octant = np.full(1, ROOT_PARENT), np.zeros(1, dtype=np.int64)
     for lvl in range(1, coded_levels + 1):
@@ -108,11 +120,20 @@ def _walk(model: ContextModel, depth: int, coded_levels: int, node_limit: int,
                 f"level {lvl - 1}, node {parent[node_limit - first]}: decoded "
                 f"tree exceeds the declared node count {node_limit}")
         ctx.add_node(lvl, parent, octant)
-        occ = np.empty(len(parent), dtype=np.int32)
-        for i in range(first, ctx.count):
-            _, q, _ = model.predict(cache, i)
-            occ[i - first] = sym = code(lvl, i, q)
-            ctx.set_occupancy(i, sym)
+        end = ctx.count
+        if known is not None:
+            ctx.set_occupancy(slice(first, end), known[first:end])
+        occ = np.empty(end - first, dtype=np.int32)
+        i = first
+        while i < end:
+            j = i + 1
+            if run > 1 and i - ctx.window_start(i) == full:
+                j = min(i + run, end)
+            _, q, _ = model.predict(cache, i, j)
+            occ[i - first:j - first] = sym = code(lvl, i, q)
+            if known is None:
+                ctx.set_occupancy(i, sym)
+            i = j
         levels.append((occ, parent, octant))
         parent, octant = children(occ)
         parent += first
@@ -155,12 +176,13 @@ def encode(pc: RawPointCloud, depth: int, coded_levels: int,
         coded = stop
 
     def code(level, i, q):
-        dists[i - coded] = q
-        if i + 1 - coded == ENCODE_BLOCK:
-            flush(i + 1)
-        return int(seq.occupancy[i])
+        if i + len(q) - coded > ENCODE_BLOCK:
+            flush(i)
+        dists[i - coded:i + len(q) - coded] = q
+        return seq.occupancy[i:i + len(q)]
 
-    n_coded = len(_walk(model, depth, coded_levels, len(seq), code))
+    n_coded = len(_walk(model, depth, coded_levels, len(seq), code,
+                        seq.occupancy))
     if n_coded > coded:
         flush(n_coded)
     payload = enc.finish()
@@ -207,7 +229,7 @@ def decode(bs: Bitstream, model: ContextModel,
     dec = ArithmeticDecoder(bs.payload)
 
     def code(level, i, q):
-        table = quantize_dist(q)
+        table = quantize_dist(q[0])
         if table_log is not None:
             table_log.append(table)
         sym = dec.decode(table) + 1

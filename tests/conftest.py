@@ -29,8 +29,8 @@ MALFORMED_CONFIGS = {
 # Model configs on which the codec's cached step must reproduce the batched
 # forward and the decoder the encoder's tables: every residual/branch
 # variant, strict_level, a window of the target alone (no history slot, no
-# ancestor), and the default N=64 window, which the test clouds (at least 3N
-# nodes) make a K/V cache of 2N-1 rows compact at least twice.
+# ancestor), and the default N=64 window, over which the test clouds (at
+# least 3N nodes) make a K/V cache sized for 2N-1 nodes compact at least twice.
 FORWARD_CONFIGS = {
     "residual+branch": ModelConfig.tiny(),
     "residual": ModelConfig.tiny(enable_branch=False),

@@ -234,23 +234,36 @@ class TestCodecCommands:
         assert run("decode", "--bitstream", str(bs), "--checkpoint",
                    str(ckpt), "--out", str(tmp_path / "x.ply")) == 5
         assert capsys.readouterr().err == (
-            "error: bitstream version 1; this decoder reads version 3 only\n")
+            "error: bitstream version 1; this decoder reads version 4 only\n")
 
-    def test_version_2_stream_exit_code(self, workspace, capsys):
-        """Version 2 has version 3's layout, but its tables came from the
-        unfolded model's floats, so it too is refused naming both versions."""
+    @staticmethod
+    def relabelled_stream_exit(workspace, capsys, version):
+        """Encode with the CLI, relabel the stream `version`, decode it:
+        (exit code, stderr)."""
         tmp_path, ply, ckpt = workspace
         bs = tmp_path / "cloud.bin"
         assert run("encode", "--input", str(ply), "--checkpoint", str(ckpt),
                    "--depth", "4", "--out", str(bs)) == 0
         blob = bytearray(bs.read_bytes())
-        blob[4:6] = (2).to_bytes(2, "little")
+        blob[4:6] = version.to_bytes(2, "little")
         bs.write_bytes(bytes(blob))
         capsys.readouterr()
-        assert run("decode", "--bitstream", str(bs), "--checkpoint",
-                   str(ckpt), "--out", str(tmp_path / "x.ply")) == 5
-        assert capsys.readouterr().err == (
-            "error: bitstream version 2; this decoder reads version 3 only\n")
+        code = run("decode", "--bitstream", str(bs), "--checkpoint",
+                   str(ckpt), "--out", str(tmp_path / "x.ply"))
+        return code, capsys.readouterr().err
+
+    def test_version_2_stream_exit_code(self, workspace, capsys):
+        """Version 2 has version 4's layout, but its tables came from the
+        unfolded model's floats, so it too is refused naming both versions."""
+        assert self.relabelled_stream_exit(workspace, capsys, 2) == (
+            5, "error: bitstream version 2; this decoder reads version 4 only\n")
+
+    def test_version_3_stream_exit_code(self, workspace, capsys):
+        """Version 3 has version 4's layout, but its tables came from a
+        per-node step whose floats differ from the row-invariant step's in
+        the last bits, so it is refused naming both versions."""
+        assert self.relabelled_stream_exit(workspace, capsys, 3) == (
+            5, "error: bitstream version 3; this decoder reads version 4 only\n")
 
     def test_eval_refuses_a_forged_frame(self, workspace, capsys):
         """A header scale that is not a finite positive number fails as a

@@ -334,11 +334,11 @@ class TestBitstreamContainer:
         with pytest.raises(ParseError):
             Bitstream.from_bytes(bytes(blob))
 
-    @pytest.mark.parametrize("version", [0, 1, 2, 4, 0xFFFF])
+    @pytest.mark.parametrize("version", [0, 1, 2, 3, 5, 0xFFFF])
     def test_other_versions_refused_as_corrupt(self, version):
-        """A stream of any version but 3 fails as CorruptStream naming both
+        """A stream of any version but 4 fails as CorruptStream naming both
         versions, also a version-1 stream whose shorter header (no checksum)
-        and payload make fewer bytes than a version-3 header."""
+        and payload make fewer bytes than a version-4 header."""
         blob = v1_layout_stream(version, payload=b"\x5a")
         assert len(blob) < HEADER_BYTES
         with pytest.raises(CorruptStream,

@@ -10,7 +10,8 @@ from octpcc.coder import quantize_dist
 from octpcc.context import ContextAssembler, GrowingContext
 from octpcc.errors import ConfigError, InvalidInput, NumericalError, ParseError
 from octpcc.geometry import quantize, synth
-from octpcc.model import (ANALYSIS_CHUNK, ContextModel, KVCache, ModelConfig,
+from octpcc.model import (ANALYSIS_CHUNK, CodecWeights, ContextModel, KVCache,
+                          ModelConfig, _attend_step, _windows,
                           TraceRecord, TrainSchedule, branch_param_names,
                           main_param_names, train, write_trace,
                           zero_head_layers)
@@ -26,13 +27,20 @@ def tiny_corpus(n=60, seed=2, depth=3):
     return [build(quantize(synth("gaussian_clusters", n, seed=seed), depth))]
 
 
+def predict_one(model, cache, i):
+    """The codec's step for target i alone: its (wc, q, o) rows."""
+    wc, q, o = model.predict(cache, i, i + 1)
+    return wc[0], q[0], None if o is None else o[0]
+
+
 def predict_all(model, seq, upto=None, step=1, nodes=None):
-    """The codec's cached step over nodes range(0, upto, step): (wc, q, o)
-    per node, through a cache sized for `nodes` nodes (default: all of seq)."""
+    """The codec's cached step over nodes range(0, upto, step), one target
+    a step: (wc, q, o) per node, through a cache sized for `nodes` nodes
+    (default: all of seq)."""
     cache = KVCache(model, ContextAssembler(seq, model.cfg.ctx),
                     len(seq) if nodes is None else nodes)
     nodes = range(0, len(seq) if upto is None else upto, step)
-    return [model.predict(cache, i) for i in nodes]
+    return [predict_one(model, cache, i) for i in nodes]
 
 
 def assert_batched_matches_cached(model, seq):
@@ -75,6 +83,61 @@ def gather_attention(model, asm, start, stop):
     return ctx @ P["attn0.wo"] + P["attn0.bo"]
 
 
+def numpy_and_blas() -> str:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"numpy {np.__version__} with {blas['name']} {blas['version']}"
+
+
+@pytest.mark.parametrize("size", ["tiny", "default", "full_scale"])
+def test_codec_ops_are_batch_invariant(size):
+    """The numpy behaviour the codec step rests on: every matmul of the
+    step gives a target's row the same bits inside a run of targets as
+    alone, the decoder's call, and as a plain vector @ matrix.  Runs are as
+    long as the encoder's (ENCODE_BLOCK, capped by the cache's batch), the
+    window is full, and rows are sliced as the step slices them.  A change
+    in numpy's or the BLAS's dispatch fails here first, not as a
+    CorruptStream."""
+    base = {"tiny": ModelConfig.tiny(), "default": ModelConfig(),
+            "full_scale": ModelConfig.full_scale()}[size]
+    why = f"{numpy_and_blas()}: a target's floats depend on its run"
+    rng = np.random.default_rng(5)
+    cache = KVCache(ContextModel.create(base), GrowingContext(base.ctx), 1)
+    run = min(256, cache.batch)
+
+    def rows_alone_equal(x, w):  # x: (run, 1, m), sliced as in the step
+        together = x @ w
+        for b in range(run):
+            np.testing.assert_array_equal(together[b], (x[b:b + 1] @ w)[0],
+                                          err_msg=why)
+            np.testing.assert_array_equal(together[b, 0], x[b, 0] @ w,
+                                          err_msg=why)
+
+    d, hm = base.d_model, base.d_hidden_main
+    rows_alone_equal(rng.normal(size=(run, 1, d)), cache.weights.kvq)
+    for residual in (False, True):
+        for branch in (False, True):
+            w = CodecWeights(ContextModel.create(
+                replace(base, enable_residual=residual, enable_branch=branch)))
+            rows_alone_equal(rng.normal(size=(run, 1, len(w.w1))), w.w1)
+            a = rng.normal(size=(run, 1, w.w1.shape[1]))
+            rows_alone_equal(a[..., :hm], w.w2_main)
+            if branch:
+                rows_alone_equal(a[..., hm:], w.branch_w2)
+                rows_alone_equal(rng.uniform(size=(run, 1, 8)), w.w2_branch)
+
+    n = base.ctx.n_window - 1
+    buffer = rng.normal(size=(run + n + 3, 2 * d))
+    own = rng.normal(size=(run, 3 * d))
+    query = cache.weights.head_mask * own[:, None, 2 * d:]
+    own_score = rng.normal(size=(run, base.heads, 1))
+    together = _attend_step(query, own_score, own[:, d:2 * d],
+                            _windows(buffer, 2, run, n))
+    for b in range(run):
+        alone = _attend_step(query[b:b + 1], own_score[b:b + 1],
+                             own[b:b + 1, d:2 * d], _windows(buffer, 2 + b, 1, n))
+        np.testing.assert_array_equal(together[b], alone[0], err_msg=why)
+
+
 class TestForward:
     def test_identical_windows_give_zero_residual_and_same_dist(self):
         model = tiny_model()
@@ -86,9 +149,9 @@ class TestForward:
         for m in (model, plain):
             cache = KVCache(m, ContextAssembler(seq, m.cfg.ctx), len(seq))
             for i in range(3):
-                m.predict(cache, i)
+                predict_one(m, cache, i)
             # node 2 twice more, its row embedded alone both times
-            steps.append([m.predict(cache, 2) for _ in range(2)])
+            steps.append([predict_one(m, cache, 2) for _ in range(2)])
         (wc1, _, _), (wc2, q2, _) = steps[0]
         # the same wc, so wc - wc_prev is exactly zero the second time, and
         # q is the one residuals off give
@@ -178,6 +241,31 @@ class TestForward:
             np.testing.assert_allclose(q, q_batch[i], rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("case", list(FORWARD_CONFIGS))
+    def test_runs_of_targets_equal_one_target_steps(self, case):
+        """Stepping full windows in runs, as the encoder does (up to the
+        cache's batch, within a level), gives every target's c, q and o bit
+        for bit as stepping one target at a time, as the decoder does: the
+        step has no op whose floats depend on the run."""
+        model = ContextModel.create(replace(FORWARD_CONFIGS[case], seed=7))
+        seq = build(quantize(synth("lidar_rings", 1500, seed=8), 6))
+        cache = KVCache(model, ContextAssembler(seq, model.cfg.ctx), len(seq))
+        full = model.cfg.ctx.n_window - 1
+        steps, i = [], 0
+        while i < len(seq):
+            j = i + 1
+            if i - cache.ctx.window_start(i) == full:
+                j = min(i + cache.batch, seq.level_slice(seq.level[i]).stop)
+            steps.append(model.predict(cache, i, j))
+            i = j
+        assert len(steps) < len(seq)
+        for got, want in zip(zip(*steps), zip(*predict_all(model, seq))):
+            if want[0] is None:  # o with the branch off
+                assert set(got) == {None}
+            else:
+                np.testing.assert_array_equal(np.concatenate(got),
+                                              np.stack(want))
+
+    @pytest.mark.parametrize("case", list(FORWARD_CONFIGS))
     def test_cache_size_does_not_change_predictions(self, case):
         """A cache that holds the whole stream and one of 2N-1 rows, which
         compacts, attend over the same rows: wc and q agree bit for bit."""
@@ -194,29 +282,29 @@ class TestForward:
 
     def test_cache_holds_no_more_rows_than_the_stream(self):
         """A full-scale window (N=1024) over a lidar cloud at depth 5 (about
-        270 nodes) keeps one row a node, not 2N-1."""
+        270 nodes) keeps one row a node, not 2(N-1) + batch."""
         model = ContextModel.create(ModelConfig.full_scale())
         cfg = model.cfg
         seq = build(quantize(synth("lidar_rings", 20000, seed=1), 5))
         cache = KVCache(model, ContextAssembler(seq, cfg.ctx), len(seq))
-        assert cache.k.shape == cache.v.shape == (len(seq), cfg.d_model)
-        assert len(seq) < 2 * cfg.ctx.n_window - 1
+        assert cache.kv.shape == (len(seq), 2 * cfg.d_model)
+        assert len(seq) < 2 * (cfg.ctx.n_window - 1) + cache.batch
 
     def test_cached_step_needs_nodes_in_order(self):
         model = tiny_model()
         cache = KVCache(model, GrowingContext(model.cfg.ctx), 3)
         cache.ctx.add_node(1, np.array([ROOT_PARENT]), np.array([0]))
         cache.ctx.add_node(2, np.array([0, 0]), np.array([0, 3]))
-        model.predict(cache, 0)
+        model.predict(cache, 0, 1)
         with pytest.raises(InvalidInput, match="not coded"):
-            model.predict(cache, 1)  # node 0's occupancy is still unknown
+            model.predict(cache, 1, 2)  # node 0's occupancy is still unknown
         cache.ctx.set_occupancy(0, 9)
         cache.ctx.set_occupancy(1, 5)
-        model.predict(cache, 2)  # node 1 unpredicted: its row is still added
+        model.predict(cache, 2, 3)  # node 1 unpredicted: its row is still added
         with pytest.raises(InvalidInput, match="next node"):
-            model.predict(cache, 1)
+            model.predict(cache, 1, 2)
         with pytest.raises(InvalidInput, match="next node"):
-            model.predict(cache, 3)  # not in the context table
+            model.predict(cache, 3, 4)  # not in the context table
 
     def test_tape_ce_matches_inference_chain(self):
         model = tiny_model(seed=4)

@@ -25,14 +25,15 @@ def tiny_model(seed=3, **overrides):
 
 def per_node_reference(pc, depth, model):
     """(payload, tables, ideal bits, per-level bits) of an encoder that
-    codes each node as soon as it is predicted: predict, quantize_dist and
-    ArithmeticEncoder.encode, node by node."""
+    predicts one target a step and codes each node as soon as it is
+    predicted: predict, quantize_dist and ArithmeticEncoder.encode, node by
+    node."""
     seq = build(quantize(pc, depth))
     cache = KVCache(model, ContextAssembler(seq, model.cfg.ctx), len(seq))
     enc = ArithmeticEncoder()
     tables, ideal, marks = [], 0.0, []
     for i in range(len(seq)):
-        _, q, _ = model.predict(cache, i)
+        q = model.predict(cache, i, i + 1)[1][0]
         table = quantize_dist(q)
         if seq.level[i] > len(marks):
             marks.append(enc.bits_emitted)
@@ -111,25 +112,76 @@ class TestEncodeDecode:
 
 
 class TestAgreement:
-    @pytest.mark.parametrize("case", list(FORWARD_CONFIGS))
-    def test_freq_tables_identical_both_directions(self, case):
-        """The decode side reproduces encode's table sequence bit for bit."""
-        pc = synth("lidar_rings", 300, seed=8)
-        model = ContextModel.create(replace(FORWARD_CONFIGS[case], seed=11))
-        enc_log = []
-        bs, report = encode(pc, 6, 6, model, table_log=enc_log)
-        assert report.node_count >= 3 * model.cfg.ctx.n_window
-        dec_log = []
+    @staticmethod
+    def assert_tables_identical(pc, depth, model):
+        """The decoder, one node a step, reproduces the table sequence of
+        the encoder, which steps in runs, bit for bit."""
+        enc_log, dec_log = [], []
+        bs, report = encode(pc, depth, depth, model, table_log=enc_log)
         decode(bs, model, table_log=dec_log)
-        assert len(enc_log) == len(dec_log) > 0
+        assert len(enc_log) == len(dec_log) == report.node_count
         for a, b in zip(enc_log, dec_log):
             np.testing.assert_array_equal(a, b)
+        return report
+
+    @pytest.mark.parametrize("case", list(FORWARD_CONFIGS))
+    def test_freq_tables_identical_both_directions(self, case):
+        """On a stream of several windows whose level starts fall inside
+        the encoder's blocks, so that its runs end at level starts."""
+        pc = synth("lidar_rings", 1500, seed=8)
+        model = ContextModel.create(replace(FORWARD_CONFIGS[case], seed=11))
+        seq = build(quantize(pc, 6))
+        assert (seq.level_offsets % ENCODE_BLOCK > 0).sum() >= 3
+        report = self.assert_tables_identical(pc, 6, model)
+        assert report.node_count >= 3 * model.cfg.ctx.n_window
+
+    def test_full_scale_tables_identical_past_its_window(self):
+        """The full-scale model (N = 1,024) on a stream longer than its
+        window, whose last level starts among full windows, inside a run
+        and a block."""
+        pc = synth("plane", 1000, seed=3)
+        model = ContextModel.create(ModelConfig.full_scale(seed=11))
+        seq = build(quantize(pc, 7))
+        last = seq.level_offsets[-1]
+        assert last > model.cfg.ctx.n_window and last % ENCODE_BLOCK > 0
+        self.assert_tables_identical(pc, 7, model)
+
+    @pytest.mark.parametrize("case", ["default_size", "strict_level"])
+    def test_encoder_steps_in_runs_decoder_node_by_node(self, case, monkeypatch):
+        """The decoder predicts one node a step.  The encoder predicts a
+        growing window's node alone and full windows in runs within a level,
+        as long as the level and ENCODE_BLOCK allow."""
+        model = ContextModel.create(replace(FORWARD_CONFIGS[case], seed=11))
+        pc = synth("lidar_rings", 1500, seed=8)
+        seq = build(quantize(pc, 6))
+        steps = []
+        predict = ContextModel.predict
+        monkeypatch.setattr(ContextModel, "predict", lambda self, cache, i, j: (
+            steps.append((i, j)), predict(self, cache, i, j))[1])
+        bs, _ = encode(pc, 6, 6, model)
+        encoder, steps[:] = list(steps), []
+        decode(bs, model)
+        assert steps == [(i, i + 1) for i in range(len(seq))]
+        asm = ContextAssembler(seq, model.cfg.ctx)
+        full = np.arange(len(seq)) - asm.window_start(np.arange(len(seq))) \
+            == model.cfg.ctx.n_window - 1
+        assert [i for i, _ in encoder] == [0] + [j for _, j in encoder[:-1]]
+        assert encoder[-1][1] == len(seq)
+        want = (~full).sum()
+        for level in range(1, 7):
+            level_full = full[seq.level_slice(level)].sum()
+            want += -(-level_full // ENCODE_BLOCK)
+        assert len(encoder) == want < len(seq)
+        for i, j in encoder:
+            assert j - i <= ENCODE_BLOCK and seq.level[i] == seq.level[j - 1]
+            assert j == i + 1 or full[i:j].all()
 
     @pytest.mark.parametrize("case", list(FORWARD_CONFIGS))
     def test_block_encoder_matches_per_node_reference(self, case):
-        """Quantizing and coding in blocks changes nothing: same payload,
-        tables, ideal bits and per-level bits as coding node by node, on a
-        cloud of several blocks whose levels start inside a block."""
+        """Stepping, quantizing and coding in runs and blocks changes
+        nothing: same payload, tables, ideal bits and per-level bits as
+        stepping one target at a time and coding node by node, on a cloud of
+        several blocks whose levels start inside a block."""
         pc = synth("lidar_rings", 1500, seed=8)
         model = ContextModel.create(replace(FORWARD_CONFIGS[case], seed=11))
         seq = build(quantize(pc, 6))
@@ -176,7 +228,7 @@ class TestAgreement:
         assert decode(bs, model).same_voxels(quantize(pc, 5))
         seq = build(quantize(pc, 5))
         cache = KVCache(model, ContextAssembler(seq, model.cfg.ctx), len(seq))
-        o = model.predict(cache, 0)[2]
+        o = model.predict(cache, 0, 1)[2]
         assert (o is None) == (not model.cfg.enable_branch)
 
     def test_payload_within_ideal_bound(self):
