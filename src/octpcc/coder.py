@@ -57,21 +57,21 @@ def quantize_dist(q: np.ndarray) -> np.ndarray:
         raise InvalidInput("distribution must have 255 entries")
     if not 0.0 <= q.min() <= q.max() <= 1.0:  # also false for NaN
         raise InvalidInput("distribution entries must lie in [0, 1]")
-    rows = q.reshape(-1, 255)
-    freq = np.rint(rows * (FREQ_TOTAL - 255)).astype(np.int64) + 1
-    deficit = FREQ_TOTAL - freq.sum(axis=1)
-    if len(rows) == 1:  # the decoder's call, where scalar steps cost less
-        if abs(int(deficit[0])) > 127:
-            raise _not_summing_to_one(rows[0])
-        freq[0, rows[0].argmax()] += deficit[0]
+    freq = np.rint(q * (FREQ_TOTAL - 255)).astype(np.int64, order="C") + 1
+    deficit = FREQ_TOTAL - freq.sum(axis=-1)
+    if q.ndim == 1:  # the decoder's call, where scalar steps cost less
+        if abs(int(deficit)) > 127:
+            raise _not_summing_to_one(q)
+        freq[q.argmax()] += deficit
     else:
         bad = np.abs(deficit) > 127
         if bad.any():
-            raise _not_summing_to_one(rows[bad][0])
-        freq[np.arange(len(freq)), rows.argmax(axis=1)] += deficit
-    cum = np.zeros((len(freq), 256), dtype=np.int64)
-    np.cumsum(freq, axis=1, out=cum[:, 1:])
-    return cum.reshape(q.shape[:-1] + (256,))
+            raise _not_summing_to_one(q[bad][0])
+        rows = freq.reshape(-1, 255)  # C order, so a view: the scatter lands in freq
+        rows[np.arange(len(rows)), q.reshape(-1, 255).argmax(axis=1)] += deficit.ravel()
+    cum = np.zeros(q.shape[:-1] + (256,), dtype=np.int64)
+    np.cumsum(freq, axis=-1, out=cum[..., 1:])
+    return cum
 
 
 class ArithmeticEncoder:

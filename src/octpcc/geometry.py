@@ -21,8 +21,8 @@ SYNTH_KINDS = ("uniform", "plane", "sphere", "gaussian_clusters", "lidar_rings")
 _PLANE_COEF = (0.4, -0.3, 0.1)  # z = a*x + b*y + c
 _SPHERE_RADIUS = 0.8
 
-# The deepest octree: its sort key packs 3 bits per level into one uint64,
-# so 21 levels (63 bits) fit.
+# The deepest octree: its sort key and a voxel's key pack 3 bits per level
+# into one 64-bit integer, so 21 levels (63 bits) fit.
 MAX_DEPTH = 21
 
 
@@ -49,8 +49,10 @@ class RawPointCloud:
 class QuantizedPointCloud:
     """Deduplicated voxel coordinates at bit depth `depth`.
 
-    Voxels are stored lexicographically sorted so that set equality is
-    plain array equality.  Dequantization: source ~= origin + scale * voxel.
+    Voxels are ordered and deduplicated by one integer key per voxel,
+    (x << 2*depth) | (y << depth) | z, whose numeric order is the
+    lexicographic order of (x, y, z); so set equality is plain array
+    equality.  Dequantization: source ~= origin + scale * voxel.
     """
 
     depth: int
@@ -60,8 +62,8 @@ class QuantizedPointCloud:
     source_id: str = ""
 
     def __post_init__(self):
-        if self.depth < 1:
-            raise InvalidInput("depth must be >= 1")
+        if not (1 <= self.depth <= MAX_DEPTH):
+            raise InvalidInput(f"depth must be in [1, {MAX_DEPTH}], got {self.depth}")
         v = np.asarray(self.voxels, dtype=np.int64)
         if v.ndim != 2 or v.shape[1] != 3 or v.shape[0] == 0:
             raise InvalidInput("voxels must be a non-empty (m, 3) array")
@@ -69,8 +71,9 @@ class QuantizedPointCloud:
             raise InvalidInput("voxel coordinate outside [0, 2**depth)")
         if not self.scale > 0:
             raise InvalidInput("scale must be positive")
-        v = np.unique(v, axis=0)  # sorts lexicographically
-        self.voxels = v
+        d = self.depth
+        key = np.unique((v[:, 0] << 2 * d) | (v[:, 1] << d) | v[:, 2])
+        self.voxels = (key[:, None] >> np.array([2 * d, d, 0])) & ((1 << d) - 1)
         self.origin = np.asarray(self.origin, dtype=np.float64).reshape(3)
 
     def __len__(self):
@@ -98,7 +101,10 @@ def quantize(pc: RawPointCloud, depth: int) -> QuantizedPointCloud:
         raise InvalidInput(f"depth must be in [1, {MAX_DEPTH}], got {depth}")
     pts = pc.points
     origin = pts.min(axis=0)
-    extent = float((pts.max(axis=0) - origin).max())
+    with np.errstate(over="ignore"):
+        extent = float((pts.max(axis=0) - origin).max())
+    if extent == np.inf:
+        raise InvalidInput("point cloud extent overflows float64")
     scale = extent / ((1 << depth) - 1) if extent > 0 else 1.0
     return voxelize(pc, depth, origin, scale)
 
@@ -107,11 +113,10 @@ def voxelize(pc: RawPointCloud, depth: int, origin, scale) -> QuantizedPointClou
     """The voxels of `pc` on the grid [0, 2**depth)^3 of the frame (origin,
     scale): each point rounds half away from zero on (p - origin) / scale and
     is clipped into the grid; duplicates collapse."""
-    side = (1 << depth) - 1
-    voxels = np.floor((pc.points - origin) / scale + 0.5).astype(np.int64)
-    np.clip(voxels, 0, side, out=voxels)
-    return QuantizedPointCloud(depth=depth, voxels=voxels, origin=origin,
-                               scale=scale, source_id=pc.source_id)
+    grid = np.floor((pc.points - origin) / scale + 0.5)
+    np.clip(grid, 0, (1 << depth) - 1, out=grid)  # in float: a far point overflows int64
+    return QuantizedPointCloud(depth=depth, voxels=grid.astype(np.int64),
+                               origin=origin, scale=scale, source_id=pc.source_id)
 
 
 def dequantize(qpc: QuantizedPointCloud) -> RawPointCloud:

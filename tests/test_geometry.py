@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from octpcc.errors import InvalidInput, OctpccError, ParseError
-from octpcc.geometry import (QuantizedPointCloud, RawPointCloud, dequantize,
-                             quantize, read_ply, synth, write_ply)
+from octpcc.geometry import (MAX_DEPTH, QuantizedPointCloud, RawPointCloud,
+                             dequantize, quantize, read_ply, synth, voxelize,
+                             write_ply)
 
 from conftest import brute_force_octree_counts, random_cloud
 
@@ -59,6 +60,60 @@ class TestQuantize:
             quantize(RawPointCloud(np.ones((2, 3))), 0)
         with pytest.raises(InvalidInput):
             quantize(RawPointCloud(np.ones((2, 3))), 22)
+
+    @pytest.mark.parametrize("depth", [0, MAX_DEPTH + 1])
+    def test_quantized_cloud_refuses_depth_outside_range(self, depth):
+        """A deeper cloud than MAX_DEPTH is no codec input, and its voxel key
+        would need more than 63 bits."""
+        want = rf"depth must be in \[1, {MAX_DEPTH}\], got {depth}"
+        with pytest.raises(InvalidInput, match=want):
+            QuantizedPointCloud(depth=depth, voxels=np.zeros((1, 3), np.int64),
+                                origin=np.zeros(3), scale=1.0)
+        with pytest.raises(InvalidInput, match=want):
+            quantize(RawPointCloud(np.ones((2, 3))), depth)
+
+    def test_far_points_clip_to_the_grid_edge(self):
+        """A point far outside the frame lands on the nearest edge voxel,
+        without an overflowing cast."""
+        pts = np.array([[1e300, -1e300, 0.5], [-1e300, 1e300, 1e300]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            qpc = voxelize(RawPointCloud(pts), 4, np.zeros(3), 1.0 / 15)
+        assert qpc.voxels.tolist() == [[0, 15, 15], [15, 0, 8]]
+
+    def test_extent_beyond_float_range_refused(self):
+        """Finite points whose extent overflows would give an infinite scale."""
+        pts = np.array([[-1e308, 0.0, 0.0], [1e308, 1.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInput, match="extent overflows"):
+                quantize(RawPointCloud(pts), 4)
+
+
+def _dedup_cases():
+    rng = np.random.default_rng(7)
+    cases = {}
+    for depth in (1, 6, MAX_DEPTH):
+        top = (1 << depth) - 1
+        v = rng.integers(0, top + 1, size=(500, 3))
+        v = np.concatenate([v, v[:200], [[top, top, top], [top, 0, top]]])
+        cases[f"random-d{depth}"] = (depth, v[rng.permutation(len(v))])
+    cases["reverse-sorted"] = (5, np.unique(rng.integers(0, 32, (300, 3)), axis=0)[::-1])
+    cases["single"] = (3, np.array([[1, 7, 2]]))
+    cases["all-duplicate"] = (4, np.tile([[3, 0, 9]], (50, 1)))
+    cases["int32"] = (6, rng.integers(0, 64, (400, 3)).astype(np.int32))
+    return cases
+
+
+@pytest.mark.parametrize("case", sorted(_dedup_cases()))
+def test_voxel_key_dedup_matches_row_unique(case):
+    """Deduplicating on the packed key gives np.unique's lexicographic rows."""
+    depth, v = _dedup_cases()[case]
+    qpc = QuantizedPointCloud(depth=depth, voxels=v, origin=np.zeros(3), scale=1.0)
+    np.testing.assert_array_equal(qpc.voxels, np.unique(v.astype(np.int64), axis=0))
+    assert qpc.voxels.dtype == np.int64
+    assert qpc.voxels.ndim == 2 and qpc.voxels.shape[1] == 3
+    assert qpc.voxels.flags.c_contiguous
 
 
 class TestDequantize:
