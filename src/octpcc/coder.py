@@ -1,13 +1,14 @@
-"""Adaptive arithmetic coding and the container bitstream format.
+"""Adaptive range coding and the container bitstream format.
 
-The coder is a classic 32-bit integer arithmetic coder (Witten/Neal/Cleary
-lineage): the encoder narrows [low, high] by cumulative frequencies and
-emits bits as the interval settles, tracking straddle cases as pending
-bits; the decoder mirrors the arithmetic exactly.  A frequency table is the
-(256,) cumulative array of 255 positive integer frequencies summing to
-exactly 2**16, derived deterministically from a model distribution:
-identical distribution bits in, identical table out, which is what keeps
-encoder and decoder synchronized.
+The coder is a byte-wise range coder (G. N. N. Martin, 1979) over 64-bit
+integers: the encoder narrows [low, low + range) by cumulative frequencies,
+shifts out the top byte of low whenever range falls below 2**56, and adds a
+carry out of low into the bytes already out; the decoder keeps only the
+distance of the stream's value from low and mirrors the arithmetic exactly.
+A frequency table is the (256,) cumulative array of 255 positive integer
+frequencies summing to exactly 2**16, derived deterministically from a
+model distribution: identical distribution bits in, identical table out,
+which is what keeps encoder and decoder synchronized.
 """
 
 from __future__ import annotations
@@ -22,18 +23,13 @@ from .errors import CorruptStream, InvalidInput, ParseError
 
 FREQ_TOTAL = 1 << 16
 
-_STATE_BITS = 32
-_MAX_RANGE = 1 << _STATE_BITS
-_MIN_RANGE = (_MAX_RANGE >> 2) + 2
-_MASK = _MAX_RANGE - 1
-_TOP = _MAX_RANGE >> 1
-_SECOND = _TOP >> 1
+_TOP = 1 << 64     # range is at most this, low below it: a low past it carries
+_MASK = _TOP - 1
+_BOTTOM = 1 << 56  # range stays >= this between symbols
 
-assert FREQ_TOTAL <= _MIN_RANGE
-
-# Decoding reads 32 bits, then one per renormalisation; encoding writes one or
-# more per renormalisation, then a final 1: a true stream is overread <= 31 bits.
-MAX_BITS_PAST_END = 32
+# Decoding reads 8 bytes, then one per renormalisation; encoding writes one per
+# renormalisation, then at most one: a true stream is overread 56 or 64 bits.
+MAX_BITS_PAST_END = 64
 
 
 def _not_summing_to_one(row) -> InvalidInput:
@@ -79,93 +75,87 @@ class ArithmeticEncoder:
 
     def __init__(self):
         self._low = 0
-        self._high = _MASK
-        self._pending = 0
-        self._bits = bytearray()  # one 0 or 1 per emitted bit
+        self._range = _TOP
+        self._out = bytearray()
         self._finished = False
 
     @property
     def bits_emitted(self) -> int:
-        return len(self._bits)
+        return 8 * len(self._out)
+
+    def _carry(self) -> None:
+        """Add one to the bytes out, walking back over 0xFF bytes."""
+        out, i = self._out, len(self._out) - 1
+        while out[i] == 0xFF:
+            out[i] = 0
+            i -= 1
+        out[i] += 1
 
     def encode(self, cum: np.ndarray, symbol: int) -> None:
         if self._finished:
             raise InvalidInput("encoder already finished")
         if not 0 <= symbol < 255:
             raise InvalidInput(f"symbol {symbol} outside [0, 254]")
-        low, high = self._low, self._high
-        span = high - low + 1
         sym_lo = int(cum[symbol])
-        sym_hi = int(cum[symbol + 1])
-        if sym_lo == sym_hi:
+        freq = int(cum[symbol + 1]) - sym_lo
+        if freq <= 0:
             raise InvalidInput("symbol has zero frequency")
-        self._high = low + sym_hi * span // FREQ_TOTAL - 1
-        self._low = low + sym_lo * span // FREQ_TOTAL
-        while True:
-            if (self._low ^ self._high) & _TOP == 0:
-                bit = self._low >> (_STATE_BITS - 1)
-                self._bits.append(bit)
-                self._bits.extend(bytes((bit ^ 1,)) * self._pending)
-                self._pending = 0
-                self._low = (self._low << 1) & _MASK
-                self._high = ((self._high << 1) & _MASK) | 1
-            elif self._low & ~self._high & _SECOND:
-                self._pending += 1
-                self._low = (self._low << 1) & (_MASK >> 1)
-                self._high = ((self._high << 1) & (_MASK >> 1)) | _TOP | 1
-            else:
-                break
+        r = self._range >> 16
+        low = self._low + r * sym_lo
+        rng = r * freq
+        if low >= _TOP:
+            low -= _TOP
+            self._carry()
+        while rng < _BOTTOM:
+            self._out.append(low >> 56)
+            low = (low << 8) & _MASK
+            rng <<= 8
+        self._low, self._range = low, rng
 
     def finish(self) -> bytes:
+        """The bytes out and the shortest tail whose value, zero-padded, lies
+        in [low, low + range): 2**64 as a carry, else low rounded up to a
+        multiple of 2**56, whose top byte is none for low = 0."""
         if not self._finished:
-            self._bits.append(1)
-            self._bits.extend(bytes(self._pending))
+            low = self._low
+            if low + self._range > _TOP:
+                self._carry()
+            elif low:
+                self._out.append((low + _BOTTOM - 1) >> 56)
             self._finished = True
-        return np.packbits(np.frombuffer(self._bits, dtype=np.uint8)).tobytes()
+        return bytes(self._out)
 
 
 class ArithmeticDecoder:
     def __init__(self, payload: bytes):
-        self._bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8)).tobytes()
-        self._pos = 0
-        self._low = 0
-        self._high = _MASK
-        self._code = 0
-        for _ in range(_STATE_BITS):
-            self._code = (self._code << 1) | self._read()
+        self._payload = payload
+        self._pos = 8
+        self._range = _TOP
+        self._code = int.from_bytes(payload[:8].ljust(8, b"\0"), "big")  # value - low
 
     @property
     def bits_past_end(self) -> int:
         """Zeros read beyond the payload."""
-        return max(0, self._pos - len(self._bits))
-
-    def _read(self) -> int:
-        pos = self._pos
-        self._pos = pos + 1
-        return self._bits[pos] if pos < len(self._bits) else 0
+        return 8 * max(0, self._pos - len(self._payload))
 
     def decode(self, cum: np.ndarray) -> int:
-        low, high = self._low, self._high
-        span = high - low + 1
-        offset = self._code - low
-        value = ((offset + 1) * FREQ_TOTAL - 1) // span
+        """The next symbol; CorruptStream if the stream's value lies past
+        the table's 2**16 steps, where no encoder puts it."""
+        r = self._range >> 16
+        value = self._code // r
+        if value >> 16:
+            raise CorruptStream("the payload's value lies outside the coding "
+                                "interval")
         symbol = int(np.searchsorted(cum, value, side="right")) - 1
         sym_lo = int(cum[symbol])
-        sym_hi = int(cum[symbol + 1])
-        self._high = low + sym_hi * span // FREQ_TOTAL - 1
-        self._low = low + sym_lo * span // FREQ_TOTAL
-        while True:
-            if (self._low ^ self._high) & _TOP == 0:
-                self._code = ((self._code << 1) & _MASK) | self._read()
-                self._low = (self._low << 1) & _MASK
-                self._high = ((self._high << 1) & _MASK) | 1
-            elif self._low & ~self._high & _SECOND:
-                self._code = (self._code & _TOP) | ((self._code << 1) & (_MASK >> 1)) \
-                    | self._read()
-                self._low = (self._low << 1) & (_MASK >> 1)
-                self._high = ((self._high << 1) & (_MASK >> 1)) | _TOP | 1
-            else:
-                break
+        code = self._code - r * sym_lo
+        rng = r * (int(cum[symbol + 1]) - sym_lo)
+        payload, pos = self._payload, self._pos
+        while rng < _BOTTOM:
+            code = (code << 8) | (payload[pos] if pos < len(payload) else 0)
+            pos += 1
+            rng <<= 8
+        self._code, self._range, self._pos = code, rng, pos
         return symbol
 
 
@@ -174,7 +164,7 @@ class ArithmeticDecoder:
 # ---------------------------------------------------------------------------
 
 BITSTREAM_MAGIC = b"OPCB"
-BITSTREAM_VERSION = 4
+BITSTREAM_VERSION = 5
 FLAG_RESIDUAL = 1
 FLAG_BRANCH = 2
 

@@ -113,7 +113,8 @@ def voxelize(pc: RawPointCloud, depth: int, origin, scale) -> QuantizedPointClou
     """The voxels of `pc` on the grid [0, 2**depth)^3 of the frame (origin,
     scale): each point rounds half away from zero on (p - origin) / scale and
     is clipped into the grid; duplicates collapse."""
-    grid = np.floor((pc.points - origin) / scale + 0.5)
+    with np.errstate(over="ignore"):  # a far point's inf clips to the edge
+        grid = np.floor((pc.points - origin) / scale + 0.5)
     np.clip(grid, 0, (1 << depth) - 1, out=grid)  # in float: a far point overflows int64
     return QuantizedPointCloud(depth=depth, voxels=grid.astype(np.int64),
                                origin=origin, scale=scale, source_id=pc.source_id)

@@ -216,19 +216,22 @@ def _windows(buffer, first: int, targets: int, n: int):
 
 
 def _attend_step(query, own_score, own_v, history):
-    """Per-head attention contexts (targets, H, d) of the codec's step.
+    """Attention contexts (targets, 1, d) of the codec's step.
 
-    Each target's head-masked queries (H, d) score its n history keys, the
-    first half of history (targets, 2d, n), and own_score (targets, H, 1)
-    holds their scores against its own key; the weights then mix the
-    history values and its own values own_v (targets, d).  Every product is
-    one target's, stacked.
+    Each target's per-head queries (H, 1, d/H) score its n history keys,
+    the first half of history (targets, 2d, n) read as (targets, 2H, d/H, n),
+    and own_score (targets, H, 1, 1) holds their scores against its own key;
+    the weights then mix the history values and its own values own_v
+    (targets, d).  Every product is one target's and one head's, stacked.
     """
-    d, n = own_v.shape[1], history.shape[2]
-    weights = nn.softmax_np(np.concatenate((query @ history[:, :d], own_score),
-                                           axis=2))
-    return (weights[..., :n] @ history[:, d:].swapaxes(1, 2)
-            + weights[..., n:] * own_v[:, None])
+    targets, heads, _, dh = query.shape
+    n = history.shape[2]
+    history = history.reshape(targets, 2 * heads, dh, n)
+    weights = nn.softmax_np(np.concatenate(
+        (query @ history[:, :heads], own_score), axis=3))
+    c = (weights[..., :n] @ history[:, heads:].swapaxes(2, 3)
+         + weights[..., n:] * own_v.reshape(targets, heads, 1, dh))
+    return c.reshape(targets, 1, heads * dh)
 
 
 # Targets per window block in `distributions`.  Every target scores all of
@@ -396,9 +399,8 @@ class ContextModel:
                                "coded yet")
         kv, query, own_score = cache.targets(start, j)
         history = cache.rows(lo, start, kv[:j - 1 - start], occ, n)
-        heads = _attend_step(query[i - start:], own_score[i - start:],
-                             kv[i - start:, w.d:], history)
-        c = heads.reshape(j - i, 1, -1)[..., w.head_diag]
+        c = _attend_step(query[i - start:], own_score[i - start:],
+                         kv[i - start:, w.d:], history)
         h = c  # one (1, width) row a target from here on
         if self.cfg.enable_residual:  # r_0 = 0 at the stream's start
             prev = np.concatenate((
@@ -459,15 +461,14 @@ class CodecWeights:
     ((K+1) * 286, d) array written in place, slot.b added to its first
     block, so a row's slot vector is the sum of its 3(K+1) table rows at
     chain + offsets.  kvq is [wk | wv | wq] with the query columns scaled by
-    1/sqrt(d/H); head_mask[h, j] is 1 where column j belongs to head h, and
-    head_diag picks each column's own head from an (H, d) product.  w1 is
-    [main.w1 | branch.w1] (the main columns alone with the branch off, and
-    only the wc rows with residuals off) with wo folded into each d-row
-    block, and b1 takes bo through the wc rows: wc = c wo + bo for the
-    attention output c, and r = wc - wc_prev = (c - c_prev) wo.  main.w2
-    is split into its a1 rows and its branch rows.  occ_delta[o] is what
-    occupancy o adds to a row's keys and values over the occupancy PAD: a
-    history row is its node's target row plus occ_delta of its occupancy.
+    1/sqrt(d/H).  w1 is [main.w1 | branch.w1] (the main columns alone with
+    the branch off, and only the wc rows with residuals off) with wo folded
+    into each d-row block, and b1 takes bo through the wc rows: wc = c wo +
+    bo for the attention output c, and r = wc - wc_prev = (c - c_prev) wo.
+    main.w2 is split into its a1 rows and its branch rows.  occ_delta[o] is
+    what occupancy o adds to a row's keys and values over the occupancy
+    PAD: a history row is its node's target row plus occ_delta of its
+    occupancy.
     """
 
     def __init__(self, model: ContextModel):
@@ -493,9 +494,7 @@ class CodecWeights:
                                      P["attn0.bq"] * scale))
         occ = P["embed.occupancy"]
         self.occ_delta = (occ - occ[PAD]) @ slot_w[:e] @ self.kvq[:, :2 * d]
-        head = np.arange(d) // dh
-        self.head_mask = (head == np.arange(cfg.heads)[:, None]).astype(float)
-        self.head_diag = head * d + np.arange(d)
+        self.heads = cfg.heads
         heads = ("main", "branch") if cfg.enable_branch else ("main",)
         rows = 2 * d if cfg.enable_residual else d
         w1 = np.concatenate([P[f"{nm}.w1"][:rows] for nm in heads], axis=1)
@@ -544,8 +543,8 @@ class KVCache:
     def targets(self, start: int, stop: int):
         """(kv, query, own_score) of nodes start, ..., stop - 1 as targets,
         their occupancy PAD: the rows [k | v] (targets, 2d), the queries
-        through the head mask (targets, H, d) and each query's scores
-        against its own key (targets, H, 1)."""
+        split by head (targets, H, 1, d/H) and each head's query score
+        against its own key (targets, H, 1, 1)."""
         first, end, rows = self.held
         if not first <= start <= stop <= end:
             w = self.weights
@@ -555,9 +554,11 @@ class KVCache:
             x = w.table[index].reshape(end - start, -1, w.d).sum(
                 axis=1, keepdims=True)
             kvq = x @ w.kvq + w.kvq_b
-            query = w.head_mask * kvq[..., 2 * w.d:]
+            split = (end - start, w.heads, 1, -1)
+            query = kvq[..., 2 * w.d:].reshape(split)
             rows = (kvq[:, 0, :2 * w.d], query,
-                    (query * kvq[..., :w.d]).sum(axis=2, keepdims=True))
+                    (query * kvq[..., :w.d].reshape(split)).sum(
+                        axis=3, keepdims=True))
             first, self.held = start, (start, end, rows)
         kv, query, own_score = rows
         a, b = start - first, stop - first

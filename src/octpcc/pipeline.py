@@ -232,7 +232,10 @@ def decode(bs: Bitstream, model: ContextModel,
         table = quantize_dist(q[0])
         if table_log is not None:
             table_log.append(table)
-        sym = dec.decode(table) + 1
+        try:
+            sym = dec.decode(table) + 1
+        except CorruptStream as exc:
+            raise CorruptStream(f"level {level}, node {i}: {exc}") from None
         if dec.bits_past_end > MAX_BITS_PAST_END:
             raise CorruptStream(f"level {level}, node {i}: decoding read past the "
                                 f"end of the {len(bs.payload)}-byte payload")

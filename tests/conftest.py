@@ -9,6 +9,7 @@ import pytest
 
 import octpcc
 from octpcc import nn
+from octpcc.coder import FREQ_TOTAL, ArithmeticEncoder
 from octpcc.context import ContextConfig
 from octpcc.geometry import RawPointCloud
 from octpcc.model import ContextModel, ModelConfig
@@ -112,3 +113,17 @@ def v1_layout_stream(version=1, payload=b"\x5a") -> bytes:
     header = struct.pack("<4sHBBddddQQQ32sBQ", b"OPCB", version, 4, 4, 0.0,
                          0.0, 0.0, 0.5, 10, 10, 20, bytes(32), 3, len(payload))
     return header + payload
+
+
+def payload_past_the_table(tables, occupancy):
+    """(payload, k): a payload that codes the first k occupancy symbols,
+    for the first k > 0 after which range is no multiple of 2**16, so that
+    the next step's table leaves [r * 2**16, range) unused, then puts the
+    stream's value there, where no encoder puts it."""
+    enc = ArithmeticEncoder()
+    for k, (table, sym) in enumerate(zip(tables, occupancy)):
+        if k and enc._range % FREQ_TOTAL and enc._low + enc._range < 1 << 64:
+            break
+        enc.encode(table, int(sym) - 1)
+    sliver = enc._low + (enc._range >> 16 << 16)
+    return bytes(enc._out) + sliver.to_bytes(8, "big"), k

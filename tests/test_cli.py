@@ -1,12 +1,15 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import v1_layout_stream, write_malformed_checkpoint
+from conftest import (payload_past_the_table, v1_layout_stream,
+                      write_malformed_checkpoint)
 from octpcc.cli import _model_config, _schedule, build_parser, main
 from octpcc.coder import Bitstream
 from octpcc.context import ContextConfig
-from octpcc.geometry import read_ply
+from octpcc.geometry import quantize, read_ply
 from octpcc.model import ContextModel, ModelConfig, TrainSchedule
+from octpcc.octree import build
+from octpcc.pipeline import encode
 
 MODEL_FLAGS = ["--window", "8", "--ancestors", "1", "--d-embed", "4",
                "--d-model", "16", "--hidden-main", "32", "--hidden-branch",
@@ -234,7 +237,7 @@ class TestCodecCommands:
         assert run("decode", "--bitstream", str(bs), "--checkpoint",
                    str(ckpt), "--out", str(tmp_path / "x.ply")) == 5
         assert capsys.readouterr().err == (
-            "error: bitstream version 1; this decoder reads version 4 only\n")
+            "error: bitstream version 1; this decoder reads version 5 only\n")
 
     @staticmethod
     def relabelled_stream_exit(workspace, capsys, version):
@@ -253,17 +256,43 @@ class TestCodecCommands:
         return code, capsys.readouterr().err
 
     def test_version_2_stream_exit_code(self, workspace, capsys):
-        """Version 2 has version 4's layout, but its tables came from the
+        """Version 2 has version 5's layout, but its tables came from the
         unfolded model's floats, so it too is refused naming both versions."""
         assert self.relabelled_stream_exit(workspace, capsys, 2) == (
-            5, "error: bitstream version 2; this decoder reads version 4 only\n")
+            5, "error: bitstream version 2; this decoder reads version 5 only\n")
 
     def test_version_3_stream_exit_code(self, workspace, capsys):
-        """Version 3 has version 4's layout, but its tables came from a
+        """Version 3 has version 5's layout, but its tables came from a
         per-node step whose floats differ from the row-invariant step's in
         the last bits, so it is refused naming both versions."""
         assert self.relabelled_stream_exit(workspace, capsys, 3) == (
-            5, "error: bitstream version 3; this decoder reads version 4 only\n")
+            5, "error: bitstream version 3; this decoder reads version 5 only\n")
+
+    def test_version_4_stream_exit_code(self, workspace, capsys):
+        """Version 4 has version 5's layout and tables, but its payload came
+        from a bit-wise arithmetic coder, so it is refused naming both
+        versions."""
+        assert self.relabelled_stream_exit(workspace, capsys, 4) == (
+            5, "error: bitstream version 4; this decoder reads version 5 only\n")
+
+    def test_value_past_the_table_exit_code(self, workspace, capsys):
+        """A payload whose value no encoder writes exits 5 naming the level
+        and node where the decoder met it."""
+        tmp_path, ply, ckpt = workspace
+        model = ContextModel.load(ckpt)
+        tables = []
+        bs, _ = encode(read_ply(ply), 4, 4, model, table_log=tables)
+        seq = build(quantize(read_ply(ply), 4))
+        payload, k = payload_past_the_table(tables, seq.occupancy)
+        Bitstream(header=bs.header, payload=payload).write(
+            tmp_path / "sliver.bin")
+        capsys.readouterr()
+        assert run("decode", "--bitstream", str(tmp_path / "sliver.bin"),
+                   "--checkpoint", str(ckpt),
+                   "--out", str(tmp_path / "x.ply")) == 5
+        assert capsys.readouterr().err == (
+            f"error: level {seq.level[k]}, node {k}: the payload's value lies "
+            "outside the coding interval\n")
 
     def test_eval_refuses_a_forged_frame(self, workspace, capsys):
         """A header scale that is not a finite positive number fails as a

@@ -9,7 +9,7 @@ from octpcc.coder import (BITSTREAM_VERSION, HEADER_BYTES, ArithmeticDecoder,
                           FREQ_TOTAL, quantize_dist)
 from octpcc.errors import CorruptStream, InvalidInput, ParseError
 
-from conftest import v1_layout_stream
+from conftest import payload_past_the_table, v1_layout_stream
 
 
 def random_dist(rng, concentration=1.0):
@@ -55,6 +55,9 @@ def block_rows(rng) -> dict:
             "uniform": np.full((3, 255), 1.0 / 255.0),
             "floor_dominated": floored,
             "one_hot": one_hot}
+
+
+UNIFORM = quantize_dist(np.full(255, 1.0 / 255.0))
 
 
 def random_table(rng):
@@ -216,15 +219,15 @@ class TestRoundTrip:
         payload = encode_stream([78], [table])
         assert len(payload) <= 2
 
-    # SHA-256 of each payload as the bit-at-a-time writer produced it: the
+    # SHA-256 of each payload as the version-5 range coder writes it: the
     # tables are closed-form, so the bytes depend on integer arithmetic alone.
     # The first three tables are the same under version 1's largest-remainder
     # rule; "square" is not: its rounding leaves a deficit of 2 on class 254.
     PINNED = {
-        "uniform": "3633da5e52c8217c47090f50fc6a7c83de8fef6411f5e108674267f82530902b",
-        "one_hot": "a6767cad525af6dda74f7331da20441acc755c48a41457fbdf45074b45d1db0b",
-        "ramp": "b3b50afccb2103a8fdce07496eb26e06b408ae5ceb709562eafaf39723fde847",
-        "square": "6bc3d8a30c182be907ee7923a7011e72049749473a293dc5b757713890d665ac",
+        "uniform": "b8991b74fbb0628ffd7343feb8744fc578df84e362df7b2526c6a1fbfb3c76b5",
+        "one_hot": "b98628ecfe80fd779b37b00e3a9d24bd2b827d8e882112da7efd9ed56bedaf82",
+        "ramp": "496ec4d1b6330b4bdf2f940bfdf3a804c378e2749d94210a44f83c3c3ea38093",
+        "square": "d0321424eaf2776b5dd8016ad6c4994f27ed7d9b0f21ef1b2d213afe45b8c3b7",
     }
 
     @pytest.mark.parametrize("case", list(PINNED))
@@ -292,9 +295,101 @@ class TestEncoderState:
 
     def test_decoder_counts_bits_read_past_the_payload(self):
         dec = ArithmeticDecoder(b"\x80")
-        assert dec.bits_past_end == 24  # the first 32-bit read
-        while dec.bits_past_end <= 40:
-            dec.decode(quantize_dist(np.full(255, 1.0 / 255.0)))
+        assert dec.bits_past_end == 56  # the first 8-byte read
+        while dec.bits_past_end <= 72:
+            before = dec.bits_past_end
+            dec.decode(UNIFORM)
+            assert (dec.bits_past_end - before) % 8 == 0
+
+
+def coded(seed, n, zero=0.0, steer=0.0):
+    """A seeded stream of n symbols coded against the uniform table, and the
+    number of 0xFF bytes each carry walked back over.  A symbol is 0 with
+    probability `zero`, and while 2**64 lies inside [low, low + range), the
+    symbol whose step holds it with probability `steer`: a renormalisation
+    then shifts out a 0xFF byte that waits on a carry.  Otherwise the symbol
+    is uniform."""
+    rng = np.random.default_rng(seed)
+    enc, symbols, walked = ArithmeticEncoder(), [], []
+
+    def carry():
+        k = 0
+        while enc._out[-1 - k] == 0xFF:
+            k += 1
+        walked.append(k)
+        ArithmeticEncoder._carry(enc)
+
+    enc._carry = carry
+    for _ in range(n):
+        edge = (1 << 64) - enc._low
+        if rng.random() < zero:
+            symbol = 0
+        elif edge < enc._range and rng.random() < steer:
+            step = edge // (enc._range >> 16)
+            symbol = min(254, int(np.searchsorted(UNIFORM, step, side="right")) - 1)
+        else:
+            symbol = int(rng.integers(0, 255))
+        enc.encode(UNIFORM, symbol)
+        symbols.append(symbol + 1)
+    return enc, symbols, walked
+
+
+class TestRangeCoderPaths:
+    """Seeded searches for streams that take the coder's rarer paths; each
+    found stream round-trips."""
+
+    def test_carry_walks_back_over_0xff_bytes(self):
+        for seed in range(100):
+            enc, symbols, walked = coded(seed, 300, steer=0.9)
+            if max(walked, default=0) >= 2:
+                break
+        assert max(walked) >= 2
+        payload = enc.finish()
+        assert decode_stream(payload, [UNIFORM] * len(symbols)) == symbols
+
+    @pytest.mark.parametrize("tail,zero,tail_bytes", [
+        ("carry", 0.0, 0), ("low 0", 0.8, 0), ("one byte", 0.0, 1)])
+    def test_finish_writes_the_shortest_tail(self, tail, zero, tail_bytes):
+        """finish writes no byte when 2**64 lies in [low, low + range), which
+        it adds as a carry, and none when low is 0; otherwise one byte."""
+        for seed in range(1000):
+            enc, symbols, _ = coded(seed, 1 + seed % 40, zero=zero)
+            low, end, out = enc._low, enc._low + enc._range, bytes(enc._out)
+            took = ("carry" if end > 1 << 64 else "low 0" if low == 0
+                    else "one byte")
+            if took == tail and any(s > 1 for s in symbols):
+                break
+        assert took == tail
+        payload = enc.finish()
+        assert len(payload) == len(out) + tail_bytes
+        if tail == "carry":
+            assert int.from_bytes(payload, "big") == int.from_bytes(out, "big") + 1
+        else:
+            assert payload[:len(out)] == out
+        assert decode_stream(payload, [UNIFORM] * len(symbols)) == symbols
+
+    def test_value_past_the_table_refused(self, rng):
+        """A value in [r * 2**16, range), the sliver a step's table leaves
+        unused, is where no encoder puts the stream: decode refuses it."""
+        symbols = rng.integers(1, 256, size=50).tolist()
+        payload, k = payload_past_the_table([UNIFORM] * 50, symbols)
+        dec = ArithmeticDecoder(payload)
+        assert [dec.decode(UNIFORM) + 1 for _ in range(k)] == symbols[:k]
+        with pytest.raises(CorruptStream, match="outside the coding interval"):
+            dec.decode(UNIFORM)
+
+    def test_random_bytes_keep_the_state_below_range(self, rng):
+        """Fed random bytes, the decoder refuses them or keeps code < range
+        after every symbol, so its state never grows with the bytes read."""
+        for _ in range(50):
+            dec = ArithmeticDecoder(rng.bytes(int(rng.integers(0, 40))))
+            table = random_table(rng)
+            while dec.bits_past_end <= 64:
+                try:
+                    dec.decode(table)
+                except CorruptStream:
+                    break
+                assert 0 <= dec._code < dec._range <= 1 << 64
 
 
 class TestBitstreamContainer:
@@ -334,11 +429,11 @@ class TestBitstreamContainer:
         with pytest.raises(ParseError):
             Bitstream.from_bytes(bytes(blob))
 
-    @pytest.mark.parametrize("version", [0, 1, 2, 3, 5, 0xFFFF])
+    @pytest.mark.parametrize("version", [0, 1, 2, 3, 4, 6, 0xFFFF])
     def test_other_versions_refused_as_corrupt(self, version):
-        """A stream of any version but 4 fails as CorruptStream naming both
+        """A stream of any version but 5 fails as CorruptStream naming both
         versions, also a version-1 stream whose shorter header (no checksum)
-        and payload make fewer bytes than a version-4 header."""
+        and payload make fewer bytes than a version-5 header."""
         blob = v1_layout_stream(version, payload=b"\x5a")
         assert len(blob) < HEADER_BYTES
         with pytest.raises(CorruptStream,

@@ -81,6 +81,19 @@ class TestQuantize:
             qpc = voxelize(RawPointCloud(pts), 4, np.zeros(3), 1.0 / 15)
         assert qpc.voxels.tolist() == [[0, 15, 15], [15, 0, 8]]
 
+    @pytest.mark.parametrize("point,origin,scale,want", [
+        ([1e308, 0, 0], np.zeros(3), 1 / 15, [15, 0, 0]),
+        ([-1.7e308, 0, 0], np.full(3, 1.7e308), 1.0, [0, 0, 0]),
+    ], ids=["divide", "subtract"])
+    def test_overflow_to_inf_clips_silently(self, point, origin, scale, want):
+        """A point whose offset or grid coordinate overflows float64 becomes
+        inf, which clips to the grid edge, so it warns of nothing."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            qpc = voxelize(RawPointCloud(np.array([point], float)), 4, origin,
+                           scale)
+        assert qpc.voxels.tolist() == [want]
+
     def test_extent_beyond_float_range_refused(self):
         """Finite points whose extent overflows would give an infinite scale."""
         pts = np.array([[-1e308, 0.0, 0.0], [1e308, 1.0, 1.0]])

@@ -128,8 +128,8 @@ def test_codec_ops_are_batch_invariant(size):
     n = base.ctx.n_window - 1
     buffer = rng.normal(size=(run + n + 3, 2 * d))
     own = rng.normal(size=(run, 3 * d))
-    query = cache.weights.head_mask * own[:, None, 2 * d:]
-    own_score = rng.normal(size=(run, base.heads, 1))
+    query = own[:, 2 * d:].reshape(run, base.heads, 1, -1)
+    own_score = rng.normal(size=(run, base.heads, 1, 1))
     together = _attend_step(query, own_score, own[:, d:2 * d],
                             _windows(buffer, 2, run, n))
     for b in range(run):

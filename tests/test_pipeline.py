@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import FORWARD_CONFIGS
+from conftest import FORWARD_CONFIGS, payload_past_the_table
 import octpcc
 from octpcc.coder import (MAX_BITS_PAST_END, ArithmeticEncoder, Bitstream,
                           HEADER_BYTES, quantize_dist)
@@ -297,7 +297,7 @@ class TestFailureModes:
 
     def test_short_payload_stops_decoding(self):
         """A payload cut to 4 bytes under an inflated node count that 4
-        bytes could still hold fails once the decoder has read more than 32
+        bytes could still hold fails once the decoder has read more than 64
         bits past the payload's end."""
         pc = synth("uniform", 300, seed=7)
         model = tiny_model(seed=1)
@@ -309,6 +309,22 @@ class TestFailureModes:
         with pytest.raises(CorruptStream,
                            match=r"^level \d+, node \d+: .* past the end"):
             decode(Bitstream.from_bytes(short.to_bytes()), model)
+
+    def test_value_past_the_table_names_level_and_node(self):
+        """A payload whose value lies in the sliver of range that a step's
+        table leaves unused fails at that step's node."""
+        pc = synth("uniform", 300, seed=7)
+        model = tiny_model(seed=1)
+        tables = []
+        bs, _ = encode(pc, 5, 5, model, table_log=tables)
+        seq = build(quantize(pc, 5))
+        payload, k = payload_past_the_table(tables, seq.occupancy)
+        assert 0 < k < len(seq)
+        with pytest.raises(CorruptStream,
+                           match=rf"^level {seq.level[k]}, node {k}: the "
+                                 "payload's value lies outside the coding "
+                                 "interval$"):
+            decode(Bitstream(header=bs.header, payload=payload), model)
 
     @pytest.mark.parametrize("field,value", [
         ("depth", 3),         # below coded_levels = 5
