@@ -18,7 +18,7 @@ each target of a window block to the block's rows through a band mask that
 keeps its own window's rows.
 
 The codec's step runs on `CodecWeights`, the parameters lowered once per
-encode or decode (embeddings folded through the slot projection, K/V/Q
+parameter state (embeddings folded through the slot projection, K/V/Q
 joined, the attention output projection folded into both heads' first
 layers, which are joined): the same function as the unfolded forward of
 training and analysis, whose floats differ in the last bits.  It steps one
@@ -254,6 +254,7 @@ class ContextModel:
     def __init__(self, cfg: ModelConfig, params: nn.ParamStore):
         self.cfg = cfg
         self.params = params
+        self._made = {}  # what -> ((store, writes, cfg), value)
 
     @classmethod
     def create(cls, cfg: ModelConfig) -> "ContextModel":
@@ -280,8 +281,21 @@ class ContextModel:
     def save(self, path) -> None:
         nn.save_checkpoint(path, self.params, self.cfg.to_dict())
 
+    def _once(self, what: str, make):
+        """make(), kept until the store, its write count or the config
+        differs from when it was made."""
+        state = (self.params, self.params.writes, self.cfg)
+        made = self._made.get(what)
+        if made is None or made[0] != state:
+            made = self._made[what] = (state, make())
+        return made[1]
+
     def digest(self) -> bytes:
-        return nn.checkpoint_digest(self.params, self.cfg.to_dict())
+        return self._once("digest", lambda: nn.checkpoint_digest(
+            self.params, self.cfg.to_dict()))
+
+    def codec_weights(self) -> "CodecWeights":
+        return self._once("codec_weights", lambda: CodecWeights(self))
 
     def _embed(self, slots: np.ndarray, params=None):
         """Chains (..., K+1, 3) -> slot vectors (..., d)."""
@@ -506,12 +520,15 @@ class CodecWeights:
         self.w2_branch = P["main.w2"][self.hidden_main:]
         self.b2 = P["main.b2"]
         self.branch_w2, self.branch_b2 = P["branch.w2"], P["branch.b2"]
+        for value in vars(self).values():  # every cache of the model reads them
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
 
 
 class KVCache:
     """Attention keys and values of coded nodes, the target rows of the
-    nodes to come, and the `CodecWeights` lowered from the model when the
-    cache is made, for `ContextModel.predict`.
+    nodes to come, and the model's `CodecWeights` as of the cache's making,
+    for `ContextModel.predict`.
 
     Buffer row j of `kv` holds node base + j's history row [k | v], so the
     history of a run of targets is one strided view in node order.  A step
@@ -529,7 +546,7 @@ class KVCache:
 
     def __init__(self, model: ContextModel, ctx: GrowingContext, nodes: int):
         self.ctx = ctx
-        self.weights = CodecWeights(model)
+        self.weights = model.codec_weights()
         cfg = model.cfg
         n = cfg.ctx.n_window
         self.batch = max(1, (1 << 19) // (8 * cfg.heads * n))

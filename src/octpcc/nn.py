@@ -301,23 +301,28 @@ def sigmoid_np(x: np.ndarray) -> np.ndarray:
 
 
 def _f32_exact(a: np.ndarray) -> np.ndarray:
-    """Round to the nearest float32-representable value, kept as float64."""
-    return np.asarray(a, dtype=np.float64).astype(np.float32).astype(np.float64)
+    """A fresh read-only float64 array of the nearest float32 values."""
+    out = np.asarray(a, dtype=np.float64).astype(np.float32).astype(np.float64)
+    out.flags.writeable = False
+    return out
 
 
 class ParamStore:
-    """Named parameter tensors plus per-parameter Adam state."""
+    """Named parameter tensors plus per-parameter Adam state.  The arrays
+    are read-only; `writes` counts `add`s, assignments and `adam_step`s."""
 
     def __init__(self):
         self._params: dict[str, np.ndarray] = {}
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
         self._steps: dict[str, int] = {}
+        self.writes = 0
 
     def add(self, name: str, value: np.ndarray) -> None:
         if name in self._params:
             raise InvalidInput(f"duplicate parameter {name!r}")
         self._params[name] = _f32_exact(value)
+        self.writes += 1
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self._params[name]
@@ -328,6 +333,7 @@ class ParamStore:
         if np.shape(value) != self._params[name].shape:
             raise InvalidInput(f"shape mismatch for {name!r}")
         self._params[name] = _f32_exact(value)
+        self.writes += 1
 
     def __contains__(self, name):
         return name in self._params
@@ -341,7 +347,7 @@ class ParamStore:
     def copy(self) -> "ParamStore":
         out = ParamStore()
         for name, value in self._params.items():
-            out.add(name, value.copy())
+            out.add(name, value)
         return out
 
     def tape(self, learn=None) -> dict:
@@ -373,6 +379,7 @@ def adam_step(params: ParamStore, grads: dict, lr: float) -> None:
             raise InvalidInput(f"gradient shape mismatch for {name!r}")
         if not np.isfinite(g).all():
             raise NumericalError(f"non-finite gradient for parameter {name!r}")
+    params.writes += 1
     for name, g in grads.items():
         p = params._params[name]
         m = params._m.get(name)

@@ -1,8 +1,8 @@
 """End-to-end encode and decode drivers.
 
-Both directions run one walk, `_walk`: it lowers the model's parameters into
-codec weights once (a `KVCache` holds them), grows the tree from the root
-level by level, in breadth-first order, and runs the model's step
+Both directions run one walk, `_walk`: it takes the model's codec weights,
+lowered once per parameter state (a `KVCache` holds them), grows the tree
+from the root level by level, in breadth-first order, and runs the model's step
 `ContextModel.predict` (which attends each target's row over the K/V rows
 the cache keeps for its window's already-coded nodes), then hands the
 distributions to the direction's callback.  The decoder steps one node at a
@@ -104,8 +104,8 @@ def _walk(model: ContextModel, depth: int, coded_levels: int, node_limit: int,
     N - 1 nodes, or a level's under strict_level) is a step of its own.  A
     level that would take the tree past `node_limit` nodes is
     refused, so the K/V cache holds at most `node_limit` rows.  The cache
-    lowers the model's parameters as they are now, so no walk runs stale
-    codec weights.
+    takes the model's codec weights as of the parameters now: the model
+    lowers them again after any write, so no walk runs stale ones.
     """
     ctx = GrowingContext(model.cfg.ctx)
     cache = KVCache(model, ctx, node_limit)

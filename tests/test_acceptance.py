@@ -151,17 +151,18 @@ def test_c04_gradient_correctness():
     worst = 0.0
     checked = 0
     for name in model.params.names():
-        flat = model.params[name].ravel()
+        value = model.params[name].copy()  # float64, unrounded when perturbed
+        flat = value.reshape(-1)
         an = analytic[name].ravel()
         for ix in range(flat.size):
             orig = flat[ix]
             flat[ix] = orig + eps
-            ce, mse = model.batch_losses(model.params.tape(), block, labels,
-                                         False)
+            ce, mse = model.batch_losses({**model.params.tape(), name: value},
+                                         block, labels, False)
             up = float(ce.data + mse.data)
             flat[ix] = orig - eps
-            ce, mse = model.batch_losses(model.params.tape(), block, labels,
-                                         False)
+            ce, mse = model.batch_losses({**model.params.tape(), name: value},
+                                         block, labels, False)
             dn = float(ce.data + mse.data)
             flat[ix] = orig
             fd = (up - dn) / (2 * eps)

@@ -653,3 +653,84 @@ class TestCheckpointing:
         assert ModelConfig.tiny(enable_residual=False,
                                 enable_branch=True).variant == "branch"
         assert ModelConfig.tiny().variant == "residual+branch"
+
+
+def assert_kept_state_is_fresh(model):
+    """The model's kept lowering and digest equal ones made afresh now."""
+    kept, fresh = model.codec_weights(), CodecWeights(model)
+    assert vars(kept).keys() == vars(fresh).keys()
+    for name, value in vars(fresh).items():
+        if isinstance(value, np.ndarray):
+            np.testing.assert_array_equal(getattr(kept, name), value,
+                                          err_msg=name)
+        else:
+            assert getattr(kept, name) == value, name
+    assert model.digest() == nn.checkpoint_digest(model.params,
+                                                  model.cfg.to_dict())
+
+
+def shift_slot_bias(model):
+    model.params["slot.b"] = model.params["slot.b"] + 0.5
+
+
+class TestParameterState:
+    """The lowering and the digest are made once per parameter state and
+    remade after any write."""
+
+    @pytest.mark.parametrize("write", ["assignment", "train",
+                                       "zero_head_layers", "new_store"])
+    def test_each_write_path_remakes_lowering_and_digest(self, write):
+        model = tiny_model()
+        lowering, digest = model.codec_weights(), model.digest()
+        assert model.codec_weights() is lowering
+        if write == "assignment":
+            shift_slot_bias(model)
+        elif write == "train":  # through adam_step alone
+            train(model, tiny_corpus(n=30), TrainSchedule(1, 1, batch_size=8))
+        elif write == "zero_head_layers":
+            zero_head_layers(model)
+        else:  # a store with as many writes as the old one
+            model.params = tiny_model(seed=4).params
+        assert model.codec_weights() is not lowering
+        assert model.digest() != digest
+        assert_kept_state_is_fresh(model)
+
+    @pytest.mark.parametrize("writer", [0, 1])
+    def test_models_on_one_store_lower_apart_and_see_each_write(self, writer):
+        full = tiny_model()
+        plain = ContextModel(replace(full.cfg, enable_residual=False,
+                                     enable_branch=False), full.params)
+        assert full.codec_weights().w1.shape != plain.codec_weights().w1.shape
+        assert full.digest() != plain.digest()
+        assert_kept_state_is_fresh(full)
+        assert_kept_state_is_fresh(plain)
+        shift_slot_bias((full, plain)[writer])
+        assert_kept_state_is_fresh(full)
+        assert_kept_state_is_fresh(plain)
+
+    def test_training_a_copy_leaves_the_original(self):
+        model = tiny_model()
+        lowering, digest = model.codec_weights(), model.digest()
+        copy = ContextModel(model.cfg, model.params.copy())
+        assert copy.digest() == digest
+        copy.codec_weights()
+        train(copy, tiny_corpus(n=30), TrainSchedule(1, 1, batch_size=8))
+        assert copy.digest() != digest
+        assert_kept_state_is_fresh(copy)
+        assert model.codec_weights() is lowering
+        assert model.digest() == digest
+        assert_kept_state_is_fresh(model)
+
+    def test_in_place_writes_raise(self, tmp_path):
+        model = tiny_model()
+        train(model, tiny_corpus(n=30), TrainSchedule(1, 1, batch_size=8))
+        model.save(tmp_path / "m.ckpt")
+        for store in (model.params, model.params.copy(),
+                      ContextModel.load(tmp_path / "m.ckpt").params):
+            for _, value in store.items():
+                with pytest.raises(ValueError, match="read-only"):
+                    value.flat[0] = 1.0
+        for value in vars(model.codec_weights()).values():
+            if isinstance(value, np.ndarray):
+                with pytest.raises(ValueError, match="read-only"):
+                    value.flat[0] = 1

@@ -231,17 +231,18 @@ class TestGrad:
         eps = 1e-4
         check_rng = np.random.default_rng(0)
         for name in model.params.names():
-            flat = model.params[name].ravel()
+            value = model.params[name].copy()  # float64, unrounded when perturbed
+            flat = value.reshape(-1)
             for ix in check_rng.choice(flat.size, size=min(3, flat.size),
                                        replace=False):
                 orig = flat[ix]
                 flat[ix] = orig + eps
-                ce, mse = model.batch_losses(model.params.tape(), block, labels,
-                                             False)
+                ce, mse = model.batch_losses(
+                    {**model.params.tape(), name: value}, block, labels, False)
                 up = float(ce.data + mse.data)
                 flat[ix] = orig - eps
-                ce, mse = model.batch_losses(model.params.tape(), block, labels,
-                                             False)
+                ce, mse = model.batch_losses(
+                    {**model.params.tape(), name: value}, block, labels, False)
                 dn = float(ce.data + mse.data)
                 flat[ix] = orig
                 fd = (up - dn) / (2 * eps)
@@ -256,6 +257,19 @@ class TestGrad:
 
 
 class TestAdam:
+    def test_writes_count_one_per_add_assignment_and_step(self):
+        store = nn.ParamStore()
+        store.add("w", np.zeros(3))
+        store.add("b", np.zeros(2))
+        store["w"] = np.ones(3)
+        assert store.writes == 3
+        nn.adam_step(store, {"w": np.ones(3), "b": np.ones(2)}, lr=0.1)
+        assert store.writes == 4
+        with pytest.raises(InvalidInput):
+            nn.adam_step(store, {"w": np.ones(2)}, lr=0.1)
+        assert store.writes == 4
+        assert store.copy().writes == 2
+
     def test_zero_gradient_from_fresh_state(self):
         store = nn.ParamStore()
         store.add("w", np.array([1.0, -2.0, 3.0]))

@@ -198,9 +198,8 @@ class TestAgreement:
         assert report.per_level_bits == per_level
 
     def test_codec_weights_follow_the_parameters(self, tmp_path):
-        """Each encode lowers the model's parameters afresh: after they
-        change in place, the stream is the one a freshly loaded copy of the
-        changed model writes, not the one before."""
+        """After a write to the parameters, the stream is the one a freshly
+        loaded copy of the changed model writes, not the one before."""
         pc = synth("plane", 300, seed=3)
         model = tiny_model(seed=2)
         before = encode(pc, 5, 5, model)[0].to_bytes()
@@ -210,6 +209,37 @@ class TestAgreement:
         fresh = ContextModel.load(tmp_path / "changed.ckpt")
         assert after == encode(pc, 5, 5, fresh)[0].to_bytes()
         assert after[HEADER_BYTES:] != before[HEADER_BYTES:]
+
+    def test_unchanged_model_is_lowered_and_hashed_once(self, monkeypatch):
+        """A second encode and a decode with the same parameters reuse the
+        model's lowering and digest."""
+        pc = synth("plane", 300, seed=3)
+        model = tiny_model(seed=2)
+        first = encode(pc, 5, 5, model)[0].to_bytes()
+        calls = []
+
+        def counted(fn):
+            def call(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(octpcc.model, "CodecWeights",
+                            counted(octpcc.model.CodecWeights))
+        monkeypatch.setattr(octpcc.nn, "checkpoint_digest",
+                            counted(octpcc.nn.checkpoint_digest))
+        again = encode(pc, 5, 5, model)[0].to_bytes()
+        assert decode(again, model).same_voxels(quantize(pc, 5))
+        assert again == first
+        assert calls == []
+
+    def test_write_after_encode_refuses_the_old_stream(self):
+        pc = synth("plane", 300, seed=3)
+        model = tiny_model(seed=2)
+        bs, _ = encode(pc, 5, 5, model)
+        model.params["slot.b"] = model.params["slot.b"] + 0.5
+        with pytest.raises(ModelMismatch):
+            decode(bs.to_bytes(), model)
 
     @pytest.mark.parametrize("case", ["residual+branch", "plain"])
     def test_codec_runs_on_the_lowered_weights_alone(self, case, monkeypatch):
@@ -352,7 +382,9 @@ class TestFailureModes:
         pc = RawPointCloud(np.stack(np.meshgrid(side, side, side),
                                     axis=-1).reshape(-1, 3).astype(float))
         model = zero_head_layers(tiny_model())
-        model.params["main.b2"][254] = 60.0  # q(occupancy 255) ~ 1 - 1e-6
+        b2 = model.params["main.b2"].copy()
+        b2[254] = 60.0  # q(occupancy 255) ~ 1 - 1e-6
+        model.params["main.b2"] = b2
         bs, report = encode(pc, 5, 5, model)
         assert report.node_count == sum(8 ** lvl for lvl in range(5))
         assert report.payload_bits < report.node_count / MAX_NODES_PER_BIT + 16
