@@ -46,25 +46,31 @@ def quantize_dist(q: np.ndarray) -> np.ndarray:
     >= 1; a row's table does not depend on the other rows.  InvalidInput
     unless every entry lies in [0, 1] and every row's deficit lies within
     +-127, which a row summing to 1 always meets: each of its 255 roundings
-    is off by at most 1/2.  The likeliest class then holds >= 129.
+    is off by at most 1/2.  The likeliest class then holds >= 129.  One
+    row (the decoder's call) is summed in float, the deficit added past its
+    likeliest class: every partial sum is an integer below 2**24, so exact.
     """
     q = np.asarray(q, dtype=np.float64)
     if q.shape[-1:] != (255,) or q.size == 0:
         raise InvalidInput("distribution must have 255 entries")
     if not 0.0 <= q.min() <= q.max() <= 1.0:  # also false for NaN
         raise InvalidInput("distribution entries must lie in [0, 1]")
-    freq = np.rint(q * (FREQ_TOTAL - 255)).astype(np.int64, order="C") + 1
-    deficit = FREQ_TOTAL - freq.sum(axis=-1)
-    if q.ndim == 1:  # the decoder's call, where scalar steps cost less
-        if abs(int(deficit)) > 127:
+    scaled = np.rint(q * (FREQ_TOTAL - 255))
+    if q.ndim == 1:  # the decoder's call: fewer numpy calls, the same table
+        cum = np.zeros(256)
+        np.add.accumulate(scaled + 1, out=cum[1:])
+        deficit = FREQ_TOTAL - cum[255]
+        if abs(deficit) > 127:
             raise _not_summing_to_one(q)
-        freq[q.argmax()] += deficit
-    else:
-        bad = np.abs(deficit) > 127
-        if bad.any():
-            raise _not_summing_to_one(q[bad][0])
-        rows = freq.reshape(-1, 255)  # C order, so a view: the scatter lands in freq
-        rows[np.arange(len(rows)), q.reshape(-1, 255).argmax(axis=1)] += deficit.ravel()
+        cum[q.argmax() + 1:] += deficit
+        return cum.astype(np.int64)
+    freq = scaled.astype(np.int64, order="C") + 1
+    deficit = FREQ_TOTAL - freq.sum(axis=-1)
+    bad = np.abs(deficit) > 127
+    if bad.any():
+        raise _not_summing_to_one(q[bad][0])
+    rows = freq.reshape(-1, 255)  # C order, so a view: the scatter lands in freq
+    rows[np.arange(len(rows)), q.reshape(-1, 255).argmax(axis=1)] += deficit.ravel()
     cum = np.zeros(q.shape[:-1] + (256,), dtype=np.int64)
     np.cumsum(freq, axis=-1, out=cum[..., 1:])
     return cum

@@ -40,6 +40,9 @@ PAD = 0  # padding value for occupancy / level / octant
 # The nodes of a full depth-MAX_DEPTH octree: a wider window sees no more, and
 # every window bound fits in int64.
 _TREE_NODES = (8 ** MAX_DEPTH - 1) // 7
+# `window`'s valid up to 1,024 rows (the full-scale window): a slice, no copy.
+_ALL_VALID = np.ones(1024, dtype=bool)
+_ALL_VALID.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -110,7 +113,9 @@ class GrowingContext:
             raise InvalidInput(f"node {i} with slot start {start} out of range")
         rows = self.chains[start:i + 1].copy()
         rows[-1, 0, 0] = PAD  # target occupancy is the unknown
-        return rows, np.ones(len(rows), dtype=bool)
+        n = len(rows)
+        return rows, (_ALL_VALID[:n] if n <= len(_ALL_VALID)
+                      else np.ones(n, dtype=bool))
 
     def window_block(self, start: int, stop: int):
         """(rows, band) for targets [start, stop), order preserved.

@@ -22,9 +22,9 @@ parameter state (embeddings folded through the slot projection, K/V/Q
 joined, the attention output projection folded into both heads' first
 layers, which are joined): the same function as the unfolded forward of
 training and analysis, whose floats differ in the last bits.  It steps one
-target (the decoder) or a run of targets with full windows (the encoder)
-through row-invariant ops alone, so a target's floats do not depend on the
-run it is in.
+target (the decoder) on 1-D arrays, or a run of targets with full windows
+(the encoder) through row-invariant stacked ops that are the one-target
+step's per target, so a target's floats do not depend on the run it is in.
 
 Ablation toggles: enable_residual feeds a zero vector instead of r_i;
 enable_branch feeds zeros into the fusion slot.  All four combinations
@@ -234,6 +234,21 @@ def _attend_step(query, own_score, own_v, history):
     return c.reshape(targets, 1, heads * dh)
 
 
+def _attend_one(query, own_score, own_v, history):
+    """`_attend_step`'s ops for one target without the target axis: query
+    (H, 1, d/H), own_score (H, 1, 1), own_v (d,) and history (2d, n), a
+    transposed slice of the K/V buffer, give the same context (d,)."""
+    heads, _, dh = query.shape
+    history = history.reshape(2 * heads, dh, -1)
+    weights = np.concatenate((query @ history[:heads], own_score), axis=2)
+    weights -= weights.max(axis=2, keepdims=True)
+    np.exp(weights, out=weights)
+    weights /= weights.sum(axis=2, keepdims=True)
+    c = weights[..., :-1] @ history[heads:].swapaxes(1, 2)
+    c += weights[..., -1:] * own_v.reshape(heads, 1, dh)
+    return c.reshape(-1)
+
+
 # Targets per window block in `distributions`.  Every target scores all of
 # the block's chunk + N - 1 rows, so the band's cost grows with the chunk;
 # 64-128 targets ran fastest at both N=64 and N=1024.
@@ -382,16 +397,17 @@ class ContextModel:
 
         Encoder and decoder step through nodes 0, 1, 2, ... in order, the
         decoder one target a call and the encoder in runs whose windows
-        have equal length.  The step uses row-invariant ops alone (stacked
-        matmuls whose per-target shape is the one-target call's, reductions
-        within a row, elementwise ops), never a GEMM across targets, so a
-        target's floats, and therefore its frequency table, do not depend
-        on the run it is in.  Each target's query scores the history rows of
-        its window, read as a strided view of the cache, and its own row
-        (its chain with the occupancy PAD).  A history row is a node's own
-        row plus its occupancy's delta, stored once the node's occupancy is
-        set, so no row is embedded twice.  The step runs on the cache's
-        `CodecWeights`, not on `params`.
+        have equal length.  A run stacks its targets' products, each of the
+        one-target call's shape, never a GEMM across targets, and reads the
+        histories as a strided view of the cache.  One target (every decoder
+        step, and the encoder's growing windows) runs the same ops on arrays
+        without the target axis (`_attend_one`, `_heads_one`), so a target's
+        floats, and therefore its frequency table, depend neither on the run
+        it is in nor on the form.  Each target's query scores the history
+        rows of its window and its own row (its chain with occupancy PAD).
+        A history row is a node's own row plus its occupancy's delta, stored
+        once the node's occupancy is set, so no row is embedded twice.  The
+        step runs on the cache's `CodecWeights`, not on `params`.
         """
         ctx, w = cache.ctx, cache.weights
         if not (cache.next_node <= i < j <= ctx.count):
@@ -412,13 +428,18 @@ class ContextModel:
             raise InvalidInput(f"a history node of node {j - 1} is not "
                                "coded yet")
         kv, query, own_score = cache.targets(start, j)
-        history = cache.rows(lo, start, kv[:j - 1 - start], occ, n)
+        first = cache.rows(lo, start, kv[:j - 1 - start], occ)
+        if j - i == 1:
+            return self._heads_one(cache, _attend_one(
+                query[-1], own_score[-1], kv[-1, w.d:],
+                cache.kv[first:first + n].T))
         c = _attend_step(query[i - start:], own_score[i - start:],
-                         kv[i - start:, w.d:], history)
+                         kv[i - start:, w.d:],
+                         _windows(cache.kv, first, j - i, n))
         h = c  # one (1, width) row a target from here on
         if self.cfg.enable_residual:  # r_0 = 0 at the stream's start
-            prev = np.concatenate((
-                c[:1] if cache.c_prev is None else cache.c_prev, c[:-1]))
+            prev = np.concatenate((c[:1] if cache.c_prev is None
+                                   else cache.c_prev[None, None], c[:-1]))
             h = np.concatenate((c, c - prev), axis=2)
         a = np.maximum(h @ w.w1 + w.b1, 0.0)
         z = a[..., :w.hidden_main] @ w.w2_main + w.b2
@@ -432,8 +453,33 @@ class ContextModel:
         q = np.exp(z, out=z)
         q *= (1.0 - PROB_FLOOR) / q.sum(axis=2, keepdims=True)
         q += PROB_FLOOR / 255.0
-        cache.c_prev = c[-1:]
+        cache.c_prev = c[-1, 0]
         return c[:, 0], q[:, 0], o
+
+    def _heads_one(self, cache: "KVCache", c):
+        """`predict`'s residual and heads for one target from its attention
+        output c (d,): the run form's ops in its order on 1-D vectors, so
+        every float is the same; one row each, as a run returns them."""
+        w = cache.weights
+        prev = c if cache.c_prev is None else cache.c_prev  # r_0 = 0
+        h = np.concatenate((c, c - prev)) if self.cfg.enable_residual else c
+        a = h @ w.w1
+        a += w.b1
+        np.maximum(a, 0.0, out=a)
+        z = a[:w.hidden_main] @ w.w2_main
+        z += w.b2
+        o = None
+        if self.cfg.enable_branch:
+            o = 0.5 * np.tanh(0.5 * (a[w.hidden_main:] @ w.branch_w2
+                                     + w.branch_b2)) + 0.5
+            z += o @ w.w2_branch
+            o = o[None]
+        z -= z.max()
+        np.exp(z, out=z)
+        z *= (1.0 - PROB_FLOOR) / z.sum()
+        z += PROB_FLOOR / 255.0
+        cache.c_prev = c
+        return c[None], z[None], o
 
     def blocks(self, asm: ContextAssembler, size: int):
         """(start, stop, block, lead) for consecutive runs of `size` targets.
@@ -581,13 +627,13 @@ class KVCache:
         a, b = start - first, stop - first
         return kv[a:b], query[a:b], own_score[a:b]
 
-    def rows(self, lo: int, start: int, kv, occ, n: int):
+    def rows(self, lo: int, start: int, kv, occ) -> int:
         """Store the history rows of nodes start, ..., stop - 1, their
         target rows kv plus the deltas of their occupancies occ, and return
-        for each target t of lo + n, ..., stop its n history rows from node
-        t - n on, as one (targets, 2d, n) view of the buffer.  If node
-        stop - 1 would fall past the buffer's end, the rows of nodes
-        [lo, start) move to the front first."""
+        the buffer row of node lo; the rows of nodes lo, ..., stop - 1
+        follow it in node order.  If node stop - 1 would fall past the
+        buffer's end, the rows of nodes [lo, start) move to the front
+        first."""
         stop = start + len(kv)
         if stop - self.base > len(self.kv):
             self.kv[:start - lo] = self.kv[lo - self.base:start - self.base]
@@ -595,7 +641,7 @@ class KVCache:
         np.add(kv, self.weights.occ_delta[occ],
                out=self.kv[start - self.base:stop - self.base])
         self.next_node = stop
-        return _windows(self.kv, lo - self.base, stop - lo - n + 1, n)
+        return lo - self.base
 
 
 def train(model: ContextModel, corpus, schedule: TrainSchedule = TrainSchedule()):

@@ -10,8 +10,9 @@ time, quantizes its distribution and decodes its symbol at once, since the
 next node's window needs it.  The encoder knows every symbol in advance: it
 steps runs of a level's nodes whose windows are full, buffers up to
 ENCODE_BLOCK distributions, then quantizes them in one call and codes their
-symbols in node order.  The step uses row-invariant ops alone, so a node's
-distribution has the same bits in a run as alone, and `quantize_dist`
+symbols in node order.  A one-node step takes the step's one-target form,
+a run its stacked form, and both run a node's ops in the same order, so a
+node's distribution has the same bits in a run as alone, and `quantize_dist`
 rounds each row on its own, elementwise, and puts the row's deficit on its
 likeliest class, so the decoder sees bit-identical frequency tables.  Model
 weights travel out of band (checkpoint file); the bitstream carries a
@@ -96,14 +97,15 @@ def _walk(model: ContextModel, depth: int, coded_levels: int, node_limit: int,
     A level's nodes enter the window table together, once the level above is
     coded.  `code(level, i, q)` takes the distributions q of nodes i, i + 1,
     ... (one row each) and returns their occupancies.  Without `known`, the
-    decoder's case, a step predicts one node, whose occupancy the next
-    window needs.  With `known`, every node's occupancy in stream order (the
-    encoder's), a level's occupancies are set as it enters the table, and a
-    step predicts a run of its nodes whose windows are full, up to
-    ENCODE_BLOCK and the cache's batch; a growing window (the stream's first
-    N - 1 nodes, or a level's under strict_level) is a step of its own.  A
-    level that would take the tree past `node_limit` nodes is
-    refused, so the K/V cache holds at most `node_limit` rows.  The cache
+    decoder's case, a step predicts one node (`predict`'s one-target form),
+    whose occupancy the next window needs.  With `known`, every node's
+    occupancy in stream order (the encoder's), a level's occupancies are set
+    as it enters the table, and a step predicts a run of its nodes whose
+    windows are full, up to ENCODE_BLOCK and the cache's batch (the run
+    form); a growing window (the stream's first N - 1 nodes, or a level's
+    under strict_level) is a one-target step of its own.  A level that
+    would take the tree past `node_limit` nodes is refused, so the K/V
+    cache holds at most `node_limit` rows.  The cache
     takes the model's codec weights as of the parameters now: the model
     lowers them again after any write, so no walk runs stale ones.
     """

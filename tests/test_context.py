@@ -272,6 +272,20 @@ class TestGrowingContext:
                         np.testing.assert_array_equal(a, g)
                     grow.set_occupancy(i, int(seq.occupancy[i]))
 
+    def test_window_valid_is_all_true_at_every_length(self):
+        """`window`'s valid slices one shared read-only array up to the
+        full-scale window, and is still one True a row past it: a 2,500-row
+        window is longer than any shared buffer."""
+        seq = build(quantize(synth("lidar_rings", 20000, seed=1), 7))
+        asm = ContextAssembler(seq, ContextConfig(n_window=4096, k_ancestors=1))
+        last = len(seq) - 1
+        for length in (1, 2, 64, 1023, 1024, 1025, 2500):
+            rows, valid = asm.window(last, last + 1 - length)
+            assert len(valid) == len(rows) == length
+            assert valid.dtype == bool and valid.all()
+            if length <= 1024:
+                assert not valid.flags.writeable
+
     @pytest.mark.parametrize("strict_level", [False, True])
     @pytest.mark.parametrize("k", [0, 2, 4])
     def test_table_matches_per_node_builder(self, k, strict_level):

@@ -11,7 +11,7 @@ from octpcc.context import ContextAssembler, GrowingContext
 from octpcc.errors import ConfigError, InvalidInput, NumericalError, ParseError
 from octpcc.geometry import quantize, synth
 from octpcc.model import (ANALYSIS_CHUNK, CodecWeights, ContextModel, KVCache,
-                          ModelConfig, _attend_step, _windows,
+                          ModelConfig, _attend_one, _attend_step, _windows,
                           TraceRecord, TrainSchedule, branch_param_names,
                           main_param_names, train, write_trace,
                           zero_head_layers)
@@ -136,6 +136,10 @@ def test_codec_ops_are_batch_invariant(size):
         alone = _attend_step(query[b:b + 1], own_score[b:b + 1],
                              own[b:b + 1, d:2 * d], _windows(buffer, 2 + b, 1, n))
         np.testing.assert_array_equal(together[b], alone[0], err_msg=why)
+        # the decoder's form: no target axis, the history a transposed slice
+        one = _attend_one(query[b], own_score[b], own[b, d:2 * d],
+                          buffer[2 + b:2 + b + n].T)
+        np.testing.assert_array_equal(together[b, 0], one, err_msg=why)
 
 
 class TestForward:
@@ -240,14 +244,22 @@ class TestForward:
                                 predict_all(model, seq, step=5, nodes=2 * n - 1)):
             np.testing.assert_allclose(q, q_batch[i], rtol=0, atol=1e-13)
 
-    @pytest.mark.parametrize("case", list(FORWARD_CONFIGS))
+    @pytest.mark.parametrize("case", list(FORWARD_CONFIGS) + ["full_scale"])
     def test_runs_of_targets_equal_one_target_steps(self, case):
         """Stepping full windows in runs, as the encoder does (up to the
         cache's batch, within a level), gives every target's c, q and o bit
         for bit as stepping one target at a time, as the decoder does: the
-        step has no op whose floats depend on the run."""
-        model = ContextModel.create(replace(FORWARD_CONFIGS[case], seed=7))
-        seq = build(quantize(synth("lidar_rings", 1500, seed=8), 6))
+        run form and the one-target form have no op whose floats depend on
+        the run.  At full scale (N = 1,024, runs of 16) the stream is plane
+        1,000 at depth 7, 2,044 nodes, so runs form once the window is full;
+        tables alone would round away a difference in the last bits."""
+        if case == "full_scale":
+            model = ContextModel.create(ModelConfig.full_scale(seed=7))
+            seq = build(quantize(synth("plane", 1000, seed=3), 7))
+            assert len(seq) == 2044
+        else:
+            model = ContextModel.create(replace(FORWARD_CONFIGS[case], seed=7))
+            seq = build(quantize(synth("lidar_rings", 1500, seed=8), 6))
         cache = KVCache(model, ContextAssembler(seq, model.cfg.ctx), len(seq))
         full = model.cfg.ctx.n_window - 1
         steps, i = [], 0
