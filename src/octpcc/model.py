@@ -22,9 +22,10 @@ parameter state (embeddings folded through the slot projection, K/V/Q
 joined, the attention output projection folded into both heads' first
 layers, which are joined): the same function as the unfolded forward of
 training and analysis, whose floats differ in the last bits.  It steps one
-target (the decoder) on 1-D arrays, or a run of targets with full windows
-(the encoder) through row-invariant stacked ops that are the one-target
-step's per target, so a target's floats do not depend on the run it is in.
+target (the decoder) on 1-D arrays, or a run of targets (the encoder)
+through row-invariant stacked ops that are the one-target step's per
+target, attending target by target where the run's windows still grow, so
+a target's floats do not depend on the run it is in.
 
 Ablation toggles: enable_residual feeds a zero vector instead of r_i;
 enable_branch feeds zeros into the fusion slot.  All four combinations
@@ -396,32 +397,31 @@ class ContextModel:
         into the heads); o is None with the branch off, which it skips.
 
         Encoder and decoder step through nodes 0, 1, 2, ... in order, the
-        decoder one target a call and the encoder in runs whose windows
-        have equal length.  A run stacks its targets' products, each of the
-        one-target call's shape, never a GEMM across targets, and reads the
-        histories as a strided view of the cache.  One target (every decoder
-        step, and the encoder's growing windows) runs the same ops on arrays
-        without the target axis (`_attend_one`, `_heads_one`), so a target's
-        floats, and therefore its frequency table, depend neither on the run
-        it is in nor on the form.  Each target's query scores the history
-        rows of its window and its own row (its chain with occupancy PAD).
-        A history row is a node's own row plus its occupancy's delta, stored
-        once the node's occupancy is set, so no row is embedded twice.  The
-        step runs on the cache's `CodecWeights`, not on `params`.
+        decoder one target a call and the encoder in runs of at most the
+        cache's batch.  A run stacks its targets' products, each of the
+        one-target call's shape, never a GEMM across targets.  Where its
+        windows have one length it reads the histories as a strided view of
+        the cache; where they differ (growing windows: the stream's first
+        N - 1 nodes, or a level's under strict_level) each target attends
+        alone over its own slice, through `_attend_one`.  One target (every
+        decoder step) runs the same ops on arrays without the target axis
+        (`_attend_one`, `_heads_one`), so a target's floats, and therefore
+        its frequency table, depend neither on the run it is in nor on the
+        form.  Each target's query scores the history rows of its window
+        and its own row (its chain with occupancy PAD).  A history row is a
+        node's own row plus its occupancy's delta, stored once the node's
+        occupancy is set, so no row is embedded twice.  The step runs on the
+        cache's `CodecWeights`, not on `params`.
         """
         ctx, w = cache.ctx, cache.weights
         if not (cache.next_node <= i < j <= ctx.count):
             raise InvalidInput(f"nodes {i}..{j - 1} are not the next nodes "
                                "to predict")
+        if j - i > cache.batch:
+            raise InvalidInput(f"targets {i}..{j - 1} are more than "
+                               f"{cache.batch}")
         lo = ctx.window_start(i)
-        n = i - lo  # history rows of each target
-        if j - i > 1:
-            targets = np.arange(i, j)
-            if j - i > cache.batch or (
-                    targets - ctx.window_start(targets) != n).any():
-                raise InvalidInput(f"targets {i}..{j - 1} are more than "
-                                   f"{cache.batch} or their windows differ "
-                                   "in length")
+        n = i - lo  # history rows of target i
         start = max(lo, cache.next_node)
         occ = ctx.window(j - 1, start)[0][:-1, 0, 0]
         if not occ.all():
@@ -433,9 +433,19 @@ class ContextModel:
             return self._heads_one(cache, _attend_one(
                 query[-1], own_score[-1], kv[-1, w.d:],
                 cache.kv[first:first + n].T))
-        c = _attend_step(query[i - start:], own_score[i - start:],
-                         kv[i - start:, w.d:],
-                         _windows(cache.kv, first, j - i, n))
+        query, own_score, own_v = (query[i - start:], own_score[i - start:],
+                                   kv[i - start:, w.d:])
+        targets = np.arange(i, j)
+        los = ctx.window_start(targets)
+        if (targets - los == n).all():
+            c = _attend_step(query, own_score, own_v,
+                             _windows(cache.kv, first, j - i, n))
+        else:  # growing windows: each target attends over its own slice
+            c = np.empty((j - i, 1, w.d))
+            for b, lo_t in enumerate(los.tolist()):
+                history = cache.kv[first + lo_t - lo:first + n + b].T
+                c[b, 0] = _attend_one(query[b], own_score[b], own_v[b],
+                                      history)
         h = c  # one (1, width) row a target from here on
         if self.cfg.enable_residual:  # r_0 = 0 at the stream's start
             prev = np.concatenate((c[:1] if cache.c_prev is None
@@ -577,7 +587,8 @@ class KVCache:
     for `ContextModel.predict`.
 
     Buffer row j of `kv` holds node base + j's history row [k | v], so the
-    history of a run of targets is one strided view in node order.  A step
+    histories of a run of targets are one strided view in node order, or,
+    where the run's windows differ in length, one slice each.  A step
     takes at most `batch` targets, as many as keep its (targets, heads, N)
     scores within 512 KB: 256 at the default size, 16 at full scale.  The
     buffer holds min(2(N-1) + batch, nodes) rows for a stream of `nodes`

@@ -8,20 +8,21 @@ the cache keeps for its window's already-coded nodes), then hands the
 distributions to the direction's callback.  The decoder steps one node at a
 time, quantizes its distribution and decodes its symbol at once, since the
 next node's window needs it.  The encoder knows every symbol in advance: it
-steps runs of a level's nodes whose windows are full, buffers up to
-ENCODE_BLOCK distributions, then quantizes them in one call and codes their
-symbols in node order.  A one-node step takes the step's one-target form,
-a run its stacked form, and both run a node's ops in the same order, so a
-node's distribution has the same bits in a run as alone, and `quantize_dist`
-rounds each row on its own, elementwise, and puts the row's deficit on its
-likeliest class, so the decoder sees bit-identical frequency tables.  Model
-weights travel out of band (checkpoint file); the bitstream carries a
-digest so a mismatched model is rejected, and a header the model cannot
-decode, or whose node count the payload cannot hold, is refused as corrupt
-before any symbol is read.  The header's CRC32 covers its other fields and
-the coded occupancy bytes; the decoder checks it once the tree is decoded,
-after the node and voxel counts, so a flipped frame or a payload that
-decodes to another tree fails as corrupt instead of returning a wrong cloud.
+steps runs of a level's nodes, whether their windows are full or still
+growing, buffers up to ENCODE_BLOCK distributions, then quantizes them in
+one call and codes their symbols in node order.  A one-node step takes the
+step's one-target form, a run its stacked form, and both run a node's ops
+in the same order, so a node's distribution has the same bits in a run as
+alone, and `quantize_dist` rounds each row on its own, elementwise, and puts
+the row's deficit on its likeliest class, so the decoder sees bit-identical
+frequency tables.  Model weights travel out of band (checkpoint file); the
+bitstream carries a digest so a mismatched model is rejected, and a header
+the model cannot decode, or whose node count the payload cannot hold, is
+refused as corrupt before any symbol is read.  The header's CRC32 covers its
+other fields and the coded occupancy bytes; the decoder checks it once the
+tree is decoded, after the node and voxel counts, so a flipped frame or a
+payload that decodes to another tree fails as corrupt instead of returning a
+wrong cloud.
 """
 
 from __future__ import annotations
@@ -100,19 +101,18 @@ def _walk(model: ContextModel, depth: int, coded_levels: int, node_limit: int,
     decoder's case, a step predicts one node (`predict`'s one-target form),
     whose occupancy the next window needs.  With `known`, every node's
     occupancy in stream order (the encoder's), a level's occupancies are set
-    as it enters the table, and a step predicts a run of its nodes whose
-    windows are full, up to ENCODE_BLOCK and the cache's batch (the run
-    form); a growing window (the stream's first N - 1 nodes, or a level's
-    under strict_level) is a one-target step of its own.  A level that
-    would take the tree past `node_limit` nodes is refused, so the K/V
-    cache holds at most `node_limit` rows.  The cache
-    takes the model's codec weights as of the parameters now: the model
-    lowers them again after any write, so no walk runs stale ones.
+    as it enters the table, and a step predicts a run of its nodes, up to
+    ENCODE_BLOCK and the cache's batch (the run form), from the level's
+    first node on, growing windows (the stream's first N - 1 nodes, or a
+    level's under strict_level) included.  A level that would take the
+    tree past `node_limit` nodes is refused, so the K/V cache holds at most
+    `node_limit` rows.  The cache takes the model's codec weights as of the
+    parameters now: the model lowers them again after any write, so no walk
+    runs stale ones.
     """
     ctx = GrowingContext(model.cfg.ctx)
     cache = KVCache(model, ctx, node_limit)
     run = 1 if known is None else min(ENCODE_BLOCK, cache.batch)
-    full = model.cfg.ctx.n_window - 1  # a full window's history nodes
     levels = []
     parent, octant = np.full(1, ROOT_PARENT), np.zeros(1, dtype=np.int64)
     for lvl in range(1, coded_levels + 1):
@@ -128,9 +128,7 @@ def _walk(model: ContextModel, depth: int, coded_levels: int, node_limit: int,
         occ = np.empty(end - first, dtype=np.int32)
         i = first
         while i < end:
-            j = i + 1
-            if run > 1 and i - ctx.window_start(i) == full:
-                j = min(i + run, end)
+            j = min(i + run, end)
             _, q, _ = model.predict(cache, i, j)
             occ[i - first:j - first] = sym = code(lvl, i, q)
             if known is None:

@@ -16,6 +16,7 @@ from octpcc.model import (ANALYSIS_CHUNK, CodecWeights, ContextModel, KVCache,
                           main_param_names, train, write_trace,
                           zero_head_layers)
 from octpcc.octree import ROOT_PARENT, build
+from octpcc.pipeline import ENCODE_BLOCK
 
 LOG2_255 = np.log2(255.0)
 
@@ -246,13 +247,17 @@ class TestForward:
 
     @pytest.mark.parametrize("case", list(FORWARD_CONFIGS) + ["full_scale"])
     def test_runs_of_targets_equal_one_target_steps(self, case):
-        """Stepping full windows in runs, as the encoder does (up to the
-        cache's batch, within a level), gives every target's c, q and o bit
-        for bit as stepping one target at a time, as the decoder does: the
-        run form and the one-target form have no op whose floats depend on
-        the run.  At full scale (N = 1,024, runs of 16) the stream is plane
-        1,000 at depth 7, 2,044 nodes, so runs form once the window is full;
-        tables alone would round away a difference in the last bits."""
+        """Stepping in runs, as the encoder does (from node 0 on, up to
+        ENCODE_BLOCK and the cache's batch, within a level), gives every
+        target's c, q and o bit for bit as stepping one target at a time, as
+        the decoder does: the run form and the one-target form have no op
+        whose floats depend on the run.  The runs cover growing windows (the
+        stream's first N - 1 nodes, and each level's under strict_level),
+        so some run's windows differ in length, as well as the run that
+        straddles into full windows and runs of full ones.  At full scale
+        (N = 1,024, runs of 16) the stream is plane 1,000 at depth 7, 2,044
+        nodes, so runs of full windows form too; tables alone would round
+        away a difference in the last bits."""
         if case == "full_scale":
             model = ContextModel.create(ModelConfig.full_scale(seed=7))
             seq = build(quantize(synth("plane", 1000, seed=3), 7))
@@ -261,15 +266,22 @@ class TestForward:
             model = ContextModel.create(replace(FORWARD_CONFIGS[case], seed=7))
             seq = build(quantize(synth("lidar_rings", 1500, seed=8), 6))
         cache = KVCache(model, ContextAssembler(seq, model.cfg.ctx), len(seq))
+        run = min(ENCODE_BLOCK, cache.batch)
+        nodes = np.arange(len(seq))
+        lengths = nodes - cache.ctx.window_start(nodes)
         full = model.cfg.ctx.n_window - 1
-        steps, i = [], 0
+        steps, runs, i = [], [], 0
         while i < len(seq):
-            j = i + 1
-            if i - cache.ctx.window_start(i) == full:
-                j = min(i + cache.batch, seq.level_slice(seq.level[i]).stop)
+            j = min(i + run, seq.level_slice(seq.level[i]).stop)
             steps.append(model.predict(cache, i, j))
+            runs.append((i, set(lengths[i:j])))
             i = j
         assert len(steps) < len(seq)
+        assert any(r == {full} for _, r in runs)  # a run of full windows
+        if full:  # N = 1 has no growing window
+            assert any(len(r) > 1 and full in r for _, r in runs)  # straddles
+        if model.cfg.ctx.strict_level:  # a level's growing windows
+            assert any(len(r) > 1 and i > full for i, r in runs)
         for got, want in zip(zip(*steps), zip(*predict_all(model, seq))):
             if want[0] is None:  # o with the branch off
                 assert set(got) == {None}
@@ -317,6 +329,23 @@ class TestForward:
             model.predict(cache, 1, 2)
         with pytest.raises(InvalidInput, match="next node"):
             model.predict(cache, 3, 4)  # not in the context table
+
+    def test_run_is_at_most_the_cache_batch(self):
+        """A run of batch + 1 targets is refused, which keeps its stacked
+        (targets, heads, N) scores within 512 KB; a run of batch targets
+        whose growing windows differ in length is a step, and gives each
+        target's q as one-target steps do."""
+        model = ContextModel.create(ModelConfig.full_scale(seed=7))
+        seq = build(quantize(synth("lidar_rings", 20000, seed=1), 5))
+        cache = KVCache(model, ContextAssembler(seq, model.cfg.ctx), len(seq))
+        batch = cache.batch
+        assert batch == 16
+        model.predict(cache, 0, 1)
+        with pytest.raises(InvalidInput, match=f"more than {batch}"):
+            model.predict(cache, 1, 2 + batch)
+        _, q, _ = model.predict(cache, 1, 1 + batch)
+        np.testing.assert_array_equal(
+            q, [q for _, q, _ in predict_all(model, seq, 1 + batch)[1:]])
 
     def test_tape_ce_matches_inference_chain(self):
         model = tiny_model(seed=4)

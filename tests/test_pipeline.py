@@ -146,35 +146,50 @@ class TestAgreement:
         assert last > model.cfg.ctx.n_window and last % ENCODE_BLOCK > 0
         self.assert_tables_identical(pc, 7, model)
 
-    @pytest.mark.parametrize("case", ["default_size", "strict_level"])
+    @pytest.mark.parametrize("case", ["default_size", "strict_level",
+                                      "full_scale"])
     def test_encoder_steps_in_runs_decoder_node_by_node(self, case, monkeypatch):
-        """The decoder predicts one node a step.  The encoder predicts a
-        growing window's node alone and full windows in runs within a level,
-        as long as the level and ENCODE_BLOCK allow."""
-        model = ContextModel.create(replace(FORWARD_CONFIGS[case], seed=11))
-        pc = synth("lidar_rings", 1500, seed=8)
-        seq = build(quantize(pc, 6))
-        steps = []
+        """The decoder predicts one node a step.  The encoder predicts runs
+        of a level's nodes from node 0 on, as long as the level, ENCODE_BLOCK
+        and the cache's batch allow, growing windows included, so some run's
+        targets have windows of different lengths.  At full scale (N =
+        1,024, runs of 16) lidar_rings d5's 266 nodes all have growing
+        windows."""
+        if case == "full_scale":
+            model = ContextModel.create(ModelConfig.full_scale(seed=11))
+            pc, depth = synth("lidar_rings", 20000, seed=1), 5
+        else:
+            model = ContextModel.create(replace(FORWARD_CONFIGS[case], seed=11))
+            pc, depth = synth("lidar_rings", 1500, seed=8), 6
+        seq = build(quantize(pc, depth))
+        steps, batches = [], set()
         predict = ContextModel.predict
-        monkeypatch.setattr(ContextModel, "predict", lambda self, cache, i, j: (
-            steps.append((i, j)), predict(self, cache, i, j))[1])
-        bs, _ = encode(pc, 6, 6, model)
+
+        def spy(self, cache, i, j):
+            steps.append((i, j))
+            batches.add(cache.batch)
+            return predict(self, cache, i, j)
+
+        monkeypatch.setattr(ContextModel, "predict", spy)
+        bs, _ = encode(pc, depth, depth, model)
         encoder, steps[:] = list(steps), []
         decode(bs, model)
         assert steps == [(i, i + 1) for i in range(len(seq))]
-        asm = ContextAssembler(seq, model.cfg.ctx)
-        full = np.arange(len(seq)) - asm.window_start(np.arange(len(seq))) \
-            == model.cfg.ctx.n_window - 1
+        (batch,) = batches
+        run = min(ENCODE_BLOCK, batch)
         assert [i for i, _ in encoder] == [0] + [j for _, j in encoder[:-1]]
         assert encoder[-1][1] == len(seq)
-        want = (~full).sum()
-        for level in range(1, 7):
-            level_full = full[seq.level_slice(level)].sum()
-            want += -(-level_full // ENCODE_BLOCK)
+        levels = [seq.level_slice(level) for level in range(1, depth + 1)]
+        want = sum(-(-(nodes.stop - nodes.start) // run) for nodes in levels)
         assert len(encoder) == want < len(seq)
         for i, j in encoder:
-            assert j - i <= ENCODE_BLOCK and seq.level[i] == seq.level[j - 1]
-            assert j == i + 1 or full[i:j].all()
+            assert j - i <= run and seq.level[i] == seq.level[j - 1]
+        asm, nodes = ContextAssembler(seq, model.cfg.ctx), np.arange(len(seq))
+        lengths = nodes - asm.window_start(nodes)
+        assert any(len(set(lengths[i:j])) > 1 for i, j in encoder)
+        if case == "full_scale":
+            assert len(seq) == 266
+            assert (lengths < model.cfg.ctx.n_window - 1).all()
 
     @pytest.mark.parametrize("case", list(FORWARD_CONFIGS))
     def test_block_encoder_matches_per_node_reference(self, case):
