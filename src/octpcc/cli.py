@@ -1,8 +1,9 @@
 """Command-line workflow: synth, train, encode, decode, eval, analyze.
 
 Exit codes: 0 success, 2 usage error, 3 data error (bad input/file),
-4 model mismatch, 5 corrupt bitstream.  Every subcommand writes a
-`<output>.config` echo file so a run can be reproduced from its flags.
+4 model mismatch, 5 corrupt bitstream.  synth, train, encode and decode
+write a `<output>.config` echo of their flags so a run can be reproduced;
+eval and analyze write no file.
 """
 
 from __future__ import annotations
@@ -47,8 +48,6 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
                    help="context slots N")
     p.add_argument("--ancestors", type=int, default=m.ctx.k_ancestors,
                    help="ancestors K per slot")
-    p.add_argument("--strict-level", type=_onoff, default=m.ctx.strict_level,
-                   help="restrict the window to same-level predecessors")
     p.add_argument("--d-embed", type=int, default=m.d_embed)
     p.add_argument("--d-model", type=int, default=m.d_model)
     p.add_argument("--hidden-main", type=int, default=m.d_hidden_main)
@@ -62,8 +61,7 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _model_config(args) -> ModelConfig:
-    ctx = ContextConfig(n_window=args.window, k_ancestors=args.ancestors,
-                        strict_level=args.strict_level)
+    ctx = ContextConfig(n_window=args.window, k_ancestors=args.ancestors)
     return ModelConfig(ctx=ctx, d_embed=args.d_embed, d_model=args.d_model,
                        d_hidden_main=args.hidden_main,
                        d_hidden_branch=args.hidden_branch, heads=args.heads,

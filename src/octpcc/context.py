@@ -47,15 +47,10 @@ _ALL_VALID.flags.writeable = False
 
 @dataclass(frozen=True)
 class ContextConfig:
-    """N window slots, K ancestors per slot.
-
-    strict_level masks predecessors from earlier levels out of the window
-    (same-level siblings only); the default keeps the global window.
-    """
+    """N window slots, K ancestors per slot."""
 
     n_window: int = 64
     k_ancestors: int = 2
-    strict_level: bool = False
 
     def __post_init__(self):
         if not 1 <= self.n_window <= _TREE_NODES or self.k_ancestors < 0:
@@ -74,7 +69,6 @@ class GrowingContext:
     def __init__(self, cfg: ContextConfig):
         self.cfg = cfg
         self.chains = np.zeros((0, cfg.k_ancestors + 1, 3), dtype=np.int32)
-        self.level_start = np.zeros(0, dtype=np.int64)
         self.count = 0
 
     def add_node(self, level: int, parent, octant) -> None:
@@ -86,8 +80,6 @@ class GrowingContext:
             rows[:, 1:] = self.chains[parent, :-1]
         rows[:, 0, 1] = level
         rows[:, 0, 2] = octant
-        self.level_start = np.concatenate(
-            (self.level_start, np.full(len(rows), self.count)))
         self.chains = np.concatenate((self.chains, rows))
         self.count = len(self.chains)
 
@@ -100,10 +92,7 @@ class GrowingContext:
         slots.  Elementwise over an array of targets; the builtin max keeps
         one target's call cheap."""
         clip = np.maximum if isinstance(i, np.ndarray) else max
-        lo = clip(0, i - (self.cfg.n_window - 1))
-        if self.cfg.strict_level:
-            lo = clip(lo, self.level_start[i])
-        return lo
+        return clip(0, i - (self.cfg.n_window - 1))
 
     def window(self, i: int, start: int):
         """(rows, valid): the chains of history nodes [start, i), then the

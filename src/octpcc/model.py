@@ -57,12 +57,13 @@ LOG2 = math.log(2.0)
 
 
 # Checkpoint config keys and their JSON types.
-_CTX_KEYS = {"n_window": int, "k_ancestors": int, "strict_level": bool}
+_CTX_KEYS = {"n_window": int, "k_ancestors": int}
 _MODEL_KEYS = {"d_embed": int, "d_model": int, "d_hidden_main": int,
                "d_hidden_branch": int, "heads": int, "enable_residual": bool,
                "enable_branch": bool, "seed": int}
 # Kept in every config for checkpoint compatibility; no other value loads.
-_FIXED_KEYS = {"attn_layers": 1, "layer_norm": False, "max_depth": MAX_DEPTH}
+_FIXED_KEYS = {"attn_layers": 1, "layer_norm": False, "max_depth": MAX_DEPTH,
+               "strict_level": False}
 
 
 @dataclass(frozen=True)
@@ -402,16 +403,16 @@ class ContextModel:
         one-target call's shape, never a GEMM across targets.  Where its
         windows have one length it reads the histories as a strided view of
         the cache; where they differ (growing windows: the stream's first
-        N - 1 nodes, or a level's under strict_level) each target attends
-        alone over its own slice, through `_attend_one`.  One target (every
-        decoder step) runs the same ops on arrays without the target axis
-        (`_attend_one`, `_heads_one`), so a target's floats, and therefore
-        its frequency table, depend neither on the run it is in nor on the
-        form.  Each target's query scores the history rows of its window
-        and its own row (its chain with occupancy PAD).  A history row is a
-        node's own row plus its occupancy's delta, stored once the node's
-        occupancy is set, so no row is embedded twice.  The step runs on the
-        cache's `CodecWeights`, not on `params`.
+        N - 1 nodes) each target attends alone over its own slice, through
+        `_attend_one`.  One target (every decoder step) runs the same ops on
+        arrays without the target axis (`_attend_one`, `_heads_one`), so a
+        target's floats, and therefore its frequency table, depend neither
+        on the run it is in nor on the form.  Each target's query scores the
+        history rows of its window and its own row (its chain with occupancy
+        PAD).  A history row is a node's own row plus its occupancy's delta,
+        stored once the node's occupancy is set, so no row is embedded
+        twice.  The step runs on the cache's `CodecWeights`, not on
+        `params`.
         """
         ctx, w = cache.ctx, cache.weights
         if not (cache.next_node <= i < j <= ctx.count):

@@ -103,12 +103,11 @@ def _walk(model: ContextModel, depth: int, coded_levels: int, node_limit: int,
     occupancy in stream order (the encoder's), a level's occupancies are set
     as it enters the table, and a step predicts a run of its nodes, up to
     ENCODE_BLOCK and the cache's batch (the run form), from the level's
-    first node on, growing windows (the stream's first N - 1 nodes, or a
-    level's under strict_level) included.  A level that would take the
-    tree past `node_limit` nodes is refused, so the K/V cache holds at most
-    `node_limit` rows.  The cache takes the model's codec weights as of the
-    parameters now: the model lowers them again after any write, so no walk
-    runs stale ones.
+    first node on, growing windows (the stream's first N - 1 nodes)
+    included.  A level that would take the tree past `node_limit` nodes is
+    refused, so the K/V cache holds at most `node_limit` rows.  The cache
+    takes the model's codec weights as of the parameters now: the model
+    lowers them again after any write, so no walk runs stale ones.
     """
     ctx = GrowingContext(model.cfg.ctx)
     cache = KVCache(model, ctx, node_limit)

@@ -25,20 +25,19 @@ MALFORMED_CONFIGS = {
     "heads_do_not_divide_width": ((), {"heads": 5}),
     "negative_seed": ((), {"seed": -1}),
     "window_past_int64": ((), {"n_window": 10**30}),
+    "strict_level_on": ((), {"strict_level": True}),
 }
 
 # Model configs on which the codec's cached step must reproduce the batched
 # forward and the decoder the encoder's tables: every residual/branch
-# variant, strict_level, a window of the target alone (no history slot, no
-# ancestor), and the default N=64 window, over which the test clouds (at
-# least 3N nodes) make a K/V cache sized for 2N-1 nodes compact at least twice.
+# variant, a window of the target alone (no history slot, no ancestor), and
+# the default N=64 window, over which the test clouds (at least 3N nodes)
+# make a K/V cache sized for 2N-1 nodes compact at least twice.
 FORWARD_CONFIGS = {
     "residual+branch": ModelConfig.tiny(),
     "residual": ModelConfig.tiny(enable_branch=False),
     "branch": ModelConfig.tiny(enable_residual=False),
     "plain": ModelConfig.tiny(enable_residual=False, enable_branch=False),
-    "strict_level": ModelConfig.tiny(
-        ctx=ContextConfig(n_window=8, k_ancestors=1, strict_level=True)),
     "target_only": ModelConfig.tiny(ctx=ContextConfig(n_window=1, k_ancestors=0)),
     "default_size": ModelConfig(),
 }

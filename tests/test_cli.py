@@ -96,6 +96,16 @@ class TestTrain:
         assert _model_config(args) == ModelConfig()
         assert _schedule(args) == TrainSchedule()
 
+    def test_strict_level_is_not_a_flag(self, capsys):
+        """The window is the N - 1 previous nodes of the stream, whatever
+        their level: there is no same-level window to ask for."""
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["train", "--corpus", "c.ply", "--depth",
+                                       "4", "--out", "m.ckpt",
+                                       "--strict-level", "on"])
+        assert exc.value.code == 2
+        assert "--strict-level" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag,value,field", [
         ("--batch-size", "0", "batch_size"), ("--batch-size", "-1", "batch_size"),
         ("--branch-epochs", "-1", "epoch"), ("--main-epochs", "-1", "epoch"),
@@ -140,7 +150,7 @@ class TestCodecCommands:
 
     @pytest.mark.parametrize("case", ["missing_heads", "two_attention_layers",
                                       "width_disagrees_with_tensors",
-                                      "window_past_int64"])
+                                      "window_past_int64", "strict_level_on"])
     def test_malformed_checkpoint_exit_code(self, tmp_path, capsys, case):
         ply = tmp_path / "cloud.ply"
         run("synth", "--kind", "plane", "--n", "200", "--seed", "1",

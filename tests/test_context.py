@@ -110,16 +110,6 @@ class TestWindowFor:
         b, _ = window(ContextAssembler(seq, cfg), 2)
         np.testing.assert_array_equal(a, b)
 
-    def test_strict_level_masks_earlier_levels(self):
-        seq = tiny_tree()
-        cfg = ContextConfig(n_window=4, k_ancestors=1, strict_level=True)
-        asm = ContextAssembler(seq, cfg)
-        _, valid = window(asm, 1)  # first node of level 2: no same-level prior
-        assert valid.tolist() == [False, False, False, True]
-        slots, valid = window(asm, 2)  # one same-level predecessor (node 1)
-        assert valid.tolist() == [False, False, True, True]
-        assert slots[2, 0, 0] == 3
-
 
 class TestWindowBatch:
     def test_matches_individual_calls(self):
@@ -135,9 +125,8 @@ class TestWindowBatch:
 
     @pytest.mark.parametrize("cfg", [
         ContextConfig(n_window=8, k_ancestors=2),
-        ContextConfig(n_window=8, k_ancestors=2, strict_level=True),
         ContextConfig(n_window=1, k_ancestors=0)],
-        ids=["global", "strict_level", "target_only"])
+        ids=["global", "target_only"])
     def test_matches_padded_reference(self, cfg):
         """Each window vs a padded slot array built one target at a time."""
         seq = build(quantize(synth("uniform", 300, seed=3), 4))
@@ -146,8 +135,6 @@ class TestWindowBatch:
         n = cfg.n_window
         for b, i in enumerate(range(3, len(seq))):
             lo = max(0, i - (n - 1))
-            if cfg.strict_level:
-                lo = max(lo, int(seq.level_offsets[seq.level[i] - 1]))
             chains = asm.chains[lo:i + 1].copy()
             chains[-1, 0, 0] = 0
             want = np.zeros((n,) + chains.shape[1:], dtype=np.int32)
@@ -182,8 +169,8 @@ class TestWindowBatch:
         every = asm.window_start(np.arange(len(seq)))
         assert [asm.window_start(t) for t in range(len(seq))] == every.tolist()
 
-    @pytest.mark.parametrize("case", ["residual+branch", "strict_level",
-                                      "target_only", "default_size"])
+    @pytest.mark.parametrize("case", ["residual+branch", "target_only",
+                                      "default_size"])
     def test_band_counts_match_slot_mask(self, case):
         """band.sum() is the number of filled slots of the (B, N) slot mask
         and band.shape[0] its number of windows: the benchmark harness's
@@ -232,23 +219,16 @@ class TestWindowBatch:
 
 
 def per_node_table(seq, k):
-    """(chains, level_start) of a builder that appends one node at a time:
-    a node's ancestors are its parent's first k chain rows (the root's stay
-    PAD), and a level starts at the first node whose level differs from the
-    node before it."""
+    """The chains of a builder that appends one node at a time: a node's
+    ancestors are its parent's first k chain rows (the root's stay PAD)."""
     chains = np.zeros((len(seq), k + 1, 3), dtype=np.int32)
-    level_start = np.zeros(len(seq), dtype=np.int64)
-    cur_level, cur_start = 0, 0
     for i, (level, octant, parent, occ) in enumerate(zip(
             seq.level.tolist(), seq.octant.tolist(), seq.parent.tolist(),
             seq.occupancy.tolist())):
-        if level != cur_level:
-            cur_level, cur_start = level, i
         if parent != ROOT_PARENT and k:
             chains[i, 1:] = chains[parent, :k]
         chains[i, 0] = (occ, level, octant)
-        level_start[i] = cur_start
-    return chains, level_start
+    return chains
 
 
 class TestGrowingContext:
@@ -258,19 +238,18 @@ class TestGrowingContext:
         encode-side."""
         qpc = quantize(synth("lidar_rings", 500, seed=5), 5)
         seq = build(qpc)
-        for cfg in (ContextConfig(n_window=6, k_ancestors=2),
-                    ContextConfig(n_window=6, k_ancestors=2, strict_level=True)):
-            asm = ContextAssembler(seq, cfg)
-            grow = GrowingContext(cfg)
-            for level in range(1, seq.levels_present + 1):
-                nodes = seq.level_slice(level)
-                grow.add_node(level, seq.parent[nodes], seq.octant[nodes])
-                assert grow.count == nodes.stop
-                for i in range(nodes.start, nodes.stop):
-                    for a, g in zip(asm.window_block(i, i + 1),
-                                    grow.window_block(i, i + 1)):
-                        np.testing.assert_array_equal(a, g)
-                    grow.set_occupancy(i, int(seq.occupancy[i]))
+        cfg = ContextConfig(n_window=6, k_ancestors=2)
+        asm = ContextAssembler(seq, cfg)
+        grow = GrowingContext(cfg)
+        for level in range(1, seq.levels_present + 1):
+            nodes = seq.level_slice(level)
+            grow.add_node(level, seq.parent[nodes], seq.octant[nodes])
+            assert grow.count == nodes.stop
+            for i in range(nodes.start, nodes.stop):
+                for a, g in zip(asm.window_block(i, i + 1),
+                                grow.window_block(i, i + 1)):
+                    np.testing.assert_array_equal(a, g)
+                grow.set_occupancy(i, int(seq.occupancy[i]))
 
     def test_window_valid_is_all_true_at_every_length(self):
         """`window`'s valid slices one shared read-only array up to the
@@ -286,18 +265,14 @@ class TestGrowingContext:
             if length <= 1024:
                 assert not valid.flags.writeable
 
-    @pytest.mark.parametrize("strict_level", [False, True])
     @pytest.mark.parametrize("k", [0, 2, 4])
-    def test_table_matches_per_node_builder(self, k, strict_level):
+    def test_table_matches_per_node_builder(self, k):
         """The level-at-a-time table equals one built node by node, over
         the 3,503 nodes of lidar_rings at depth 7."""
         seq = build(quantize(synth("lidar_rings", 20000, seed=1), 7))
         assert len(seq) == 3503
-        asm = ContextAssembler(seq, ContextConfig(
-            n_window=64, k_ancestors=k, strict_level=strict_level))
-        chains, level_start = per_node_table(seq, k)
+        asm = ContextAssembler(seq, ContextConfig(n_window=64, k_ancestors=k))
+        chains = per_node_table(seq, k)
         assert asm.count == len(seq)
         assert asm.chains.dtype == chains.dtype
-        assert asm.level_start.dtype == level_start.dtype
         np.testing.assert_array_equal(asm.chains, chains)
-        np.testing.assert_array_equal(asm.level_start, level_start)

@@ -204,8 +204,7 @@ class TestForward:
         assert len(seq) >= 3 * model.cfg.ctx.n_window
         assert_batched_matches_cached(model, seq)
 
-    @pytest.mark.parametrize("case", ["residual+branch", "strict_level",
-                                      "default_size"])
+    @pytest.mark.parametrize("case", ["residual+branch", "default_size"])
     def test_batched_path_agrees_across_analysis_chunks(self, case):
         """As above on a sequence of several ANALYSIS_CHUNK blocks, where
         each block after the first recomputes the window before it to seed
@@ -252,12 +251,11 @@ class TestForward:
         target's c, q and o bit for bit as stepping one target at a time, as
         the decoder does: the run form and the one-target form have no op
         whose floats depend on the run.  The runs cover growing windows (the
-        stream's first N - 1 nodes, and each level's under strict_level),
-        so some run's windows differ in length, as well as the run that
-        straddles into full windows and runs of full ones.  At full scale
-        (N = 1,024, runs of 16) the stream is plane 1,000 at depth 7, 2,044
-        nodes, so runs of full windows form too; tables alone would round
-        away a difference in the last bits."""
+        stream's first N - 1 nodes), so some run's windows differ in length,
+        as well as the run that straddles into full windows and runs of full
+        ones.  At full scale (N = 1,024, runs of 16) the stream is plane
+        1,000 at depth 7, 2,044 nodes, so runs of full windows form too;
+        tables alone would round away a difference in the last bits."""
         if case == "full_scale":
             model = ContextModel.create(ModelConfig.full_scale(seed=7))
             seq = build(quantize(synth("plane", 1000, seed=3), 7))
@@ -274,14 +272,12 @@ class TestForward:
         while i < len(seq):
             j = min(i + run, seq.level_slice(seq.level[i]).stop)
             steps.append(model.predict(cache, i, j))
-            runs.append((i, set(lengths[i:j])))
+            runs.append(set(lengths[i:j]))
             i = j
         assert len(steps) < len(seq)
-        assert any(r == {full} for _, r in runs)  # a run of full windows
+        assert any(r == {full} for r in runs)  # a run of full windows
         if full:  # N = 1 has no growing window
-            assert any(len(r) > 1 and full in r for _, r in runs)  # straddles
-        if model.cfg.ctx.strict_level:  # a level's growing windows
-            assert any(len(r) > 1 and i > full for i, r in runs)
+            assert any(len(r) > 1 and full in r for r in runs)  # straddles
         for got, want in zip(zip(*steps), zip(*predict_all(model, seq))):
             if want[0] is None:  # o with the branch off
                 assert set(got) == {None}

@@ -146,8 +146,7 @@ class TestAgreement:
         assert last > model.cfg.ctx.n_window and last % ENCODE_BLOCK > 0
         self.assert_tables_identical(pc, 7, model)
 
-    @pytest.mark.parametrize("case", ["default_size", "strict_level",
-                                      "full_scale"])
+    @pytest.mark.parametrize("case", ["default_size", "full_scale"])
     def test_encoder_steps_in_runs_decoder_node_by_node(self, case, monkeypatch):
         """The decoder predicts one node a step.  The encoder predicts runs
         of a level's nodes from node 0 on, as long as the level, ENCODE_BLOCK
