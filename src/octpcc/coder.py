@@ -170,7 +170,7 @@ class ArithmeticDecoder:
 # ---------------------------------------------------------------------------
 
 BITSTREAM_MAGIC = b"OPCB"
-BITSTREAM_VERSION = 5
+BITSTREAM_VERSION = 6
 FLAG_RESIDUAL = 1
 FLAG_BRANCH = 2
 

@@ -20,12 +20,14 @@ keeps its own window's rows.
 The codec's step runs on `CodecWeights`, the parameters lowered once per
 parameter state (embeddings folded through the slot projection, K/V/Q
 joined, the attention output projection folded into both heads' first
-layers, which are joined): the same function as the unfolded forward of
-training and analysis, whose floats differ in the last bits.  It steps one
-target (the decoder) on 1-D arrays, or a run of targets (the encoder)
-through row-invariant stacked ops that are the one-target step's per
-target, attending target by target where the run's windows still grow, so
-a target's floats do not depend on the run it is in.
+layers, which are joined) and rounded to float32: the same function as the
+float64 unfolded forward of training and analysis, to float32 rounding.
+Every float of the step, the cached K/V rows included, is float32, which
+halves the bytes a full-scale step reads.  It steps one target (the
+decoder) on 1-D arrays, or a run of targets (the encoder) through
+row-invariant stacked ops that are the one-target step's per target,
+attending target by target where the run's windows still grow, so a
+target's floats do not depend on the run it is in.
 
 Ablation toggles: enable_residual feeds a zero vector instead of r_i;
 enable_branch feeds zeros into the fusion slot.  All four combinations
@@ -442,7 +444,7 @@ class ContextModel:
             c = _attend_step(query, own_score, own_v,
                              _windows(cache.kv, first, j - i, n))
         else:  # growing windows: each target attends over its own slice
-            c = np.empty((j - i, 1, w.d))
+            c = np.empty((j - i, 1, w.d), dtype=np.float32)
             for b, lo_t in enumerate(los.tolist()):
                 history = cache.kv[first + lo_t - lo:first + n + b].T
                 c[b, 0] = _attend_one(query[b], own_score[b], own_v[b],
@@ -487,7 +489,9 @@ class ContextModel:
             o = o[None]
         z -= z.max()
         np.exp(z, out=z)
-        z *= (1.0 - PROB_FLOOR) / z.sum()
+        # an array, as in the run form: NumPy 1.x would divide by a float32
+        # scalar in float64
+        z *= (1.0 - PROB_FLOOR) / z.sum(keepdims=True)
         z += PROB_FLOOR / 255.0
         cache.c_prev = c
         return c[None], z[None], o
@@ -526,7 +530,8 @@ class ContextModel:
 
 
 class CodecWeights:
-    """A model's weights lowered once for the codec's step.
+    """A model's weights lowered once for the codec's step, folded in
+    float64 and then rounded to float32, the dtype the step runs in.
 
     table: each embedding table through its block of slot.w, one
     ((K+1) * 286, d) array written in place, slot.b added to its first
@@ -577,8 +582,11 @@ class CodecWeights:
         self.w2_branch = P["main.w2"][self.hidden_main:]
         self.b2 = P["main.b2"]
         self.branch_w2, self.branch_b2 = P["branch.w2"], P["branch.b2"]
-        for value in vars(self).values():  # every cache of the model reads them
+        # every cache of the model reads them; the step runs in float32
+        for name, value in vars(self).items():
             if isinstance(value, np.ndarray):
+                if value.dtype == np.float64:
+                    value = vars(self)[name] = value.astype(np.float32)
                 value.flags.writeable = False
 
 
@@ -591,15 +599,16 @@ class KVCache:
     histories of a run of targets are one strided view in node order, or,
     where the run's windows differ in length, one slice each.  A step
     takes at most `batch` targets, as many as keep its (targets, heads, N)
-    scores within 512 KB: 256 at the default size, 16 at full scale.  The
-    buffer holds min(2(N-1) + batch, nodes) rows for a stream of `nodes`
-    nodes: one that holds the whole stream never compacts, and otherwise,
-    when a step's rows would not fit, the rows of the first target's history
-    nodes move to the front first, so memory is O(N d) however many nodes
-    are coded.  (A ring that wraps would break the view.)  A target row
-    depends on its node's ancestors alone, so `targets` embeds and projects
-    the rows of `batch` nodes at a time, as far as the window table reaches
-    (larger blocks ran slower per row).
+    float32 scores within 256 KB: 256 at the default size, 16 at full
+    scale.  The buffer, float32 like every float of the step, holds
+    min(2(N-1) + batch, nodes) rows for a stream of `nodes` nodes: one that
+    holds the whole stream never compacts, and otherwise, when a step's rows
+    would not fit, the rows of the first target's history nodes move to the
+    front first, so memory is O(N d) however many nodes are coded.  (A ring
+    that wraps would break the view.)  A target row depends on its node's
+    ancestors alone, so `targets` embeds and projects the rows of `batch`
+    nodes at a time, as far as the window table reaches (larger blocks ran
+    slower per row).
     """
 
     def __init__(self, model: ContextModel, ctx: GrowingContext, nodes: int):
@@ -607,9 +616,9 @@ class KVCache:
         self.weights = model.codec_weights()
         cfg = model.cfg
         n = cfg.ctx.n_window
-        self.batch = max(1, (1 << 19) // (8 * cfg.heads * n))
+        self.batch = max(1, (1 << 18) // (4 * cfg.heads * n))
         self.kv = np.empty((min(2 * (n - 1) + self.batch, nodes),
-                            2 * cfg.d_model))
+                            2 * cfg.d_model), dtype=np.float32)
         self.base = 0       # node held by buffer row 0
         self.next_node = 0  # the first node whose history row is not cached
         self.c_prev = None  # the last target's attention output

@@ -247,7 +247,7 @@ class TestCodecCommands:
         assert run("decode", "--bitstream", str(bs), "--checkpoint",
                    str(ckpt), "--out", str(tmp_path / "x.ply")) == 5
         assert capsys.readouterr().err == (
-            "error: bitstream version 1; this decoder reads version 5 only\n")
+            "error: bitstream version 1; this decoder reads version 6 only\n")
 
     @staticmethod
     def relabelled_stream_exit(workspace, capsys, version):
@@ -266,24 +266,31 @@ class TestCodecCommands:
         return code, capsys.readouterr().err
 
     def test_version_2_stream_exit_code(self, workspace, capsys):
-        """Version 2 has version 5's layout, but its tables came from the
+        """Version 2 has version 6's layout, but its tables came from the
         unfolded model's floats, so it too is refused naming both versions."""
         assert self.relabelled_stream_exit(workspace, capsys, 2) == (
-            5, "error: bitstream version 2; this decoder reads version 5 only\n")
+            5, "error: bitstream version 2; this decoder reads version 6 only\n")
 
     def test_version_3_stream_exit_code(self, workspace, capsys):
-        """Version 3 has version 5's layout, but its tables came from a
+        """Version 3 has version 6's layout, but its tables came from a
         per-node step whose floats differ from the row-invariant step's in
         the last bits, so it is refused naming both versions."""
         assert self.relabelled_stream_exit(workspace, capsys, 3) == (
-            5, "error: bitstream version 3; this decoder reads version 5 only\n")
+            5, "error: bitstream version 3; this decoder reads version 6 only\n")
 
     def test_version_4_stream_exit_code(self, workspace, capsys):
-        """Version 4 has version 5's layout and tables, but its payload came
-        from a bit-wise arithmetic coder, so it is refused naming both
-        versions."""
+        """Version 4 has version 6's layout, but its payload came from a
+        bit-wise arithmetic coder and its tables from the float64 step, so it
+        is refused naming both versions."""
         assert self.relabelled_stream_exit(workspace, capsys, 4) == (
-            5, "error: bitstream version 4; this decoder reads version 5 only\n")
+            5, "error: bitstream version 4; this decoder reads version 6 only\n")
+
+    def test_version_5_stream_exit_code(self, workspace, capsys):
+        """Version 5 has version 6's layout and coder, but its tables came
+        from the float64 step, which rounds differently from the float32
+        one, so it is refused naming both versions."""
+        assert self.relabelled_stream_exit(workspace, capsys, 5) == (
+            5, "error: bitstream version 5; this decoder reads version 6 only\n")
 
     def test_value_past_the_table_exit_code(self, workspace, capsys):
         """A payload whose value no encoder writes exits 5 naming the level

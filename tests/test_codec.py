@@ -219,8 +219,9 @@ class TestRoundTrip:
         payload = encode_stream([78], [table])
         assert len(payload) <= 2
 
-    # SHA-256 of each payload as the version-5 range coder writes it: the
-    # tables are closed-form, so the bytes depend on integer arithmetic alone.
+    # SHA-256 of each payload as the range coder of versions 5 and 6 writes
+    # it: the tables are closed-form, so the bytes depend on integer
+    # arithmetic alone.
     # The first three tables are the same under version 1's largest-remainder
     # rule; "square" is not: its rounding leaves a deficit of 2 on class 254.
     PINNED = {
@@ -429,11 +430,11 @@ class TestBitstreamContainer:
         with pytest.raises(ParseError):
             Bitstream.from_bytes(bytes(blob))
 
-    @pytest.mark.parametrize("version", [0, 1, 2, 3, 4, 6, 0xFFFF])
+    @pytest.mark.parametrize("version", [0, 1, 2, 3, 4, 5, 7, 0xFFFF])
     def test_other_versions_refused_as_corrupt(self, version):
-        """A stream of any version but 5 fails as CorruptStream naming both
+        """A stream of any version but 6 fails as CorruptStream naming both
         versions, also a version-1 stream whose shorter header (no checksum)
-        and payload make fewer bytes than a version-5 header."""
+        and payload make fewer bytes than a version-6 header."""
         blob = v1_layout_stream(version, payload=b"\x5a")
         assert len(blob) < HEADER_BYTES
         with pytest.raises(CorruptStream,

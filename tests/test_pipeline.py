@@ -39,7 +39,7 @@ def per_node_reference(pc, depth, model):
             marks.append(enc.bits_emitted)
         sym = int(seq.occupancy[i])
         enc.encode(table, sym - 1)
-        ideal += -np.log2(q[sym - 1])
+        ideal += -np.log2(float(q[sym - 1]))  # in float64, as encode sums
         tables.append(table)
     payload = enc.finish()
     return payload, tables, ideal, np.diff(marks + [len(payload) * 8]).tolist()
