@@ -23,11 +23,13 @@ joined, the attention output projection folded into both heads' first
 layers, which are joined) and rounded to float32: the same function as the
 float64 unfolded forward of training and analysis, to float32 rounding.
 Every float of the step, the cached K/V rows included, is float32, which
-halves the bytes a full-scale step reads.  It steps one target (the
-decoder) on 1-D arrays, or a run of targets (the encoder) through
-row-invariant stacked ops that are the one-target step's per target,
-attending target by target where the run's windows still grow, so a
-target's floats do not depend on the run it is in.
+halves the bytes a full-scale step reads.  The step is written once, as
+`_attend` and `predict`'s residual and heads, over leading target axes
+`...`: none for one target (every decoder step, on 1-D arrays), (targets,
+1) for a run of the encoder's, whose stacked products are each one
+target's.  The two forms differ only in where the previous attention output
+comes from and in how the outputs become one row a target, so a target's
+floats do not depend on the run it is in.
 
 Ablation toggles: enable_residual feeds a zero vector instead of r_i;
 enable_branch feeds zeros into the fusion slot.  All four combinations
@@ -219,38 +221,29 @@ def _windows(buffer, first: int, targets: int, n: int):
                       first * row, (row, col, row))
 
 
-def _attend_step(query, own_score, own_v, history):
-    """Attention contexts (targets, 1, d) of the codec's step.
+def _attend(query, own_score, own_v, history):
+    """Attention contexts of the codec's step, over leading target axes
+    `...`: none for one target, (targets,) for a run.
 
-    Each target's per-head queries (H, 1, d/H) score its n history keys,
-    the first half of history (targets, 2d, n) read as (targets, 2H, d/H, n),
-    and own_score (targets, H, 1, 1) holds their scores against its own key;
-    the weights then mix the history values and its own values own_v
-    (targets, d).  Every product is one target's and one head's, stacked.
+    Each target's per-head queries (..., H, 1, d/H) score its n history
+    keys, the first half of history (..., 2d, n) read as
+    (..., 2H, d/H, n), and own_score (..., H, 1, 1) holds their scores
+    against its own key; the weights then mix the history values and its own
+    values own_v, d of them a target in any shape (a run passes
+    (targets, 1, d)), in which the contexts come back.  Every product is one
+    target's and one head's, stacked.
     """
-    targets, heads, _, dh = query.shape
-    n = history.shape[2]
-    history = history.reshape(targets, 2 * heads, dh, n)
-    weights = nn.softmax_np(np.concatenate(
-        (query @ history[:, :heads], own_score), axis=3))
-    c = (weights[..., :n] @ history[:, heads:].swapaxes(2, 3)
-         + weights[..., n:] * own_v.reshape(targets, heads, 1, dh))
-    return c.reshape(targets, 1, heads * dh)
-
-
-def _attend_one(query, own_score, own_v, history):
-    """`_attend_step`'s ops for one target without the target axis: query
-    (H, 1, d/H), own_score (H, 1, 1), own_v (d,) and history (2d, n), a
-    transposed slice of the K/V buffer, give the same context (d,)."""
-    heads, _, dh = query.shape
-    history = history.reshape(2 * heads, dh, -1)
-    weights = np.concatenate((query @ history[:heads], own_score), axis=2)
-    weights -= weights.max(axis=2, keepdims=True)
+    heads, _, dh = query.shape[-3:]
+    n = history.shape[-1]  # not -1 below: an empty history (N = 1) has n = 0
+    history = history.reshape(query.shape[:-3] + (2 * heads, dh, n))
+    weights = np.concatenate((query @ history[..., :heads, :, :], own_score),
+                             axis=-1)
+    weights -= weights.max(axis=-1, keepdims=True)
     np.exp(weights, out=weights)
-    weights /= weights.sum(axis=2, keepdims=True)
-    c = weights[..., :-1] @ history[heads:].swapaxes(1, 2)
-    c += weights[..., -1:] * own_v.reshape(heads, 1, dh)
-    return c.reshape(-1)
+    weights /= weights.sum(axis=-1, keepdims=True)
+    c = weights[..., :-1] @ history[..., heads:, :, :].swapaxes(-1, -2)
+    c += weights[..., -1:] * own_v.reshape(query.shape)
+    return c.reshape(own_v.shape)
 
 
 # Targets per window block in `distributions`.  Every target scores all of
@@ -401,20 +394,21 @@ class ContextModel:
 
         Encoder and decoder step through nodes 0, 1, 2, ... in order, the
         decoder one target a call and the encoder in runs of at most the
-        cache's batch.  A run stacks its targets' products, each of the
-        one-target call's shape, never a GEMM across targets.  Where its
-        windows have one length it reads the histories as a strided view of
-        the cache; where they differ (growing windows: the stream's first
-        N - 1 nodes) each target attends alone over its own slice, through
-        `_attend_one`.  One target (every decoder step) runs the same ops on
-        arrays without the target axis (`_attend_one`, `_heads_one`), so a
-        target's floats, and therefore its frequency table, depend neither
-        on the run it is in nor on the form.  Each target's query scores the
-        history rows of its window and its own row (its chain with occupancy
-        PAD).  A history row is a node's own row plus its occupancy's delta,
-        stored once the node's occupancy is set, so no row is embedded
-        twice.  The step runs on the cache's `CodecWeights`, not on
-        `params`.
+        cache's batch.  One sequence of ops serves both: `_attend`, then the
+        residual and the heads over (..., width).  One target (every decoder
+        step) runs it on arrays without a target axis, its history a
+        transposed slice of the cache.  A run stacks its targets' products
+        on a (targets, 1) axis, each of the one-target call's shape, never a
+        GEMM across targets.  Where the run's windows have one length it
+        reads their histories as one strided view of the cache; where they
+        differ (growing windows: the stream's first N - 1 nodes) each target
+        attends alone, in the one-target form.  So a target's floats, and
+        therefore its frequency table, depend neither on the run it is in
+        nor on the form.  Each target's query scores the history rows of its
+        window and its own row (its chain with occupancy PAD).  A history
+        row is a node's own row plus its occupancy's delta, stored once the
+        node's occupancy is set, so no row is embedded twice.  The step runs
+        on the cache's `CodecWeights`, not on `params`.
         """
         ctx, w = cache.ctx, cache.weights
         if not (cache.next_node <= i < j <= ctx.count):
@@ -427,74 +421,55 @@ class ContextModel:
         n = i - lo  # history rows of target i
         start = max(lo, cache.next_node)
         occ = ctx.window(j - 1, start)[0][:-1, 0, 0]
-        if not occ.all():
+        if np.count_nonzero(occ) < len(occ):  # a third of all()'s cost
             raise InvalidInput(f"a history node of node {j - 1} is not "
                                "coded yet")
-        kv, query, own_score = cache.targets(start, j)
-        first = cache.rows(lo, start, kv[:j - 1 - start], occ)
-        if j - i == 1:
-            return self._heads_one(cache, _attend_one(
-                query[-1], own_score[-1], kv[-1, w.d:],
-                cache.kv[first:first + n].T))
-        query, own_score, own_v = (query[i - start:], own_score[i - start:],
-                                   kv[i - start:, w.d:])
-        targets = np.arange(i, j)
-        los = ctx.window_start(targets)
-        if (targets - los == n).all():
-            c = _attend_step(query, own_score, own_v,
-                             _windows(cache.kv, first, j - i, n))
-        else:  # growing windows: each target attends over its own slice
-            c = np.empty((j - i, 1, w.d), dtype=np.float32)
-            for b, lo_t in enumerate(los.tolist()):
-                history = cache.kv[first + lo_t - lo:first + n + b].T
-                c[b, 0] = _attend_one(query[b], own_score[b], own_v[b],
+        at, kv, query, own_score = cache.targets(start, j)
+        first = cache.rows(lo, start, kv[start - at:j - 1 - at], occ)
+        if j - i == 1:  # no target axis: c is (d,)
+            t = i - at
+            c = _attend(query[t], own_score[t], kv[t, w.d:],
+                        cache.kv[first:first + n].T)
+            prev = c if cache.c_prev is None else cache.c_prev
+            cache.c_prev, per_target = c, None
+        else:  # one (1, d) row a target
+            run = slice(i - at, j - at)
+            query, own_score, own_v = (query[run], own_score[run],
+                                       kv[run, None, w.d:])
+            targets = np.arange(i, j)
+            los = ctx.window_start(targets)
+            if (targets - los == n).all():
+                c = _attend(query, own_score, own_v,
+                            _windows(cache.kv, first, j - i, n))
+            else:  # growing windows: each target attends over its own slice
+                c = np.empty_like(own_v)
+                for b, lo_t in enumerate(los.tolist()):
+                    history = cache.kv[first + lo_t - lo:first + n + b].T
+                    c[b, 0] = _attend(query[b], own_score[b], own_v[b, 0],
                                       history)
-        h = c  # one (1, width) row a target from here on
-        if self.cfg.enable_residual:  # r_0 = 0 at the stream's start
             prev = np.concatenate((c[:1] if cache.c_prev is None
                                    else cache.c_prev[None, None], c[:-1]))
-            h = np.concatenate((c, c - prev), axis=2)
-        a = np.maximum(h @ w.w1 + w.b1, 0.0)
-        z = a[..., :w.hidden_main] @ w.w2_main + w.b2
-        o = None
-        if self.cfg.enable_branch:
-            hb = a[..., w.hidden_main:] @ w.branch_w2 + w.branch_b2
-            o = 0.5 * np.tanh(0.5 * hb) + 0.5  # the sigmoid, without overflow
-            z += o @ w.w2_branch
-            o = o[:, 0]
-        z -= z.max(axis=2, keepdims=True)
-        q = np.exp(z, out=z)
-        q *= (1.0 - PROB_FLOOR) / q.sum(axis=2, keepdims=True)
-        q += PROB_FLOOR / 255.0
-        cache.c_prev = c[-1, 0]
-        return c[:, 0], q[:, 0], o
-
-    def _heads_one(self, cache: "KVCache", c):
-        """`predict`'s residual and heads for one target from its attention
-        output c (d,): the run form's ops in its order on 1-D vectors, so
-        every float is the same; one row each, as a run returns them."""
-        w = cache.weights
-        prev = c if cache.c_prev is None else cache.c_prev  # r_0 = 0
-        h = np.concatenate((c, c - prev)) if self.cfg.enable_residual else c
+            cache.c_prev, per_target = c[-1, 0], (slice(None), 0)
+        h = c  # r = c - prev, 0 at the stream's start, where prev is c
+        if self.cfg.enable_residual:
+            h = np.concatenate((c, c - prev), axis=-1)
         a = h @ w.w1
         a += w.b1
         np.maximum(a, 0.0, out=a)
-        z = a[:w.hidden_main] @ w.w2_main
+        z = a[..., :w.hidden_main] @ w.w2_main
         z += w.b2
         o = None
         if self.cfg.enable_branch:
-            o = 0.5 * np.tanh(0.5 * (a[w.hidden_main:] @ w.branch_w2
-                                     + w.branch_b2)) + 0.5
+            o = 0.5 * np.tanh(0.5 * (a[..., w.hidden_main:] @ w.branch_w2
+                                     + w.branch_b2)) + 0.5  # the sigmoid
             z += o @ w.w2_branch
-            o = o[None]
-        z -= z.max()
+            o = o[per_target]
+        z -= z.max(axis=-1, keepdims=True)
         np.exp(z, out=z)
-        # an array, as in the run form: NumPy 1.x would divide by a float32
-        # scalar in float64
-        z *= (1.0 - PROB_FLOOR) / z.sum(keepdims=True)
+        # keepdims: over an array, NumPy 1.x too divides in float32
+        z *= (1.0 - PROB_FLOOR) / z.sum(axis=-1, keepdims=True)
         z += PROB_FLOOR / 255.0
-        cache.c_prev = c
-        return c[None], z[None], o
+        return c[per_target], z[per_target], o  # one row a target
 
     def blocks(self, asm: ContextAssembler, size: int):
         """(start, stop, block, lead) for consecutive runs of `size` targets.
@@ -622,15 +597,16 @@ class KVCache:
         self.base = 0       # node held by buffer row 0
         self.next_node = 0  # the first node whose history row is not cached
         self.c_prev = None  # the last target's attention output
-        self.held = (0, 0, None)  # nodes [first, stop) and their target rows
+        self.held = (0, np.empty((0, 0)), None, None)  # as `targets` gives
 
     def targets(self, start: int, stop: int):
-        """(kv, query, own_score) of nodes start, ..., stop - 1 as targets,
-        their occupancy PAD: the rows [k | v] (targets, 2d), the queries
-        split by head (targets, H, 1, d/H) and each head's query score
-        against its own key (targets, H, 1, 1)."""
-        first, end, rows = self.held
-        if not first <= start <= stop <= end:
+        """(first, kv, query, own_score): target rows held for nodes first,
+        first + 1, ..., among them start, ..., stop - 1, their occupancy PAD:
+        the rows [k | v] (nodes, 2d), the queries split by head
+        (nodes, H, 1, d/H) and each head's query score against its own key
+        (nodes, H, 1, 1)."""
+        held = self.held
+        if not held[0] <= start <= stop <= held[0] + len(held[1]):
             w = self.weights
             end = min(max(stop, start + self.batch), self.ctx.count)
             index = self.ctx.chains[start:end] + w.offsets
@@ -640,13 +616,11 @@ class KVCache:
             kvq = x @ w.kvq + w.kvq_b
             split = (end - start, w.heads, 1, -1)
             query = kvq[..., 2 * w.d:].reshape(split)
-            rows = (kvq[:, 0, :2 * w.d], query,
-                    (query * kvq[..., :w.d].reshape(split)).sum(
-                        axis=3, keepdims=True))
-            first, self.held = start, (start, end, rows)
-        kv, query, own_score = rows
-        a, b = start - first, stop - first
-        return kv[a:b], query[a:b], own_score[a:b]
+            held = self.held = (
+                start, kvq[:, 0, :2 * w.d], query,
+                (query * kvq[..., :w.d].reshape(split)).sum(axis=3,
+                                                            keepdims=True))
+        return held
 
     def rows(self, lo: int, start: int, kv, occ) -> int:
         """Store the history rows of nodes start, ..., stop - 1, their

@@ -36,7 +36,7 @@ from .coder import (FREQ_TOTAL, MAX_BITS_PAST_END, ArithmeticDecoder,
                     ArithmeticEncoder, Bitstream, BitstreamHeader, FLAG_BRANCH,
                     FLAG_RESIDUAL, HEADER_BYTES, quantize_dist)
 from .context import GrowingContext
-from .errors import CorruptStream, InvalidInput, ModelMismatch
+from .errors import CorruptStream, InvalidInput, ModelMismatch, NumericalError
 from .geometry import MAX_DEPTH, QuantizedPointCloud, RawPointCloud, quantize
 from .model import ContextModel, KVCache
 from .octree import ROOT_PARENT, NodeSequence, build, children, reconstruct
@@ -141,7 +141,9 @@ def _walk(model: ContextModel, depth: int, coded_levels: int, node_limit: int,
 
 def encode(pc: RawPointCloud, depth: int, coded_levels: int,
            model: ContextModel, table_log=None):
-    """Compress a raw cloud; returns (Bitstream, EncodeReport)."""
+    """Compress a raw cloud; returns (Bitstream, EncodeReport).
+    NumericalError if the model's step gives a node a non-finite
+    distribution."""
     t0 = time.perf_counter()
     if not (1 <= coded_levels <= depth):
         raise InvalidInput("need 1 <= coded_levels <= depth")
@@ -159,11 +161,18 @@ def encode(pc: RawPointCloud, depth: int, coded_levels: int,
         encode their symbols in node order."""
         nonlocal ideal, coded
         n = stop - coded
+        syms = seq.occupancy[coded:stop]
+        bits = -np.log2(dists[np.arange(n), syms - 1])
+        finite = np.isfinite(bits)  # an inf or NaN logit makes a row NaN
+        if not finite.all():
+            i = coded + int(finite.argmin())
+            raise NumericalError(
+                f"level {seq.level[i]}, node {i}: the model's float32 codec "
+                "step overflowed to a non-finite distribution; the model's "
+                "weights are too large for it")
         tables = quantize_dist(dists[:n])
         if table_log is not None:
             table_log.extend(tables)
-        syms = seq.occupancy[coded:stop]
-        bits = -np.log2(dists[np.arange(n), syms - 1])
         for level, sym, table, b in zip(seq.level[coded:stop].tolist(),
                                         syms.tolist(), tables, bits.tolist()):
             if level > len(marks):
@@ -180,10 +189,11 @@ def encode(pc: RawPointCloud, depth: int, coded_levels: int,
         dists[i - coded:i + len(q) - coded] = q
         return seq.occupancy[i:i + len(q)]
 
-    n_coded = len(_walk(model, depth, coded_levels, len(seq), code,
-                        seq.occupancy))
-    if n_coded > coded:
-        flush(n_coded)
+    with np.errstate(over="ignore", invalid="ignore"):  # flush refuses it
+        n_coded = len(_walk(model, depth, coded_levels, len(seq), code,
+                            seq.occupancy))
+        if n_coded > coded:
+            flush(n_coded)
     payload = enc.finish()
     header = BitstreamHeader(
         depth=depth, coded_levels=coded_levels, origin=qpc.origin,

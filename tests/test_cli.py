@@ -213,6 +213,22 @@ class TestCodecCommands:
         assert run(command, *argv, "--depth", depth) == 3
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_overflowing_checkpoint_exit_code(self, tmp_path, capsys):
+        """A checkpoint whose weights overflow the float32 codec step is a
+        data error that blames the model, and writes no stream."""
+        ply, ckpt = tmp_path / "cloud.ply", tmp_path / "huge.ckpt"
+        run("synth", "--kind", "plane", "--n", "300", "--seed", "1",
+            "--out", str(ply))
+        model = ContextModel.create(ModelConfig.tiny(seed=1))
+        model.params["slot.w"] = model.params["slot.w"] * 1e25
+        model.save(ckpt)
+        bs = tmp_path / "x.bin"
+        capsys.readouterr()
+        assert run("encode", "--input", str(ply), "--checkpoint", str(ckpt),
+                   "--depth", "5", "--out", str(bs)) == 3
+        assert "float32 codec step overflowed" in capsys.readouterr().err
+        assert not bs.exists()
+
     def test_model_mismatch_exit_code(self, workspace):
         tmp_path, ply, ckpt = workspace
         bs = tmp_path / "cloud.bin"

@@ -11,7 +11,7 @@ from octpcc.context import ContextAssembler, GrowingContext
 from octpcc.errors import ConfigError, InvalidInput, NumericalError, ParseError
 from octpcc.geometry import quantize, synth
 from octpcc.model import (ANALYSIS_CHUNK, CodecWeights, ContextModel, KVCache,
-                          ModelConfig, _attend_one, _attend_step, _windows,
+                          ModelConfig, _attend, _windows,
                           TraceRecord, TrainSchedule, branch_param_names,
                           main_param_names, train, write_trace,
                           zero_head_layers)
@@ -138,15 +138,16 @@ def test_codec_ops_are_batch_invariant(size):
     own = draw((run, 3 * d))
     query = own[:, 2 * d:].reshape(run, base.heads, 1, -1)
     own_score = draw((run, base.heads, 1, 1))
-    together = _attend_step(query, own_score, own[:, d:2 * d],
-                            _windows(buffer, 2, run, n))
+    together = _attend(query, own_score, own[:, None, d:2 * d],
+                       _windows(buffer, 2, run, n))
     for b in range(run):
-        alone = _attend_step(query[b:b + 1], own_score[b:b + 1],
-                             own[b:b + 1, d:2 * d], _windows(buffer, 2 + b, 1, n))
+        alone = _attend(query[b:b + 1], own_score[b:b + 1],
+                        own[b:b + 1, None, d:2 * d],
+                        _windows(buffer, 2 + b, 1, n))
         np.testing.assert_array_equal(together[b], alone[0], err_msg=why)
-        # the decoder's form: no target axis, the history a transposed slice
-        one = _attend_one(query[b], own_score[b], own[b, d:2 * d],
-                          buffer[2 + b:2 + b + n].T)
+        # one target: no target axis, the history a transposed slice
+        one = _attend(query[b], own_score[b], own[b, d:2 * d],
+                      buffer[2 + b:2 + b + n].T)
         np.testing.assert_array_equal(together[b, 0], one, err_msg=why)
 
 

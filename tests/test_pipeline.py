@@ -1,16 +1,18 @@
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import FORWARD_CONFIGS, payload_past_the_table
 import octpcc
 from octpcc.coder import (MAX_BITS_PAST_END, ArithmeticEncoder, Bitstream,
                           HEADER_BYTES, quantize_dist)
-from octpcc.context import ContextAssembler
+from octpcc.context import ContextAssembler, ContextConfig
 from octpcc.errors import (CorruptStream, InvalidInput, ModelMismatch,
-                           OctpccError)
+                           NumericalError, OctpccError)
 from octpcc.geometry import RawPointCloud, quantize, synth
 from octpcc.model import ContextModel, KVCache, ModelConfig, zero_head_layers
 from octpcc.octree import build, reconstruct
@@ -297,6 +299,72 @@ class TestAgreement:
             report.ideal_bits, rel=1e-9)
 
 
+@st.composite
+def codec_cases(draw):
+    """A small model (window from the target alone to past the stream, any
+    ancestors, heads, widths and ablation flags), a small cloud coded
+    through some of its levels, and a run length and cache size for stepping
+    its stream in runs."""
+    heads = draw(st.integers(1, 4))
+    cfg = ModelConfig(
+        ctx=ContextConfig(n_window=draw(st.one_of(st.integers(1, 12),
+                                                  st.integers(13, 400))),
+                          k_ancestors=draw(st.integers(0, 3))),
+        d_embed=draw(st.integers(1, 6)),
+        d_model=heads * draw(st.integers(1, 4)),
+        d_hidden_main=draw(st.integers(1, 24)),
+        d_hidden_branch=draw(st.integers(1, 12)), heads=heads,
+        enable_residual=draw(st.booleans()), enable_branch=draw(st.booleans()),
+        seed=draw(st.integers(0, 1000)))
+    kind = draw(st.sampled_from(["uniform", "plane", "sphere",
+                                 "gaussian_clusters", "lidar_rings"]))
+    pc = synth(kind, draw(st.integers(8, 400)), seed=draw(st.integers(0, 100)))
+    depth = draw(st.integers(2, 6))
+    return (cfg, pc, depth, draw(st.integers(max(2, depth - 2), depth)),
+            draw(st.integers(1, 40)), draw(st.booleans()))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=codec_cases())
+def test_round_trips_across_model_configurations(case):
+    """Lossless decode, the decoder's table log equal to the encoder's and
+    the payload within c02's bound, on drawn models and clouds; and the
+    step's runs (from node 0 on, within a level) equal its one-target steps
+    bit for bit.  With `compact`, the runs go through a K/V buffer of the
+    fewest rows a run needs, N - 2 + run, which compacts wherever the
+    stream is longer, and the one-target steps through one of N - 1 rows."""
+    cfg, pc, depth, coded, run, compact = case
+    model = ContextModel.create(cfg)
+    enc_log, dec_log = [], []
+    bs, report = encode(pc, depth, coded, model, table_log=enc_log)
+    got = decode(bs.to_bytes(), model, table_log=dec_log)
+    seq = build(quantize(pc, depth))
+    want = np.unique(reconstruct(seq, coded), axis=0)
+    np.testing.assert_array_equal(np.unique(got.voxels, axis=0), want)
+    assert len(enc_log) == len(dec_log) == report.node_count
+    for a, b in zip(enc_log, dec_log):
+        np.testing.assert_array_equal(a, b)
+    assert report.payload_bits <= 1.01 * report.ideal_bits + 64
+
+    n = cfg.ctx.n_window
+    nodes = report.node_count
+    sizes = (max(1, n - 2 + run), max(1, n - 1)) if compact else (nodes, nodes)
+    caches = [KVCache(model, ContextAssembler(seq, cfg.ctx), size)
+              for size in sizes]
+    runs, i = [], 0
+    while i < nodes:
+        j = min(i + run, seq.level_slice(seq.level[i]).stop)
+        runs.append(model.predict(caches[0], i, j))
+        i = j
+    steps = [model.predict(caches[1], k, k + 1) for k in range(nodes)]
+    for got, want in zip(zip(*runs), zip(*steps)):
+        if want[0] is None:  # o with the branch off
+            assert set(got) == {None}
+        else:
+            np.testing.assert_array_equal(np.concatenate(got),
+                                          np.concatenate(want))
+
+
 class TestFailureModes:
     def test_model_mismatch_before_any_symbol(self):
         pc = synth("uniform", 100, seed=1)
@@ -338,6 +406,30 @@ class TestFailureModes:
             assert got.same_voxels(want), (byte, bit)
             np.testing.assert_array_equal(got.origin, want.origin)
             assert got.scale == want.scale, (byte, bit)
+
+    @pytest.mark.parametrize("name", ["embed.occupancy", "slot.w"])
+    def test_overflowing_step_blames_the_model(self, name):
+        """A weight of 1e25 is finite in float32, but the float32 step's
+        query-key products overflow.  The encoder refuses the model with a
+        NumericalError that names the first node whose distribution is not
+        finite, and numpy warns of nothing on the way."""
+        model = tiny_model(seed=1)
+        weights = model.params[name].copy()
+        weights.flat[0] = 1e25
+        model.params[name] = weights
+        pc = synth("plane", 300, seed=1)
+        seq = build(quantize(pc, 5))
+        cache = KVCache(model, ContextAssembler(seq, model.cfg.ctx), len(seq))
+        with np.errstate(all="ignore"):
+            first = next(i for i in range(len(seq)) if not np.isfinite(
+                model.predict(cache, i, i + 1)[1]).all())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError) as exc:
+                encode(pc, 5, 5, model)
+        assert str(exc.value).startswith(
+            f"level {seq.level[first]}, node {first}: the model's float32 "
+            "codec step overflowed")
 
     def test_short_payload_stops_decoding(self):
         """A payload cut to 4 bytes under an inflated node count that 4
