@@ -33,7 +33,8 @@ MAX_BITS_PAST_END = 64
 
 
 def _not_summing_to_one(row) -> InvalidInput:
-    return InvalidInput(f"distribution sums to {float(row.sum())!r}, not 1")
+    total = float(row.sum(dtype=np.float64))  # a float32 row's as its copy's
+    return InvalidInput(f"distribution sums to {total!r}, not 1")
 
 
 def quantize_dist(q: np.ndarray) -> np.ndarray:
@@ -49,22 +50,28 @@ def quantize_dist(q: np.ndarray) -> np.ndarray:
     is off by at most 1/2.  The likeliest class then holds >= 129.  One
     row (the decoder's call) is summed in float, the deficit added past its
     likeliest class: every partial sum is an integer below 2**24, so exact.
+    A float32 q (the decoder's row) is scaled in float64, which holds every
+    float32 exactly, so its tables are those of its float64 copy.
     """
-    q = np.asarray(q, dtype=np.float64)
+    q = np.asarray(q)
+    if q.dtype != np.float32:
+        q = np.asarray(q, dtype=np.float64)
     if q.shape[-1:] != (255,) or q.size == 0:
         raise InvalidInput("distribution must have 255 entries")
-    if not 0.0 <= q.min() <= q.max() <= 1.0:  # also false for NaN
-        raise InvalidInput("distribution entries must lie in [0, 1]")
-    scaled = np.rint(q * (FREQ_TOTAL - 255))
+    if not 0.0 <= np.minimum.reduce(q, None) <= np.maximum.reduce(q, None) <= 1.0:
+        raise InvalidInput("distribution entries must lie in [0, 1]")  # or NaN
+    freq = np.multiply(q, FREQ_TOTAL - 255, dtype=np.float64)
+    np.rint(freq, out=freq)
+    freq += 1
     if q.ndim == 1:  # the decoder's call: fewer numpy calls, the same table
         cum = np.zeros(256)
-        np.add.accumulate(scaled + 1, out=cum[1:])
+        np.add.accumulate(freq, out=cum[1:])
         deficit = FREQ_TOTAL - cum[255]
         if abs(deficit) > 127:
             raise _not_summing_to_one(q)
         cum[q.argmax() + 1:] += deficit
         return cum.astype(np.int64)
-    freq = scaled.astype(np.int64, order="C") + 1
+    freq = freq.astype(np.int64, order="C")
     deficit = FREQ_TOTAL - freq.sum(axis=-1)
     bad = np.abs(deficit) > 127
     if bad.any():
@@ -139,26 +146,28 @@ class ArithmeticDecoder:
         self._range = _TOP
         self._code = int.from_bytes(payload[:8].ljust(8, b"\0"), "big")  # value - low
 
-    @property
-    def bits_past_end(self) -> int:
-        """Zeros read beyond the payload."""
-        return 8 * max(0, self._pos - len(self._payload))
-
     def decode(self, cum: np.ndarray) -> int:
         """The next symbol; CorruptStream if the stream's value lies past
-        the table's 2**16 steps, where no encoder puts it."""
+        the table's 2**16 steps, where no encoder puts it, or if the symbol
+        reads more than MAX_BITS_PAST_END zero bits past the payload."""
         r = self._range >> 16
         value = self._code // r
         if value >> 16:
             raise CorruptStream("the payload's value lies outside the coding "
                                 "interval")
-        symbol = int(np.searchsorted(cum, value, side="right")) - 1
+        symbol = int(cum.searchsorted(value, "right")) - 1
         sym_lo = int(cum[symbol])
         code = self._code - r * sym_lo
         rng = r * (int(cum[symbol + 1]) - sym_lo)
         payload, pos = self._payload, self._pos
         while rng < _BOTTOM:
-            code = (code << 8) | (payload[pos] if pos < len(payload) else 0)
+            if pos < len(payload):
+                code = (code << 8) | payload[pos]
+            elif 8 * (pos - len(payload)) < MAX_BITS_PAST_END:
+                code <<= 8  # the payload's end reads as zeros
+            else:
+                raise CorruptStream("decoding read past the end of the "
+                                    f"{len(payload)}-byte payload")
             pos += 1
             rng <<= 8
         self._code, self._range, self._pos = code, rng, pos

@@ -58,6 +58,9 @@ from .octree import NodeSequence
 
 PROB_FLOOR = 1e-6  # uniform mixing weight; keeps every class strictly positive
 LOG2 = math.log(2.0)
+# The codec step's float32 scalars: numpy applies a Python float more slowly.
+_ZERO, _HALF = np.float32(0.0), np.float32(0.5)
+_KEEP, _MIX = np.float32(1.0 - PROB_FLOOR), np.float32(PROB_FLOOR / 255.0)
 
 
 # Checkpoint config keys and their JSON types.
@@ -221,13 +224,18 @@ def _windows(buffer, first: int, targets: int, n: int):
                       first * row, (row, col, row))
 
 
+# `_attend`'s views, as index tuples: spelling `...` out costs more a call.
+_KEYS, _VALUES = np.s_[..., 0, :, :, :], np.s_[..., 1, :, :, :]
+_HISTORY, _OWN = np.s_[..., :-1], np.s_[..., -1:]
+
+
 def _attend(query, own_score, own_v, history):
     """Attention contexts of the codec's step, over leading target axes
     `...`: none for one target, (targets,) for a run.
 
     Each target's per-head queries (..., H, 1, d/H) score its n history
     keys, the first half of history (..., 2d, n) read as
-    (..., 2H, d/H, n), and own_score (..., H, 1, 1) holds their scores
+    (..., 2, H, d/H, n), and own_score (..., H, 1, 1) holds their scores
     against its own key; the weights then mix the history values and its own
     values own_v, d of them a target in any shape (a run passes
     (targets, 1, d)), in which the contexts come back.  Every product is one
@@ -235,14 +243,13 @@ def _attend(query, own_score, own_v, history):
     """
     heads, _, dh = query.shape[-3:]
     n = history.shape[-1]  # not -1 below: an empty history (N = 1) has n = 0
-    history = history.reshape(query.shape[:-3] + (2 * heads, dh, n))
-    weights = np.concatenate((query @ history[..., :heads, :, :], own_score),
-                             axis=-1)
-    weights -= weights.max(axis=-1, keepdims=True)
+    history = history.reshape(query.shape[:-3] + (2, heads, dh, n))
+    weights = np.concatenate((query @ history[_KEYS], own_score), axis=-1)
+    weights -= np.maximum.reduce(weights, -1, keepdims=True)
     np.exp(weights, out=weights)
-    weights /= weights.sum(axis=-1, keepdims=True)
-    c = weights[..., :-1] @ history[..., heads:, :, :].swapaxes(-1, -2)
-    c += weights[..., -1:] * own_v.reshape(query.shape)
+    weights /= np.add.reduce(weights, -1, keepdims=True)
+    c = weights[_HISTORY] @ history[_VALUES].swapaxes(-1, -2)
+    c += weights[_OWN] * own_v.reshape(query.shape)
     return c.reshape(own_v.shape)
 
 
@@ -421,7 +428,7 @@ class ContextModel:
         n = i - lo  # history rows of target i
         start = max(lo, cache.next_node)
         occ = ctx.window(j - 1, start)[0][:-1, 0, 0]
-        if np.count_nonzero(occ) < len(occ):  # a third of all()'s cost
+        if 0 in occ.tolist():  # a quarter of count_nonzero's cost
             raise InvalidInput(f"a history node of node {j - 1} is not "
                                "coded yet")
         at, kv, query, own_score = cache.targets(start, j)
@@ -455,20 +462,20 @@ class ContextModel:
             h = np.concatenate((c, c - prev), axis=-1)
         a = h @ w.w1
         a += w.b1
-        np.maximum(a, 0.0, out=a)
+        np.maximum(a, _ZERO, out=a)
         z = a[..., :w.hidden_main] @ w.w2_main
         z += w.b2
         o = None
-        if self.cfg.enable_branch:
-            o = 0.5 * np.tanh(0.5 * (a[..., w.hidden_main:] @ w.branch_w2
-                                     + w.branch_b2)) + 0.5  # the sigmoid
+        if self.cfg.enable_branch:  # sigmoid(2x) = 0.5 tanh(x) + 0.5, x halved
+            o = np.tanh(a[..., w.hidden_main:] @ w.branch_w2 + w.branch_b2)
+            o *= _HALF
+            o += _HALF
             z += o @ w.w2_branch
             o = o[per_target]
-        z -= z.max(axis=-1, keepdims=True)
+        z -= np.maximum.reduce(z, -1, keepdims=True)
         np.exp(z, out=z)
-        # keepdims: over an array, NumPy 1.x too divides in float32
-        z *= (1.0 - PROB_FLOOR) / z.sum(axis=-1, keepdims=True)
-        z += PROB_FLOOR / 255.0
+        z *= _KEEP / np.add.reduce(z, -1, keepdims=True)
+        z += _MIX
         return c[per_target], z[per_target], o  # one row a target
 
     def blocks(self, asm: ContextAssembler, size: int):
@@ -516,10 +523,11 @@ class CodecWeights:
     the branch off, and only the wc rows with residuals off) with wo folded
     into each d-row block, and b1 takes bo through the wc rows: wc = c wo +
     bo for the attention output c, and r = wc - wc_prev = (c - c_prev) wo.
-    main.w2 is split into its a1 rows and its branch rows.  occ_delta[o] is
-    what occupancy o adds to a row's keys and values over the occupancy
-    PAD: a history row is its node's target row plus occ_delta of its
-    occupancy.
+    main.w2 is split into its a1 rows and its branch rows; branch.w2 and
+    branch.b2 are halved for the sigmoid's tanh(x / 2), exact barring
+    subnormals.  occ_delta[o] is what occupancy o adds to a row's keys and
+    values over the occupancy PAD: a history row is its node's target row
+    plus occ_delta of its occupancy.
     """
 
     def __init__(self, model: ContextModel):
@@ -556,7 +564,7 @@ class CodecWeights:
         self.w2_main = P["main.w2"][:self.hidden_main]
         self.w2_branch = P["main.w2"][self.hidden_main:]
         self.b2 = P["main.b2"]
-        self.branch_w2, self.branch_b2 = P["branch.w2"], P["branch.b2"]
+        self.branch_w2, self.branch_b2 = P["branch.w2"] / 2, P["branch.b2"] / 2
         # every cache of the model reads them; the step runs in float32
         for name, value in vars(self).items():
             if isinstance(value, np.ndarray):
@@ -633,7 +641,7 @@ class KVCache:
         if stop - self.base > len(self.kv):
             self.kv[:start - lo] = self.kv[lo - self.base:start - self.base]
             self.base = lo
-        np.add(kv, self.weights.occ_delta[occ],
+        np.add(kv, self.weights.occ_delta.take(occ, 0),
                out=self.kv[start - self.base:stop - self.base])
         self.next_node = stop
         return lo - self.base

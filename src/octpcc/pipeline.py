@@ -90,6 +90,12 @@ def _model_flags(model: ContextModel) -> int:
             | (FLAG_BRANCH if model.cfg.enable_branch else 0))
 
 
+def _overflowed(level, i) -> NumericalError:
+    return NumericalError(
+        f"level {level}, node {i}: the model's float32 codec step overflowed "
+        "to a non-finite distribution; the model's weights are too large for it")
+
+
 def _walk(model: ContextModel, depth: int, coded_levels: int, node_limit: int,
           code, known=None) -> NodeSequence:
     """Grow the tree from the root through `coded_levels` levels, predicting
@@ -97,9 +103,9 @@ def _walk(model: ContextModel, depth: int, coded_levels: int, node_limit: int,
 
     A level's nodes enter the window table together, once the level above is
     coded.  `code(level, i, q)` takes the distributions q of nodes i, i + 1,
-    ... (one row each) and returns their occupancies.  Without `known`, the
-    decoder's case, a step predicts one node (`predict`'s one-target form),
-    whose occupancy the next window needs.  With `known`, every node's
+    ... (one row each).  Without `known`, the decoder's case, a step
+    predicts one node (`predict`'s one-target form), and `code` returns its
+    occupancy, which the next window needs.  With `known`, every node's
     occupancy in stream order (the encoder's), a level's occupancies are set
     as it enters the table, and a step predicts a run of its nodes, up to
     ENCODE_BLOCK and the cache's batch (the run form), from the level's
@@ -124,15 +130,14 @@ def _walk(model: ContextModel, depth: int, coded_levels: int, node_limit: int,
         end = ctx.count
         if known is not None:
             ctx.set_occupancy(slice(first, end), known[first:end])
-        occ = np.empty(end - first, dtype=np.int32)
         i = first
         while i < end:
             j = min(i + run, end)
-            _, q, _ = model.predict(cache, i, j)
-            occ[i - first:j - first] = sym = code(lvl, i, q)
+            sym = code(lvl, i, model.predict(cache, i, j)[1])
             if known is None:
                 ctx.set_occupancy(i, sym)
             i = j
+        occ = ctx.chains[first:end, 0, 0].copy()
         levels.append((occ, parent, octant))
         parent, octant = children(occ)
         parent += first
@@ -166,10 +171,7 @@ def encode(pc: RawPointCloud, depth: int, coded_levels: int,
         finite = np.isfinite(bits)  # an inf or NaN logit makes a row NaN
         if not finite.all():
             i = coded + int(finite.argmin())
-            raise NumericalError(
-                f"level {seq.level[i]}, node {i}: the model's float32 codec "
-                "step overflowed to a non-finite distribution; the model's "
-                "weights are too large for it")
+            raise _overflowed(seq.level[i], i)
         tables = quantize_dist(dists[:n])
         if table_log is not None:
             table_log.extend(tables)
@@ -187,7 +189,6 @@ def encode(pc: RawPointCloud, depth: int, coded_levels: int,
         if i + len(q) - coded > ENCODE_BLOCK:
             flush(i)
         dists[i - coded:i + len(q) - coded] = q
-        return seq.occupancy[i:i + len(q)]
 
     with np.errstate(over="ignore", invalid="ignore"):  # flush refuses it
         n_coded = len(_walk(model, depth, coded_levels, len(seq), code,
@@ -215,7 +216,9 @@ def encode(pc: RawPointCloud, depth: int, coded_levels: int,
 
 def decode(bs: Bitstream, model: ContextModel,
            table_log=None) -> QuantizedPointCloud:
-    """Reconstruct the voxel set from a bitstream, level by level."""
+    """Reconstruct the voxel set from a bitstream, level by level.
+    NumericalError, as in `encode`, if the model's step gives a node a
+    non-finite distribution."""
     if isinstance(bs, (bytes, bytearray)):
         bs = Bitstream.from_bytes(bytes(bs))
     header = bs.header
@@ -238,19 +241,19 @@ def decode(bs: Bitstream, model: ContextModel,
     dec = ArithmeticDecoder(bs.payload)
 
     def code(level, i, q):
-        table = quantize_dist(q[0])
+        try:
+            table = quantize_dist(q[0])
+        except InvalidInput:  # the model's q is valid unless it overflowed
+            raise _overflowed(level, i) from None
         if table_log is not None:
             table_log.append(table)
         try:
-            sym = dec.decode(table) + 1
+            return dec.decode(table) + 1
         except CorruptStream as exc:
             raise CorruptStream(f"level {level}, node {i}: {exc}") from None
-        if dec.bits_past_end > MAX_BITS_PAST_END:
-            raise CorruptStream(f"level {level}, node {i}: decoding read past the "
-                                f"end of the {len(bs.payload)}-byte payload")
-        return sym
 
-    seq = _walk(model, header.depth, coded_levels, header.node_count, code)
+    with np.errstate(over="ignore", invalid="ignore"):  # code refuses it
+        seq = _walk(model, header.depth, coded_levels, header.node_count, code)
     n = len(seq)
     if n != header.node_count:
         raise CorruptStream(

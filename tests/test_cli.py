@@ -229,6 +229,25 @@ class TestCodecCommands:
         assert "float32 codec step overflowed" in capsys.readouterr().err
         assert not bs.exists()
 
+    def test_overflowing_checkpoint_decode_exit_code(self, tmp_path, capsys):
+        """Decoding with such a checkpoint (a sane stream given its digest)
+        is the same data error, and writes no cloud."""
+        ply, ckpt = tmp_path / "cloud.ply", tmp_path / "huge.ckpt"
+        run("synth", "--kind", "plane", "--n", "300", "--seed", "1",
+            "--out", str(ply))
+        model = ContextModel.create(ModelConfig.tiny(seed=1))
+        bs, _ = encode(read_ply(ply), 5, 5, model)
+        model.params["slot.w"] = model.params["slot.w"] * 1e25
+        model.save(ckpt)
+        bs.header.model_digest = model.digest()
+        stream, out = tmp_path / "x.bin", tmp_path / "back.ply"
+        bs.write(stream)
+        capsys.readouterr()
+        assert run("decode", "--bitstream", str(stream), "--checkpoint",
+                   str(ckpt), "--out", str(out)) == 3
+        assert "float32 codec step overflowed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_model_mismatch_exit_code(self, workspace):
         tmp_path, ply, ckpt = workspace
         bs = tmp_path / "cloud.bin"

@@ -4,9 +4,9 @@ import itertools
 import numpy as np
 import pytest
 
-from octpcc.coder import (BITSTREAM_VERSION, HEADER_BYTES, ArithmeticDecoder,
-                          ArithmeticEncoder, Bitstream, BitstreamHeader,
-                          FREQ_TOTAL, quantize_dist)
+from octpcc.coder import (BITSTREAM_VERSION, HEADER_BYTES, MAX_BITS_PAST_END,
+                          ArithmeticDecoder, ArithmeticEncoder, Bitstream,
+                          BitstreamHeader, FREQ_TOTAL, quantize_dist)
 from octpcc.errors import CorruptStream, InvalidInput, ParseError
 
 from conftest import payload_past_the_table, v1_layout_stream
@@ -191,6 +191,44 @@ class TestQuantizeDist:
         with pytest.raises(InvalidInput):
             quantize_dist(q)
 
+    def test_float32_row_equals_its_float64_copy(self, rng):
+        """The decoder passes the step's float32 row, the encoder a float64
+        copy inside a block: both get one table, the per-row reference's."""
+        for concentration in (0.01, 0.3, 1.0, 30.0):
+            rows = rng.dirichlet(np.full(255, concentration),
+                                 size=40).astype(np.float32)
+            rows /= rows.sum(axis=1, keepdims=True)  # sums to 1 in float32
+            block = quantize_dist(rows.astype(np.float64))
+            for row, table in zip(rows, block):
+                alone = quantize_dist(row)
+                assert alone.dtype == np.int64
+                np.testing.assert_array_equal(alone, quantize_dist(
+                    row.astype(np.float64)))
+                np.testing.assert_array_equal(alone, table)
+                np.testing.assert_array_equal(alone, quantize_row_reference(row))
+
+    @pytest.mark.parametrize("case,message", [
+        ("nan", r"^distribution entries must lie in \[0, 1\]$"),
+        ("negative", r"^distribution entries must lie in \[0, 1\]$"),
+        ("entry_over_one", r"^distribution entries must lie in \[0, 1\]$"),
+        ("sum_over_one", r"^distribution sums to [0-9.]+, not 1$"),
+        ("sum_zero", r"^distribution sums to 0\.0, not 1$")])
+    def test_unquantizable_float32_row_rejected(self, rng, case, message):
+        """A float32 row meets the float64 row's checks and messages, the
+        sum read as its float64 copy's."""
+        q = random_dist(rng)
+        first = np.arange(255) == 0
+        q = {"nan": np.where(first, np.nan, q),
+             "negative": np.where(first, -0.01, q),
+             "entry_over_one": np.where(first, 2.0, q),
+             "sum_over_one": q * 1.01,
+             "sum_zero": q * 0.0}[case].astype(np.float32)
+        with pytest.raises(InvalidInput, match=message) as exc:
+            quantize_dist(q)
+        with pytest.raises(InvalidInput) as want:
+            quantize_dist(q.astype(np.float64))
+        assert str(exc.value) == str(want.value)
+
 
 class TestRoundTrip:
     def test_all_symbols_many_tables(self, rng):
@@ -294,13 +332,22 @@ class TestEncoderState:
         with pytest.raises(InvalidInput, match="outside"):
             ArithmeticEncoder().encode(random_table(rng), symbol)
 
-    def test_decoder_counts_bits_read_past_the_payload(self):
-        dec = ArithmeticDecoder(b"\x80")
-        assert dec.bits_past_end == 56  # the first 8-byte read
-        while dec.bits_past_end <= 72:
-            before = dec.bits_past_end
-            dec.decode(UNIFORM)
-            assert (dec.bits_past_end - before) % 8 == 0
+    def test_decoder_refuses_reading_past_64_bits_of_padding(self):
+        """The payload's end reads as zeros for MAX_BITS_PAST_END bits, the
+        most an encoder's stream is overread: the symbol that reads one byte
+        more is refused."""
+        payload = b"\x80"
+        dec = ArithmeticDecoder(payload)  # the first read: 56 bits past
+        decoded = 0
+        with pytest.raises(CorruptStream, match="^decoding read past the end "
+                           "of the 1-byte payload$"):
+            while True:
+                dec.decode(UNIFORM)
+                decoded += 1
+        # the first symbol reads no byte, the second the last zero byte
+        # allowed, and the third would read one more
+        assert decoded == 2
+        assert dec._pos == len(payload) + MAX_BITS_PAST_END // 8
 
 
 def coded(seed, n, zero=0.0, steer=0.0):
@@ -385,7 +432,7 @@ class TestRangeCoderPaths:
         for _ in range(50):
             dec = ArithmeticDecoder(rng.bytes(int(rng.integers(0, 40))))
             table = random_table(rng)
-            while dec.bits_past_end <= 64:
+            while True:  # it ends: reading 64 bits past the payload refuses
                 try:
                     dec.decode(table)
                 except CorruptStream:

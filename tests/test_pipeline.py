@@ -431,6 +431,31 @@ class TestFailureModes:
             f"level {seq.level[first]}, node {first}: the model's float32 "
             "codec step overflowed")
 
+    @pytest.mark.parametrize("name", ["embed.occupancy", "slot.w"])
+    def test_overflowing_step_blames_the_model_when_decoding(self, name):
+        """The decoder refuses such a model as the encoder does.  The stream
+        is a sane model's with the overflowing model's digest written into
+        its header (the CRC is checked only once the tree is decoded): the
+        first node whose distribution is not finite, the one after the last
+        table logged, fails as a NumericalError that names it, and numpy
+        warns of nothing on the way."""
+        pc = synth("plane", 300, seed=1)
+        bs, _ = encode(pc, 5, 5, tiny_model(seed=1))
+        model = tiny_model(seed=1)
+        weights = model.params[name].copy()
+        weights.flat[0] = 1e25
+        model.params[name] = weights
+        bs.header.model_digest = model.digest()
+        tables = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError) as exc:
+                decode(Bitstream.from_bytes(bs.to_bytes()), model,
+                       table_log=tables)
+        assert re.match(rf"level \d+, node {len(tables)}: the model's float32 "
+                        "codec step overflowed to a non-finite distribution",
+                        str(exc.value)), exc.value
+
     def test_short_payload_stops_decoding(self):
         """A payload cut to 4 bytes under an inflated node count that 4
         bytes could still hold fails once the decoder has read more than 64
