@@ -33,8 +33,7 @@ MAX_BITS_PAST_END = 64
 
 
 def _not_summing_to_one(row) -> InvalidInput:
-    total = float(row.sum(dtype=np.float64))  # a float32 row's as its copy's
-    return InvalidInput(f"distribution sums to {total!r}, not 1")
+    return InvalidInput(f"distribution sums to {float(row.sum())!r}, not 1")
 
 
 def quantize_dist(q: np.ndarray) -> np.ndarray:
@@ -50,17 +49,13 @@ def quantize_dist(q: np.ndarray) -> np.ndarray:
     is off by at most 1/2.  The likeliest class then holds >= 129.  One
     row (the decoder's call) is summed in float, the deficit added past its
     likeliest class: every partial sum is an integer below 2**24, so exact.
-    A float32 q (the decoder's row) is scaled in float64, which holds every
-    float32 exactly, so its tables are those of its float64 copy.
     """
-    q = np.asarray(q)
-    if q.dtype != np.float32:
-        q = np.asarray(q, dtype=np.float64)
+    q = np.asarray(q, dtype=np.float64)
     if q.shape[-1:] != (255,) or q.size == 0:
         raise InvalidInput("distribution must have 255 entries")
     if not 0.0 <= np.minimum.reduce(q, None) <= np.maximum.reduce(q, None) <= 1.0:
         raise InvalidInput("distribution entries must lie in [0, 1]")  # or NaN
-    freq = np.multiply(q, FREQ_TOTAL - 255, dtype=np.float64)
+    freq = q * (FREQ_TOTAL - 255)
     np.rint(freq, out=freq)
     freq += 1
     if q.ndim == 1:  # the decoder's call: fewer numpy calls, the same table

@@ -243,7 +243,9 @@ def decode(bs: Bitstream, model: ContextModel,
     def code(level, i, q):
         try:
             table = quantize_dist(q[0])
-        except InvalidInput:  # the model's q is valid unless it overflowed
+        except InvalidInput:
+            if np.isfinite(q[0]).all():
+                raise
             raise _overflowed(level, i) from None
         if table_log is not None:
             table_log.append(table)

@@ -214,8 +214,7 @@ class TestQuantizeDist:
         ("sum_over_one", r"^distribution sums to [0-9.]+, not 1$"),
         ("sum_zero", r"^distribution sums to 0\.0, not 1$")])
     def test_unquantizable_float32_row_rejected(self, rng, case, message):
-        """A float32 row meets the float64 row's checks and messages, the
-        sum read as its float64 copy's."""
+        """A float32 row meets the float64 row's checks and messages."""
         q = random_dist(rng)
         first = np.arange(255) == 0
         q = {"nan": np.where(first, np.nan, q),
